@@ -7,7 +7,8 @@ cross-entropy head and SGD with momentum and per-entry update locks.
 
 All tensors are (N, C, H, W) float64 arrays. Ops are recorded on a global
 tape in forward order; `backward` replays the tape in exact reverse order,
-so gradient accumulation order is deterministic.
+so gradient accumulation order is deterministic. Under `no_grad` ops record
+nothing and allocate no gradient buffers, for forward-only passes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ class _TapeState(threading.local):
 
     def __init__(self):
         self.tape: list["Tensor"] = []
+        self.grad_enabled = True
         # When not None, abs/relu/histogram hinges append their pre-hinge
         # values here so a finite-difference checker can detect kink crossings.
         self.hinges: list[np.ndarray] | None = None
@@ -41,6 +43,10 @@ _STATE = _TapeState()
 
 
 def reset_tape() -> None:
+    """Forget the recorded graph. Dropping each node's closure breaks its
+    node<->closure reference cycle, so refcounting frees the graph."""
+    for t in _STATE.tape:
+        t._backward = None
     _STATE.tape.clear()
 
 
@@ -65,14 +71,39 @@ class hinge_trace:
         _STATE.hinges = self._prev
 
 
-def backward(loss: "Tensor") -> None:
-    """Seed the scalar loss with gradient 1 and replay the tape in reverse."""
-    if loss.data.size != 1:
-        raise ShapeError(f"backward expects a scalar tensor, got shape {loss.shape}")
-    loss.grad[...] = 1.0
+class no_grad:
+    """Context manager for forward-only passes: ops neither record on the tape
+    nor keep a backward closure nor allocate a gradient buffer."""
+
+    def __enter__(self) -> None:
+        self._prev = _STATE.grad_enabled
+        _STATE.grad_enabled = False
+
+    def __exit__(self, *exc) -> None:
+        _STATE.grad_enabled = self._prev
+
+
+def backward(out: "Tensor", grad: np.ndarray | None = None) -> None:
+    """Seed `out` with the upstream gradient `grad` (1 for a scalar output
+    when omitted) and replay the tape in reverse.
+
+    Each node drops its closure once run, so the graph is freed by
+    refcounting as soon as the caller lets go of it.
+    """
+    if out.grad is None:
+        raise ValueError("backward needs an output recorded with gradients on")
+    if grad is None:
+        if out.data.size != 1:
+            raise ShapeError(f"backward expects a scalar tensor, got shape {out.shape}")
+        grad = 1.0
+    elif np.shape(grad) != out.shape:
+        raise ShapeError(f"upstream gradient shape {np.shape(grad)} does not match "
+                         f"output {out.shape}")
+    out.grad[...] = grad
     for t in reversed(_STATE.tape):
         if t._backward is not None:
             t._backward()
+            t._backward = None
     _STATE.tape.clear()
 
 
@@ -80,14 +111,14 @@ def backward(loss: "Tensor") -> None:
 # tensors
 
 class Tensor:
-    """Dense rank-4 float64 array with a gradient slot."""
+    """Dense rank-4 float64 array with a gradient slot (None without one)."""
 
-    def __init__(self, data):
+    def __init__(self, data, with_grad: bool = True):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"tensors are rank-4 (N,C,H,W), got shape {arr.shape}")
         self.data = arr
-        self.grad = np.zeros_like(arr)
+        self.grad = np.zeros_like(arr) if with_grad else None
         self._backward = None
 
     @property
@@ -125,6 +156,8 @@ class Parameter(Tensor):
 
 
 def _node(data: np.ndarray, backward_fn) -> Tensor:
+    if not _STATE.grad_enabled:
+        return Tensor(data, with_grad=False)
     out = Tensor(data)
     out._backward = backward_fn
     _record(out)
@@ -269,10 +302,9 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
     logp = np.log(picked, where=picked > 0, out=np.full_like(picked, -745.0))
     loss_val = -(logp * valid).sum() / count
 
-    onehot = np.zeros_like(p)
-    np.put_along_axis(onehot, safe[:, None], 1.0, axis=1)
-
     def _bw():
+        onehot = np.zeros_like(p)
+        np.put_along_axis(onehot, safe[:, None], 1.0, axis=1)
         g = loss_node.grad.reshape(-1)[0]
         logits.grad += (p - onehot) * valid[:, None] * (g / count)
 
@@ -395,12 +427,10 @@ def grad_check(loss_fn, wiggle: Parameter, eps: float = 1e-4,
     for idx in indices:
         orig = wiggle.data[idx]
         wiggle.data[idx] = orig + eps
-        reset_tape()
-        with hinge_trace() as tr_plus:
+        with no_grad(), hinge_trace() as tr_plus:
             f_plus = loss_fn().item()
         wiggle.data[idx] = orig - eps
-        reset_tape()
-        with hinge_trace() as tr_minus:
+        with no_grad(), hinge_trace() as tr_minus:
             f_minus = loss_fn().item()
         wiggle.data[idx] = orig
 
@@ -412,5 +442,4 @@ def grad_check(loss_fn, wiggle: Parameter, eps: float = 1e-4,
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
         max_rel = max(max_rel, rel)
         checked += 1
-    reset_tape()
     return GradCheckResult(wiggle.name or "param", max_rel, checked, skipped)

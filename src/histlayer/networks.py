@@ -201,37 +201,26 @@ def parameter_census(net: Network) -> dict:
 # --------------------------------------------------------------------------
 # evaluation
 
-def _confusion_for_range(net: Network, dataset, lo: int, hi: int,
-                         stage: int | None) -> np.ndarray:
+EVAL_BATCH = 50
+
+
+def _evaluate_range(net: Network, dataset, lo: int, hi: int, stage: int | None):
+    """Confusion counts and per-batch loss terms (batch loss * batch length)
+    of images [lo, hi), one forward-only pass in EVAL_BATCH batches."""
     K = net.cfg.K
     conf = np.zeros((K, K), dtype=np.int64)
-    step = 50
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
-        feats = Tensor(dataset.features[start:stop])
-        out = net.forward(feats)
-        probs = out.final_probs if stage is None else out.stage_probs[stage]
-        pred = np.argmax(probs.data, axis=1)
-        labels = dataset.labels[start:stop]
-        idx = labels.astype(np.int64) * K + pred
-        conf += np.bincount(idx.ravel(), minlength=K * K).reshape(K, K)
-    ad.reset_tape()
-    return conf
-
-
-def confusion_matrix(net: Network, dataset, stage: int | None = None) -> np.ndarray:
-    """Rows = true class, columns = predicted class (argmax, ties to lowest)."""
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("cannot evaluate an empty dataset")
-    workers = int(os.environ.get("HISTLAYER_THREADS", "1") or "1")
-    if workers <= 1:
-        return _confusion_for_range(net, dataset, 0, n, stage)
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda ab: _confusion_for_range(net, dataset, ab[0], ab[1], stage),
-                         zip(bounds[:-1], bounds[1:]))
-        return sum(parts, np.zeros((net.cfg.K, net.cfg.K), dtype=np.int64))
+    terms = []
+    with ad.no_grad():
+        for start in range(lo, hi, EVAL_BATCH):
+            stop = min(start + EVAL_BATCH, hi)
+            labels = dataset.labels[start:stop]
+            loss, out = net.loss(Tensor(dataset.features[start:stop]), labels)
+            terms.append(loss.item() * (stop - start))
+            probs = out.final_probs if stage is None else out.stage_probs[stage]
+            pred = np.argmax(probs.data, axis=1)
+            idx = labels.astype(np.int64) * K + pred
+            conf += np.bincount(idx.ravel(), minlength=K * K).reshape(K, K)
+    return conf, terms
 
 
 def metrics_from_confusion(conf: np.ndarray) -> dict:
@@ -246,20 +235,35 @@ def metrics_from_confusion(conf: np.ndarray) -> dict:
 
 
 def evaluate(net: Network, dataset, stage: int | None = None) -> dict:
-    """Per-pixel accuracy and unweighted mean per-class recall."""
-    return metrics_from_confusion(confusion_matrix(net, dataset, stage))
+    """Mean loss, per-pixel accuracy and unweighted mean per-class recall,
+    from one forward-only pass. The confusion matrix has rows = true class,
+    columns = predicted class (argmax, ties to lowest).
 
-
-def evaluate_loss(net: Network, dataset, batch_size: int = 50) -> float:
-    total, count = 0.0, 0
-    for start in range(0, len(dataset), batch_size):
-        stop = min(start + batch_size, len(dataset))
-        loss, _ = net.loss(Tensor(dataset.features[start:stop]),
-                           dataset.labels[start:stop])
-        total += loss.item() * (stop - start)
-        count += stop - start
-    ad.reset_tape()
-    return total / count
+    HISTLAYER_THREADS shards the pass on whole EVAL_BATCH batches, with at
+    most one thread per batch, and the loss terms are summed in batch order,
+    so every thread count gives the same batches and the same float sums.
+    """
+    n = len(dataset)
+    if n == 0:
+        raise ValueError("cannot evaluate an empty dataset")
+    n_batches = -(-n // EVAL_BATCH)
+    workers = min(int(os.environ.get("HISTLAYER_THREADS", "1") or "1"), n_batches)
+    if workers <= 1:
+        parts = [_evaluate_range(net, dataset, 0, n, stage)]
+    else:
+        cuts = np.linspace(0, n_batches, workers + 1).astype(int) * EVAL_BATCH
+        cuts = np.minimum(cuts, n).tolist()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(
+                lambda ab: _evaluate_range(net, dataset, ab[0], ab[1], stage),
+                zip(cuts[:-1], cuts[1:])))
+    conf = np.zeros((net.cfg.K, net.cfg.K), dtype=np.int64)
+    total = 0.0
+    for part_conf, terms in parts:
+        conf += part_conf
+        for term in terms:  # a plain loop: sum() of floats is compensated on 3.12+
+            total += term
+    return {**metrics_from_confusion(conf), "loss": total / n}
 
 
 # --------------------------------------------------------------------------
@@ -320,7 +324,7 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
         rows.append(LogRow(phase, epoch, "train", loss_sum / seen,
                            train_m["per_pixel"], train_m["per_class"]))
         val_m = evaluate(net, val_ds)
-        rows.append(LogRow(phase, epoch, "val", evaluate_loss(net, val_ds),
+        rows.append(LogRow(phase, epoch, "val", val_m["loss"],
                            val_m["per_pixel"], val_m["per_class"]))
     return rows
 

@@ -180,17 +180,11 @@ def check_equivalence(seed: int, trials: int) -> PropertyReport:
         ad.reset_tape()
         x_d = Tensor(xdata.copy())
         direct = hist_forward_direct(x_d, hp)
-        direct.grad[...] = upstream
-        for t in reversed(ad._STATE.tape):
-            t._backward()
-        ad.reset_tape()
+        ad.backward(direct, upstream)
 
         x_c = Tensor(xdata.copy())
         composed = layer.forward(x_c)
-        composed.grad[...] = upstream
-        for t in reversed(ad._STATE.tape):
-            t._backward()
-        ad.reset_tape()
+        ad.backward(composed, upstream)
 
         diag = np.arange(K * B)
         worst = max(
@@ -214,9 +208,8 @@ def check_oracle_agreement(seed: int, trials: int) -> PropertyReport:
         h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         hp = _rand_params(rng, K, B)
         x = rng.uniform(-0.2, 1.2, size=(n, K, h, w))
-        ad.reset_tape()
-        got = hist_forward_direct(Tensor(x), hp).data.reshape(n, K * B)
-        ad.reset_tape()
+        with ad.no_grad():
+            got = hist_forward_direct(Tensor(x), hp).data.reshape(n, K * B)
         want = hist_oracle(x, hp.centers.data.reshape(K, B), hp.slopes.data.reshape(K, B))
         worst = max(worst, np.abs(got - want).max())
     return PropertyReport("oracle_agreement", trials, worst, 0,
@@ -245,10 +238,7 @@ def _random_training_steps(layer: ComposedHistogram, rng, steps: int, n=2, h=3, 
         ad.reset_tape()
         out = layer.forward(x)
         ad.zero_grads(layer.parameters())
-        out.grad[...] = rng.standard_normal(out.shape)
-        for t in reversed(ad._STATE.tape):
-            t._backward()
-        ad.reset_tape()
+        ad.backward(out, rng.standard_normal(out.shape))
         ad.sgd_step(layer.parameters(), lr=1e-2, momentum=0.9)
         layer.clamp_slopes()
 
@@ -303,9 +293,8 @@ def check_feature_range(seed: int, trials: int) -> PropertyReport:
         B = int(rng.integers(2, 7))
         hp = _rand_params(rng, K, B)
         x = rng.uniform(-1.0, 2.0, size=(2, K, 4, 4))
-        ad.reset_tape()
-        feat = hist_forward_direct(Tensor(x), hp).data
-        ad.reset_tape()
+        with ad.no_grad():
+            feat = hist_forward_direct(Tensor(x), hp).data
         worst = max(worst, float(max(-feat.min(), feat.max() - 1.0, 0.0)))
     return PropertyReport("feature_range_bounds", trials, worst, 0,
                           worst <= TOL_STRUCTURAL, seed)

@@ -18,9 +18,7 @@ from histlayer.data import generate, default_spec
 from histlayer.histogram import init_params
 from histlayer.networks import (HistNetConfig, Network, TrainSchedule, build_base,
                                 train_base, two_phase_train)
-
-TOL_STRUCTURAL = 1e-12
-TOL_FINITE_DIFF = 1e-5
+from histlayer.verify import TOL_FINITE_DIFF, TOL_STRUCTURAL
 
 
 def verdict(criterion, passed, detail):

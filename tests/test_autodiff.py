@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -396,3 +399,90 @@ def test_forward_backward_stay_finite(seed):
     assert np.all(np.isfinite(probs.data))
     assert np.all(np.isfinite(x.grad))
     assert np.all(np.isfinite(w.grad))
+
+
+# --------------------------------------------------------------------------
+# no_grad, upstream gradients and graph lifetime
+
+def test_no_grad_direct_histogram_records_nothing_and_matches(rng):
+    x = rng.uniform(0, 1, size=(2, 3, 4, 4))
+    p = init_params(3, 5)
+    ad.reset_tape()
+    recorded = hist_forward_direct(Tensor(x), p).data
+    ad.reset_tape()
+    with ad.no_grad():
+        out = hist_forward_direct(Tensor(x), p)
+    assert ad._STATE.tape == []
+    assert out.grad is None and out._backward is None
+    np.testing.assert_array_equal(out.data, recorded)
+
+
+def test_no_grad_restores_recording_on_exit():
+    x = Tensor(np.ones((1, 2, 1, 1)))
+    ad.reset_tape()
+    with ad.no_grad():
+        with ad.no_grad():
+            ad.relu(x)
+        ad.relu(x)
+    out = ad.relu(x)
+    assert ad._STATE.tape == [out]
+    ad.reset_tape()
+
+
+def test_backward_upstream_matches_manual_replay(rng):
+    x = Parameter(rng.standard_normal((2, 3, 2, 2)), name="x")
+    w = Parameter(rng.standard_normal((4, 3, 1, 1)), name="w")
+    b = Parameter(rng.standard_normal((4, 1, 1, 1)), name="b")
+    upstream = rng.standard_normal((2, 4, 2, 2))
+    ad.reset_tape()
+    run_backward(ad.relu(ad.conv1x1(x, w, b)), upstream)
+    want = [p.grad.copy() for p in (x, w, b)]
+    ad.zero_grads([x, w, b])
+    ad.backward(ad.relu(ad.conv1x1(x, w, b)), upstream)
+    assert ad._STATE.tape == []
+    for p, g in zip((x, w, b), want):
+        np.testing.assert_array_equal(p.grad, g)
+
+
+def test_backward_rejects_bad_upstream_and_tape_free_outputs():
+    x = Tensor(np.ones((1, 2, 2, 2)))
+    ad.reset_tape()
+    with pytest.raises(ShapeError, match="upstream gradient shape"):
+        ad.backward(ad.relu(x), np.ones((1, 2, 1, 1)))
+    with pytest.raises(ShapeError, match="scalar"):
+        ad.backward(ad.relu(x))
+    ad.reset_tape()
+    with ad.no_grad():
+        out = ad.relu(x)
+    with pytest.raises(ValueError, match="gradients on"):
+        ad.backward(out, np.ones(out.shape))
+
+
+def _graph_with_hidden_ref(rng):
+    """Record a small loss graph; return it with a weakref to an inner node."""
+    x = Parameter(rng.standard_normal((2, 3, 2, 2)), name="x")
+    w = Parameter(rng.standard_normal((3, 3, 1, 1)), name="w")
+    b = Parameter(rng.standard_normal((3, 1, 1, 1)), name="b")
+    labels = rng.integers(0, 3, size=(2, 2, 2))
+    ad.reset_tape()
+    hidden = ad.relu(ad.conv1x1(x, w, b))
+    loss, probs = ad.softmax_xent(ad.conv1x1(ad.abs_elem(hidden), w, b), labels)
+    return loss, probs, weakref.ref(hidden)
+
+
+@pytest.mark.parametrize("release", ["backward", "reset_tape"])
+def test_released_graph_freed_without_the_collector(release, rng):
+    """Backward and reset_tape drop the node closures, so no reference cycle
+    keeps an intermediate node alive until a garbage collection."""
+    gc.disable()
+    try:
+        loss, probs, hidden = _graph_with_hidden_ref(rng)
+        assert hidden() is not None
+        if release == "backward":
+            ad.backward(loss)
+        else:
+            ad.reset_tape()
+        del loss, probs
+        assert hidden() is None
+    finally:
+        gc.enable()

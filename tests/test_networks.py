@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import histlayer.autodiff as ad
+from histlayer import networks
 from histlayer.autodiff import Tensor
 from histlayer.data import default_spec, generate
 from histlayer.networks import (BASELINE_MODES, HistNetConfig, TrainSchedule,
-                                build_base, build_network, confusion_matrix, evaluate,
+                                build_base, build_network, evaluate,
                                 load_base, metrics_from_confusion, parameter_census,
                                 train_base, train_phase, two_phase_train)
 
@@ -187,24 +188,76 @@ def test_empty_dataset_rejected():
     ds = small_data(2)
     ds.features = ds.features[:0]
     with pytest.raises(ValueError, match="empty"):
-        confusion_matrix(net, ds)
+        evaluate(net, ds)
 
 
 def test_confusion_counts_every_pixel():
     net = build_network(small_cfg(), seed=0)
     ds = small_data(5)
-    conf = confusion_matrix(net, ds)
+    conf = evaluate(net, ds)["confusion"]
     assert conf.sum() == 5 * 6 * 6
+
+
+@pytest.mark.parametrize("mode", BASELINE_MODES)
+def test_no_grad_loss_records_nothing_and_matches_recorded(mode):
+    net = build_network(small_cfg(mode), seed=3)
+    ds = small_data(3, seed=4)
+    feats = Tensor(ds.features)
+    loss, out = net.loss(feats, ds.labels)
+    ad.reset_tape()
+    with ad.no_grad():
+        loss_ng, out_ng = net.loss(feats, ds.labels)
+    assert ad._STATE.tape == []
+    nodes = [loss_ng, out_ng.final_probs, *out_ng.stage_logits, *out_ng.stage_probs]
+    assert all(t.grad is None for t in nodes)
+    assert loss_ng.item() == loss.item()
+    np.testing.assert_array_equal(out_ng.final_probs.data, out.final_probs.data)
+    for a, b in zip(out_ng.stage_logits, out.stage_logits):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_threaded_evaluation_matches_serial(monkeypatch):
     net = build_network(small_cfg(), seed=4)
     ds = small_data(30, seed=5)
+    # 8 batches of at most 4 images, so 4 threads get several batches each
+    monkeypatch.setattr(networks, "EVAL_BATCH", 4)
     monkeypatch.setenv("HISTLAYER_THREADS", "1")
-    serial = confusion_matrix(net, ds)
+    serial = evaluate(net, ds)
     monkeypatch.setenv("HISTLAYER_THREADS", "4")
-    threaded = confusion_matrix(net, ds)
-    np.testing.assert_array_equal(threaded, serial)
+    threaded = evaluate(net, ds)
+    np.testing.assert_array_equal(threaded["confusion"], serial["confusion"])
+    assert threaded["loss"] == serial["loss"]
+
+
+def test_evaluation_threads_capped_at_batch_count(monkeypatch):
+    pools = []
+
+    class RecordingPool(networks.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(networks, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(networks, "EVAL_BATCH", 4)
+    monkeypatch.setenv("HISTLAYER_THREADS", "64")
+    evaluate(build_network(small_cfg(), seed=4), small_data(30, seed=5))
+    assert pools == [8]
+
+
+def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch):
+    """The merged pass gives the loss of the former separate loss pass: recorded
+    batch losses weighted by batch length, summed in batch order, over N."""
+    net = build_network(small_cfg(), seed=6)
+    ds = small_data(12, seed=8)
+    monkeypatch.setattr(networks, "EVAL_BATCH", 5)  # batches of 5, 5 and 2
+    total = 0.0
+    for start in range(0, len(ds), 5):
+        stop = min(start + 5, len(ds))
+        loss, _ = net.loss(Tensor(ds.features[start:stop]), ds.labels[start:stop])
+        total += loss.item() * (stop - start)
+    ad.reset_tape()
+    assert evaluate(net, ds)["loss"] == total / len(ds)
+    assert ad._STATE.tape == []
 
 
 # --------------------------------------------------------------------------
