@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import verify
 from .autodiff import Tensor
 from .checkpoint import CheckpointFormatError, load_checkpoint, load_into, save_checkpoint
-from .config import ConfigError, RunConfig, load_config, write_resolved
+from .config import ConfigError, RunConfig, eval_threads, load_config, write_resolved
 from .data import (DatasetFormatError, default_spec, generate, local_bayes_ceiling,
                    read_dataset, write_dataset)
 from .histogram import histogram_table
@@ -169,17 +169,20 @@ def cmd_eval(cfg: RunConfig, ckpt: Path, data_path: Path, out_dir: Path) -> int:
 def run_gradcheck(cfg: RunConfig, seed: int = 0, corrupt: str | None = None):
     """Finite-difference suite over primitives and a full network graph.
 
-    `corrupt` names a primitive whose backward pass is deliberately broken,
-    as a sanity check that the harness can actually fail.
+    `corrupt` names one of `verify.PRIMITIVES` whose backward pass is
+    deliberately broken, as a sanity check that the harness can actually
+    fail: its `gradcheck_<op>` report must fail.
     """
     undo = None
     if corrupt is not None:
-        if not hasattr(ad, corrupt):
-            raise ConfigError(f"cannot corrupt unknown op {corrupt!r}")
+        if corrupt not in verify.PRIMITIVES:
+            raise ConfigError(f"cannot corrupt {corrupt!r}: expected one of "
+                              f"{', '.join(verify.PRIMITIVES)}")
         original = getattr(ad, corrupt)
 
         def broken(*args, **kwargs):
-            out = original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            out = result[0] if isinstance(result, tuple) else result
             inner = out._backward
 
             def bad():
@@ -187,7 +190,7 @@ def run_gradcheck(cfg: RunConfig, seed: int = 0, corrupt: str | None = None):
                 inner()
 
             out._backward = bad
-            return out
+            return result
 
         setattr(ad, corrupt, broken)
         undo = (corrupt, original)
@@ -244,20 +247,18 @@ def cmd_gradcheck(cfg: RunConfig, corrupt: str | None) -> int:
 
 def cmd_inspect_histogram(ckpt: Path, out_path: Path | None) -> int:
     params = load_checkpoint(ckpt)
-    pairs = [(name[:-3], name) for name in params if name.endswith(".b1")]
-    if not pairs:
+    prefixes = [name[:-len(".centers")] for name in params if name.endswith(".centers")]
+    if not prefixes:
         raise CheckpointFormatError(f"checkpoint {ckpt} holds no histogram parameters")
     lines = [["class", "bin", "center", "slope", "effective_width", "drifted"]]
-    for prefix, b1_name in pairs:
-        b1 = params[b1_name]
-        w2 = params[f"{prefix}.w2"]
-        kb = b1.shape[0]
-        k = int(params[f"{prefix}.w1"].shape[1])
-        b = kb // k
-        diag = np.arange(kb)
-        centers = -b1.data.reshape(kb).reshape(k, b)
-        slopes = -w2.data[diag, diag, 0, 0].reshape(k, b)
-        for row in histogram_table(centers, slopes):
+    for prefix in prefixes:
+        centers = params[f"{prefix}.centers"]
+        slopes = params.get(f"{prefix}.slopes")
+        if slopes is None or slopes.shape != centers.shape:
+            raise CheckpointFormatError(
+                f"checkpoint {ckpt}: {prefix}.centers has no matching {prefix}.slopes")
+        k, b = centers.shape[:2]
+        for row in histogram_table(centers.data.reshape(k, b), slopes.data.reshape(k, b)):
             lines.append([row[0], row[1], repr(row[2]), repr(row[3]),
                           repr(row[4]), row[5]])
     text = "\n".join(",".join(str(c) for c in line) for line in lines) + "\n"
@@ -373,6 +374,7 @@ def _resolve(args) -> RunConfig:
         cfg.seed = args.seed
     if args.mode is not None:
         cfg.mode = args.mode
+    eval_threads()
     return cfg
 
 

@@ -8,6 +8,7 @@ writes the fully resolved configuration next to its outputs.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,3 +116,17 @@ def write_resolved(cfg: RunConfig, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.txt").write_text(dump_config(cfg))
+
+
+def eval_threads() -> int:
+    """Evaluation thread count from HISTLAYER_THREADS; empty or unset means 1."""
+    raw = os.environ.get("HISTLAYER_THREADS", "")
+    if not raw:
+        return 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"HISTLAYER_THREADS must be a positive integer, got {raw!r}")
+    return n

@@ -4,12 +4,14 @@ Each bin is a triangular basis psi(x) = max(0, 1 - s*|x - mu|) with peak at
 the center mu and support half-width 1/s. Two equivalent realizations are
 provided:
 
-* a direct vectorized forward/backward (`hist_forward_direct`), and
+* a direct vectorized forward/backward (`hist_forward_direct`), the layer
+  of the histnet and fix_hist networks, and
 * a composed pipeline of generic primitives (`ComposedHistogram`):
   conv1x1 (unit selectors, bias -mu) -> abs -> conv1x1 (diagonal -s,
   bias 1) -> relu -> global average pool, with lock masks freezing the
   selector weights, the off-diagonal entries and the fixed bias so the
-  layer keeps its histogram meaning under SGD.
+  layer keeps its histogram meaning under SGD. It is the reference the
+  direct form is verified against; unlocked, it is the free_all ablation.
 """
 
 from __future__ import annotations
@@ -48,11 +50,17 @@ class HistogramParams:
     def B(self) -> int:
         return self.centers.shape[1]
 
+    def forward(self, likelihood: Tensor) -> Tensor:
+        return hist_forward_direct(likelihood, self)
+
+    def parameters(self) -> list[Parameter]:
+        return [self.centers, self.slopes]
+
     def clamp_slopes(self) -> None:
         np.maximum(self.slopes.data, S_MIN, out=self.slopes.data)
 
 
-def init_params(K: int, B: int) -> HistogramParams:
+def init_params(K: int, B: int, name: str = "hist") -> HistogramParams:
     """Centers evenly spaced on [0,1], slopes B-1 everywhere.
 
     For B=6 this is centers {0, 0.2, ..., 1.0} with half-width 0.2; adjacent
@@ -64,8 +72,8 @@ def init_params(K: int, B: int) -> HistogramParams:
     centers = np.tile(grid, (K, 1)).reshape(K, B, 1, 1)
     slopes = np.full((K, B, 1, 1), float(B - 1))
     return HistogramParams(
-        centers=Parameter(centers, name="hist.centers"),
-        slopes=Parameter(slopes, name="hist.slopes"),
+        centers=Parameter(centers, name=f"{name}.centers"),
+        slopes=Parameter(slopes, name=f"{name}.slopes"),
     )
 
 
@@ -93,18 +101,20 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     x = likelihood.data.reshape(n, K, 1, h, w)
     d = x - mu
     _record_hinge(d)
-    a = np.abs(d)
-    t = 1.0 - s * a
+    # t = 1 - s*|d| computed in place, so the pass holds d and one work array
+    t = np.abs(d)
+    t *= -s
+    t += 1.0
     _record_hinge(t)
     active = t > 0
-    psi = np.where(active, t, 0.0)
-    out = psi.mean(axis=(3, 4)).reshape(n, K * B, 1, 1)
+    np.maximum(t, 0.0, out=t)
+    out = t.mean(axis=(3, 4)).reshape(n, K * B, 1, 1)
 
     def _bw():
         gg = node.grad.reshape(n, K, B, 1, 1) / (h * w)
         sgn = np.sign(d)
         common = np.where(active, gg, 0.0)
-        params.slopes.grad += (common * -a).sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
+        params.slopes.grad += (common * -np.abs(d)).sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
         params.centers.grad += (common * s * sgn).sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
         likelihood.grad += (common * -s * sgn).sum(axis=2).reshape(n, K, h, w)
 
@@ -117,12 +127,11 @@ class ComposedHistogram:
 
     With `unlocked=True` every entry of both kernels and biases becomes
     trainable and the layer no longer means a histogram (the free-all
-    ablation). With `freeze_bins=True` the centers and slopes themselves
-    are locked too (the fix-hist ablation).
+    ablation).
     """
 
     def __init__(self, params: HistogramParams, unlocked: bool = False,
-                 freeze_bins: bool = False, name: str = "hist"):
+                 name: str = "hist"):
         K, B = params.K, params.B
         self.K, self.B = K, B
         self.unlocked = unlocked
@@ -137,18 +146,14 @@ class ComposedHistogram:
         w2[diag, diag, 0, 0] = -params.slopes.data.reshape(K * B)
         b2 = np.ones((K * B, 1, 1, 1))
 
-        if unlocked:
-            w1_lock = np.ones_like(w1)
-            b1_lock = np.ones_like(b1)
-            w2_lock = np.ones_like(w2)
-            b2_lock = np.ones_like(b2)
-        else:
-            w1_lock = np.zeros_like(w1)
-            b1_lock = np.zeros_like(b1) if freeze_bins else np.ones_like(b1)
-            w2_lock = np.zeros_like(w2)
-            if not freeze_bins:
-                w2_lock[diag, diag] = 1.0
-            b2_lock = np.zeros_like(b2)
+        # the centers (b1) and slopes (w2 diagonal) always train; the
+        # structural entries train only when unlocked
+        structural = float(unlocked)
+        w1_lock = np.full_like(w1, structural)
+        b1_lock = np.ones_like(b1)
+        w2_lock = np.full_like(w2, structural)
+        w2_lock[diag, diag] = 1.0
+        b2_lock = np.full_like(b2, structural)
 
         self.w1 = Parameter(w1, w1_lock, name=f"{name}.w1")
         self.b1 = Parameter(b1, b1_lock, name=f"{name}.b1")
@@ -162,13 +167,6 @@ class ComposedHistogram:
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
-
-    def centers(self) -> np.ndarray:
-        return -self.b1.data.reshape(self.K, self.B)
-
-    def slopes(self) -> np.ndarray:
-        diag = np.arange(self.K * self.B)
-        return -self.w2.data[diag, diag, 0, 0].reshape(self.K, self.B)
 
     def clamp_slopes(self) -> None:
         # slope s >= S_MIN means the stored diagonal entry -s stays <= -S_MIN

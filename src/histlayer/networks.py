@@ -5,9 +5,9 @@ Later stages summarize the previous stage's likelihood map into a global
 context vector, tile it back over the grid and reclassify. The context
 branch is selected by `baseline_mode`:
 
-* histnet    — trainable histogram of the likelihood map (locked filters)
+* histnet    — trainable histogram of the likelihood map (direct form)
 * fix_hist   — same histogram but with centers/slopes frozen
-* free_all   — histogram pipeline with every lock removed
+* free_all   — composed histogram pipeline with every lock removed
 * score_global — global average of the likelihood map (no histogram)
 * feat_global  — global average of the topmost feature maps
 * base_only    — stage 1 alone, no context branch
@@ -15,15 +15,15 @@ branch is selected by `baseline_mode`:
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .histogram import ComposedHistogram, init_params
+from .config import eval_threads
+from .histogram import ComposedHistogram, HistogramParams, init_params
 
 BASELINE_MODES = ("histnet", "fix_hist", "free_all", "score_global",
                   "feat_global", "base_only")
@@ -88,7 +88,7 @@ class Network:
         self.cls_w = Parameter(_gauss(rng, (K, C, 1, 1), 0.01), name="base.cls.w")
         self.cls_b = Parameter(np.zeros((K, 1, 1, 1)), name="base.cls.b")
 
-        self.hists: list[ComposedHistogram] = []
+        self.hists: list[HistogramParams | ComposedHistogram] = []
         self.fcs: list[tuple[Parameter, Parameter]] = []
         self.heads: list[tuple[Parameter, Parameter]] = []
 
@@ -97,13 +97,15 @@ class Network:
             d_ctx = cfg.context_input_dim()
             for i in range(n_branches):
                 tag = "" if n_branches == 1 else f".{i}"
-                if cfg.baseline_mode in HIST_MODES:
-                    hp = init_params(K, cfg.B)
+                if cfg.baseline_mode == "free_all":
                     self.hists.append(ComposedHistogram(
-                        hp,
-                        unlocked=cfg.baseline_mode == "free_all",
-                        freeze_bins=cfg.baseline_mode == "fix_hist",
-                        name=f"hist{tag}"))
+                        init_params(K, cfg.B), unlocked=True, name=f"hist{tag}"))
+                elif cfg.baseline_mode in HIST_MODES:
+                    hp = init_params(K, cfg.B, name=f"hist{tag}")
+                    if cfg.baseline_mode == "fix_hist":
+                        for p in hp.parameters():
+                            p.lock_mask[...] = 0.0
+                    self.hists.append(hp)
                 fc_w = Parameter(_gauss(rng, (K * cfg.B, d_ctx, 1, 1), 0.01),
                                  name=f"fc{tag}.w")
                 fc_b = Parameter(np.zeros((K * cfg.B, 1, 1, 1)), name=f"fc{tag}.b")
@@ -247,7 +249,7 @@ def evaluate(net: Network, dataset, stage: int | None = None) -> dict:
     if n == 0:
         raise ValueError("cannot evaluate an empty dataset")
     n_batches = -(-n // EVAL_BATCH)
-    workers = min(int(os.environ.get("HISTLAYER_THREADS", "1") or "1"), n_batches)
+    workers = min(eval_threads(), n_batches)
     if workers <= 1:
         parts = [_evaluate_range(net, dataset, 0, n, stage)]
     else:
@@ -352,9 +354,8 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
     """Incremental training: new layers first, then everything jointly.
 
     Phase 1 updates only the context FC layers and the stage heads; the
-    base and the histogram bins stay fixed. Phase 2 updates all parameters,
-    with the structural lock masks still excluding the selector kernels,
-    the off-diagonal entries and the fixed bias.
+    base and the histogram bins stay fixed. Phase 2 updates all parameters
+    whose lock masks allow it (fix_hist keeps its bins frozen).
     """
     if net.cfg.baseline_mode == "base_only":
         raise ValueError("two_phase_train needs a context-refinement mode")
@@ -373,10 +374,3 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
     return rows, {"stage1_before_phase2": stage1_before["per_pixel"],
                   "stage1_after_phase2": stage1_after["per_pixel"]}
 
-
-def build_network(cfg: HistNetConfig, seed: int = 0) -> Network:
-    return Network(cfg, seed)
-
-
-def build_base(cfg: HistNetConfig, seed: int = 0) -> Network:
-    return Network(replace(cfg, baseline_mode="base_only"), seed)

@@ -26,6 +26,11 @@ TOL_FINITE_DIFF = 1e-5
 FD_EPS = 1e-4
 KINK_MARGIN = 1e-3
 
+# the autodiff primitives, each with one finite-difference report
+PRIMITIVES = ("conv1x1", "fully_connected", "abs_elem", "relu", "global_avg_pool",
+              "broadcast_concat", "softmax", "softmax_xent", "scalar_mean",
+              "mean_tensors")
+
 
 @dataclass
 class PropertyReport:
@@ -100,6 +105,7 @@ def primitive_reports(seed: int) -> list[PropertyReport]:
     vec = Parameter(rng.standard_normal((n, cin, 1, 1)), name="vec")
     fc_w = Parameter(rng.standard_normal((cout, cin, 1, 1)), name="fc.w")
     labels = rng.integers(0, cin, size=(n, h, w))
+    y = Parameter(rng.standard_normal((n, cin, h, w)), name="y")
 
     def quadratic(t):
         # smooth scalar readout sum(t^2)/2 so every op's output is exercised
@@ -116,11 +122,15 @@ def primitive_reports(seed: int) -> list[PropertyReport]:
         "relu": (lambda: quadratic(ad.relu(x)), [x]),
         "global_avg_pool": (lambda: quadratic(ad.global_avg_pool(x)), [x]),
         "broadcast_concat": (lambda: quadratic(ad.broadcast_concat(x, vec)), [x, vec]),
+        "softmax": (lambda: quadratic(ad.softmax(x)), [x]),
         "softmax_xent": (lambda: ad.softmax_xent(ad.conv1x1(x, wgt, b), labels)[0],
                          [x, wgt, b]),
+        "scalar_mean": (lambda: ad.scalar_mean([quadratic(x), quadratic(vec)]), [x, vec]),
+        "mean_tensors": (lambda: quadratic(ad.mean_tensors([x, y])), [x, y]),
     }
     reports = []
-    for op, (loss_fn, wiggles) in cases.items():
+    for op in PRIMITIVES:
+        loss_fn, wiggles = cases[op]
         worst, skipped = 0.0, 0
         for p in wiggles:
             res = ad.grad_check(loss_fn, p, eps=FD_EPS, kink_margin=KINK_MARGIN)

@@ -16,8 +16,8 @@ from histlayer.cli import cmd_gen_data, compare_runs, train_run
 from histlayer.config import RunConfig
 from histlayer.data import generate, default_spec
 from histlayer.histogram import init_params
-from histlayer.networks import (HistNetConfig, Network, TrainSchedule, build_base,
-                                train_base, two_phase_train)
+from histlayer.networks import (HistNetConfig, Network, TrainSchedule, train_base,
+                                two_phase_train)
 from histlayer.verify import TOL_FINITE_DIFF, TOL_STRUCTURAL
 
 
@@ -101,15 +101,14 @@ def test_criterion_5_lock_semantics():
     train = generate(spec, 16, 8, 8, seed=10)
     val = generate(spec, 8, 8, 8, seed=11)
     sched = TrainSchedule(epochs=2, batch_size=4, decay_epoch=1, seed=0)
-    cfg = HistNetConfig(baseline_mode="fix_hist")
-    base = build_base(cfg, seed=0)
+    base = Network(HistNetConfig(baseline_mode="base_only"), seed=0)
     train_base(base, train, val, sched)
-    net = Network(cfg, seed=0)
-    b1_before = net.hists[0].b1.data.copy()
-    w2_before = net.hists[0].w2.data.copy()
+    net = Network(HistNetConfig(baseline_mode="fix_hist"), seed=0)
+    centers_before = net.hists[0].centers.data.copy()
+    slopes_before = net.hists[0].slopes.data.copy()
     two_phase_train(net, base.state(), train, val, sched)
-    frozen = (np.array_equal(net.hists[0].b1.data, b1_before)
-              and np.array_equal(net.hists[0].w2.data, w2_before))
+    frozen = (np.array_equal(net.hists[0].centers.data, centers_before)
+              and np.array_equal(net.hists[0].slopes.data, slopes_before))
     ok = lock.passed and frozen
     verdict("lock mask semantics under momentum SGD", ok,
             f"structural drift after {lock.trials} steps: {lock.max_error}, "

@@ -7,7 +7,9 @@ from histlayer.checkpoint import save_checkpoint
 from histlayer.cli import main
 from histlayer.config import (ConfigError, RunConfig, dump_config, load_config,
                               parse_config_text)
+from histlayer.histogram import ComposedHistogram
 from histlayer.networks import HistNetConfig, Network
+from histlayer.verify import PRIMITIVES
 
 SMALL = []
 for kv in ("n_train=16", "n_val=8", "n_test=8", "H=8", "W=8",
@@ -76,6 +78,16 @@ def test_eval_missing_dataset_exits_3(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 3
     assert "io error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_thread_count_exits_2_before_any_work(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("HISTLAYER_THREADS", threads)
+    # the files do not exist: an unchecked run would fail later with exit 3
+    rc = main(["eval", str(tmp_path / "x.hprm"), str(tmp_path / "x.hctx"),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "HISTLAYER_THREADS" in capsys.readouterr().err
 
 
 def test_gen_data_deterministic(tmp_path):
@@ -184,7 +196,7 @@ def test_inspect_histogram_trained_bins_match_checkpoint(trained, capsys):
     assert len(body) == 6 * 6
     from histlayer.checkpoint import load_checkpoint
     params = load_checkpoint(trained["run"] / "final.hprm")
-    centers = -params["hist.b1"].data.reshape(36)
+    centers = params["hist.centers"].data.reshape(36)
     got = np.array([float(r[2]) for r in body])
     np.testing.assert_array_equal(got, centers)
 
@@ -198,6 +210,32 @@ def test_inspect_histogram_without_histogram_exits_3(tmp_path, capsys):
     assert "no histogram parameters" in capsys.readouterr().err
 
 
+def test_inspect_histogram_free_all_exits_3(tmp_path, capsys):
+    net = Network(HistNetConfig(K=2, B=3, D_in=3, C_feat=4, baseline_mode="free_all"),
+                  seed=0)
+    ckpt = tmp_path / "free_all.hprm"
+    save_checkpoint(net.state(), ckpt)
+    assert main(["inspect-histogram", str(ckpt)]) == 3
+    assert "no histogram parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["histnet", "fix_hist"])
+def test_eval_composed_histogram_checkpoint_exits_3(trained, tmp_path, capsys, mode):
+    """A checkpoint holding the composed kernels hist.w1/b1/w2/b2 does not load
+    into a histnet or fix_hist network, whose histogram is hist.centers/slopes."""
+    net = Network(HistNetConfig(baseline_mode=mode), seed=0)
+    params = {n: p for n, p in net.state().items() if not n.startswith("hist.")}
+    for p in ComposedHistogram(net.hists[0]).parameters():
+        params[p.name] = p
+    ckpt = tmp_path / "composed.hprm"
+    save_checkpoint(params, ckpt)
+    rc = main(["eval", str(ckpt), str(trained["data"] / "val.hctx"),
+               "--mode", mode, "--out", str(tmp_path / "out")] + SMALL)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "parameter mismatch" in err and "hist.w2" in err and "hist.centers" in err
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--set", "stages=2"]) == 0
     out = capsys.readouterr().out
@@ -205,10 +243,12 @@ def test_gradcheck_passes(capsys):
     assert "full_network_finite_differences" in out
 
 
-def test_gradcheck_corrupt_backward_exits_4(capsys):
-    assert main(["gradcheck", "--corrupt", "conv1x1"]) == 4
-    assert "FAIL" in capsys.readouterr().out
+@pytest.mark.parametrize("op", PRIMITIVES)
+def test_gradcheck_corrupt_backward_exits_4(capsys, op):
+    assert main(["gradcheck", "--corrupt", op]) == 4
+    assert f"FAIL gradcheck_{op}:" in capsys.readouterr().out
 
 
-def test_gradcheck_corrupt_unknown_op_exits_2(capsys):
-    assert main(["gradcheck", "--corrupt", "frobnicate"]) == 2
+@pytest.mark.parametrize("op", ["frobnicate", "backward", "IGNORE_LABEL"])
+def test_gradcheck_corrupt_unknown_op_exits_2(capsys, op):
+    assert main(["gradcheck", "--corrupt", op]) == 2

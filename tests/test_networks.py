@@ -5,10 +5,12 @@ import histlayer.autodiff as ad
 from histlayer import networks
 from histlayer.autodiff import Tensor
 from histlayer.data import default_spec, generate
-from histlayer.networks import (BASELINE_MODES, HistNetConfig, TrainSchedule,
-                                build_base, build_network, evaluate,
-                                load_base, metrics_from_confusion, parameter_census,
-                                train_base, train_phase, two_phase_train)
+from histlayer.histogram import ComposedHistogram
+from histlayer.networks import (BASELINE_MODES, HistNetConfig, Network, TrainSchedule,
+                                evaluate, load_base, metrics_from_confusion,
+                                parameter_census, train_base, train_phase,
+                                two_phase_train)
+from histlayer.verify import TOL_STRUCTURAL
 
 
 def small_cfg(mode="histnet", **kw):
@@ -51,7 +53,7 @@ def test_context_input_dims():
 
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 def test_forward_shapes_all_modes(mode):
-    net = build_network(small_cfg(mode), seed=1)
+    net = Network(small_cfg(mode), seed=1)
     out = net.forward(Tensor(np.random.default_rng(0).standard_normal((2, 6, 4, 4))))
     ad.reset_tape()
     expected_stages = 1 if mode == "base_only" else 2
@@ -62,7 +64,7 @@ def test_forward_shapes_all_modes(mode):
 
 
 def test_stage_probs_normalized(rng):
-    net = build_network(small_cfg(), seed=2)
+    net = Network(small_cfg(), seed=2)
     out = net.forward(Tensor(rng.standard_normal((3, 6, 5, 5))))
     ad.reset_tape()
     for p in out.stage_probs + [out.final_probs]:
@@ -70,7 +72,7 @@ def test_stage_probs_normalized(rng):
 
 
 def test_zeroed_classifier_gives_uniform_probs(rng):
-    net = build_base(small_cfg(), seed=3)
+    net = Network(small_cfg("base_only"), seed=3)
     net.params["base.cls.w"].data[...] = 0.0
     net.params["base.cls.b"].data[...] = 0.0
     out = net.forward(Tensor(rng.standard_normal((2, 6, 3, 3))))
@@ -80,17 +82,17 @@ def test_zeroed_classifier_gives_uniform_probs(rng):
 
 def test_stage_head_input_width():
     cfg = small_cfg()
-    net = build_network(cfg, seed=0)
+    net = Network(cfg, seed=0)
     hw, _ = net.heads[0]
     assert hw.shape[1] == cfg.C_feat + cfg.K * cfg.B
 
 
 def test_construction_is_seed_deterministic():
-    a = build_network(small_cfg(), seed=7)
-    b = build_network(small_cfg(), seed=7)
+    a = Network(small_cfg(), seed=7)
+    b = Network(small_cfg(), seed=7)
     for name in a.params:
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
-    c = build_network(small_cfg(), seed=8)
+    c = Network(small_cfg(), seed=8)
     assert not np.array_equal(a.params["fc.w"].data, c.params["fc.w"].data)
 
 
@@ -100,7 +102,7 @@ def test_zeroed_context_fc_makes_context_modes_agree(rng):
     x = rng.standard_normal((2, 6, 4, 4))
     outs = []
     for mode in ("histnet", "score_global", "feat_global"):
-        net = build_network(small_cfg(mode), seed=11)
+        net = Network(small_cfg(mode), seed=11)
         for tag in ("fc.w", "fc.b"):
             net.params[tag].data[...] = 0.0
         # align the parts that differ only through rng consumption order
@@ -119,10 +121,12 @@ def test_zeroed_context_fc_makes_context_modes_agree(rng):
 
 
 def test_shared_vs_unshared_stage_parameters():
-    shared = build_network(small_cfg(stages=3), seed=0)
+    shared = Network(small_cfg(stages=3), seed=0)
     assert len(shared.hists) == 1 and len(shared.fcs) == 1 and len(shared.heads) == 2
-    solo = build_network(small_cfg(stages=3, share_stage_params=False), seed=0)
+    solo = Network(small_cfg(stages=3, share_stage_params=False), seed=0)
     assert len(solo.hists) == 2 and len(solo.fcs) == 2 and len(solo.heads) == 2
+    assert [p.name for h in solo.hists for p in h.parameters()] == [
+        "hist.0.centers", "hist.0.slopes", "hist.1.centers", "hist.1.slopes"]
 
 
 # --------------------------------------------------------------------------
@@ -144,29 +148,68 @@ def census_expect(cfg):
                                   "score_global", "feat_global"])
 def test_census_matches_analytic_count(mode):
     cfg = small_cfg(mode)
-    census = parameter_census(build_network(cfg, seed=0))
+    census = parameter_census(Network(cfg, seed=0))
     assert census["extra_trainable"] == census_expect(cfg)
 
 
 def test_census_base_only_empty():
-    census = parameter_census(build_base(small_cfg(), seed=0))
+    census = parameter_census(Network(small_cfg("base_only"), seed=0))
     assert census["extra_trainable"] == 0
     assert census["per_param"] == {}
 
 
 def test_census_histnet_bin_entries():
     cfg = small_cfg("histnet")
-    census = parameter_census(build_network(cfg, seed=0))["per_param"]
+    census = parameter_census(Network(cfg, seed=0))["per_param"]
     KB = cfg.K * cfg.B
-    assert census["hist.w1"] == 0
-    assert census["hist.b1"] == KB
-    assert census["hist.w2"] == KB
-    assert census["hist.b2"] == 0
+    assert [n for n in census if n.startswith("hist")] == ["hist.centers", "hist.slopes"]
+    assert census["hist.centers"] == KB
+    assert census["hist.slopes"] == KB
 
 
 def test_census_fix_hist_bin_entries():
-    census = parameter_census(build_network(small_cfg("fix_hist"), seed=0))["per_param"]
-    assert census["hist.b1"] == 0 and census["hist.w2"] == 0
+    census = parameter_census(Network(small_cfg("fix_hist"), seed=0))["per_param"]
+    assert census["hist.centers"] == 0 and census["hist.slopes"] == 0
+
+
+@pytest.mark.parametrize("mode", ["histnet", "fix_hist"])
+def test_direct_histogram_matches_composed_reference_in_network(mode):
+    """The network's direct-form histogram gives the loss and gradients of the
+    same network running the locked composed stack on the same bins."""
+    rng = np.random.default_rng(21)
+    direct = Network(small_cfg(mode), seed=9)
+    for p in direct.params.values():
+        p.data[...] = rng.standard_normal(p.shape) * 0.5
+    hp = direct.hists[0]
+    hp.centers.data[...] = rng.uniform(-0.2, 1.2, size=hp.centers.shape)
+    hp.slopes.data[...] = rng.uniform(0.5, 8.0, size=hp.slopes.shape)
+    ref = Network(small_cfg(mode), seed=9)
+    for name, p in ref.params.items():
+        p.data[...] = direct.params[name].data
+    layer = ComposedHistogram(ref.hists[0])
+    ref.hists[0] = layer
+    ds = small_data(3, seed=12)
+    feats, labels = Tensor(ds.features), ds.labels
+
+    losses = []
+    for net, hist_params in ((direct, hp.parameters()), (ref, layer.parameters())):
+        net.zero_grads()
+        ad.zero_grads(hist_params)
+        loss, _ = net.loss(feats, labels)
+        ad.backward(loss)
+        losses.append(loss.item())
+    assert abs(losses[0] - losses[1]) < TOL_STRUCTURAL
+    for name, p in direct.params.items():
+        if not name.startswith("hist."):
+            np.testing.assert_allclose(p.grad, ref.params[name].grad,
+                                       rtol=0, atol=TOL_STRUCTURAL)
+    KB = hp.K * hp.B
+    diag = np.arange(KB)
+    assert np.abs(hp.centers.grad).max() > 1e-6
+    np.testing.assert_allclose(hp.centers.grad.reshape(KB), -layer.b1.grad.reshape(KB),
+                               rtol=0, atol=TOL_STRUCTURAL)
+    np.testing.assert_allclose(hp.slopes.grad.reshape(KB), -layer.w2.grad[diag, diag, 0, 0],
+                               rtol=0, atol=TOL_STRUCTURAL)
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +227,7 @@ def test_metrics_absent_class_excluded_from_mean():
 
 
 def test_empty_dataset_rejected():
-    net = build_base(small_cfg(), seed=0)
+    net = Network(small_cfg("base_only"), seed=0)
     ds = small_data(2)
     ds.features = ds.features[:0]
     with pytest.raises(ValueError, match="empty"):
@@ -192,7 +235,7 @@ def test_empty_dataset_rejected():
 
 
 def test_confusion_counts_every_pixel():
-    net = build_network(small_cfg(), seed=0)
+    net = Network(small_cfg(), seed=0)
     ds = small_data(5)
     conf = evaluate(net, ds)["confusion"]
     assert conf.sum() == 5 * 6 * 6
@@ -200,7 +243,7 @@ def test_confusion_counts_every_pixel():
 
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 def test_no_grad_loss_records_nothing_and_matches_recorded(mode):
-    net = build_network(small_cfg(mode), seed=3)
+    net = Network(small_cfg(mode), seed=3)
     ds = small_data(3, seed=4)
     feats = Tensor(ds.features)
     loss, out = net.loss(feats, ds.labels)
@@ -217,7 +260,7 @@ def test_no_grad_loss_records_nothing_and_matches_recorded(mode):
 
 
 def test_threaded_evaluation_matches_serial(monkeypatch):
-    net = build_network(small_cfg(), seed=4)
+    net = Network(small_cfg(), seed=4)
     ds = small_data(30, seed=5)
     # 8 batches of at most 4 images, so 4 threads get several batches each
     monkeypatch.setattr(networks, "EVAL_BATCH", 4)
@@ -240,14 +283,14 @@ def test_evaluation_threads_capped_at_batch_count(monkeypatch):
     monkeypatch.setattr(networks, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(networks, "EVAL_BATCH", 4)
     monkeypatch.setenv("HISTLAYER_THREADS", "64")
-    evaluate(build_network(small_cfg(), seed=4), small_data(30, seed=5))
+    evaluate(Network(small_cfg(), seed=4), small_data(30, seed=5))
     assert pools == [8]
 
 
 def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch):
     """The merged pass gives the loss of the former separate loss pass: recorded
     batch losses weighted by batch length, summed in batch order, over N."""
-    net = build_network(small_cfg(), seed=6)
+    net = Network(small_cfg(), seed=6)
     ds = small_data(12, seed=8)
     monkeypatch.setattr(networks, "EVAL_BATCH", 5)  # batches of 5, 5 and 2
     total = 0.0
@@ -270,7 +313,7 @@ def schedule(epochs=2):
 def test_train_base_loss_decreases():
     ds = small_data(24, seed=1)
     val = small_data(8, seed=2)
-    net = build_base(small_cfg(), seed=0)
+    net = Network(small_cfg("base_only"), seed=0)
     rows = train_base(net, ds, val, TrainSchedule(epochs=6, batch_size=4,
                                                   decay_epoch=5, seed=0))
     train_losses = [r.loss for r in rows if r.split == "train"]
@@ -280,45 +323,45 @@ def test_train_base_loss_decreases():
 def test_phase1_leaves_base_and_bins_bit_identical():
     ds = small_data(16, seed=3)
     val = small_data(8, seed=4)
-    base = build_base(small_cfg(), seed=0)
+    base = Network(small_cfg("base_only"), seed=0)
     train_base(base, ds, val, schedule())
-    net = build_network(small_cfg(), seed=0)
+    net = Network(small_cfg(), seed=0)
     load_base(net, base.state())
     before = {n: net.params[n].data.copy() for n in net.base_param_names}
-    bins_before = (net.hists[0].b1.data.copy(), net.hists[0].w2.data.copy())
+    bins_before = (net.hists[0].centers.data.copy(), net.hists[0].slopes.data.copy())
     hist_names = {p.name for p in net.hists[0].parameters()}
     phase1 = [p for n, p in net.params.items()
               if n in net.new_param_names and n not in hist_names]
     train_phase(net, ds, val, phase1, schedule(), phase=1)
     for n, v in before.items():
         np.testing.assert_array_equal(net.params[n].data, v)
-    np.testing.assert_array_equal(net.hists[0].b1.data, bins_before[0])
-    np.testing.assert_array_equal(net.hists[0].w2.data, bins_before[1])
+    np.testing.assert_array_equal(net.hists[0].centers.data, bins_before[0])
+    np.testing.assert_array_equal(net.hists[0].slopes.data, bins_before[1])
 
 
 def test_two_phase_train_moves_bins_in_phase_two():
     ds = small_data(16, seed=3)
     val = small_data(8, seed=4)
-    base = build_base(small_cfg(), seed=0)
+    base = Network(small_cfg("base_only"), seed=0)
     train_base(base, ds, val, schedule())
-    net = build_network(small_cfg(), seed=0)
-    bins_before = net.hists[0].b1.data.copy()
+    net = Network(small_cfg(), seed=0)
+    bins_before = net.hists[0].centers.data.copy()
     rows, stage1 = two_phase_train(net, base.state(), ds, val, schedule())
     assert any(r.phase == 1 for r in rows) and any(r.phase == 2 for r in rows)
-    assert not np.array_equal(net.hists[0].b1.data, bins_before)
+    assert not np.array_equal(net.hists[0].centers.data, bins_before)
     assert 0.0 <= stage1["stage1_before_phase2"] <= 1.0
     assert 0.0 <= stage1["stage1_after_phase2"] <= 1.0
 
 
 def test_two_phase_train_rejects_base_only():
-    net = build_base(small_cfg(), seed=0)
+    net = Network(small_cfg("base_only"), seed=0)
     with pytest.raises(ValueError, match="context-refinement"):
         two_phase_train(net, net.state(), small_data(4), small_data(4), schedule())
 
 
 def test_load_base_shape_mismatch_named():
-    base = build_base(small_cfg(C_feat=7), seed=0)
-    net = build_network(small_cfg(), seed=0)
+    base = Network(small_cfg("base_only", C_feat=7), seed=0)
+    net = Network(small_cfg(), seed=0)
     with pytest.raises(ValueError, match="base.f1.w"):
         load_base(net, base.state())
 
@@ -328,9 +371,9 @@ def test_training_is_reproducible():
     val = small_data(8, seed=4)
     results = []
     for _ in range(2):
-        base = build_base(small_cfg(), seed=0)
+        base = Network(small_cfg("base_only"), seed=0)
         train_base(base, ds, val, schedule())
-        net = build_network(small_cfg(), seed=0)
+        net = Network(small_cfg(), seed=0)
         two_phase_train(net, base.state(), ds, val, schedule())
         results.append({n: p.data.copy() for n, p in net.params.items()})
     for n in results[0]:
@@ -340,7 +383,7 @@ def test_training_is_reproducible():
 def test_log_rows_cover_each_epoch_and_split():
     ds = small_data(12, seed=6)
     val = small_data(6, seed=7)
-    net = build_base(small_cfg(), seed=0)
+    net = Network(small_cfg("base_only"), seed=0)
     rows = train_base(net, ds, val, schedule(epochs=3))
     assert len(rows) == 6
     assert [(r.epoch, r.split) for r in rows] == [
@@ -348,7 +391,7 @@ def test_log_rows_cover_each_epoch_and_split():
 
 
 def test_evaluate_metrics_in_unit_interval():
-    net = build_network(small_cfg(), seed=0)
+    net = Network(small_cfg(), seed=0)
     m = evaluate(net, small_data(6))
     assert 0.0 <= m["per_pixel"] <= 1.0
     assert 0.0 <= m["per_class"] <= 1.0
