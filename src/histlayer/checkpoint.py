@@ -8,11 +8,13 @@ float64 momentum buffer, u8 lock mask.
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import numpy as np
 
 from .autodiff import Parameter
+from .binfile import read_exact
 
 HPRM_MAGIC = b"HPRM"
 HPRM_VERSION = 1
@@ -47,11 +49,7 @@ def save_checkpoint(params: dict[str, Parameter], path) -> None:
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CheckpointTruncationError(
-            f"checkpoint truncated while reading {what}: wanted {n} bytes, got {len(data)}")
-    return data
+    return read_exact(f, n, what, CheckpointTruncationError)
 
 
 def load_checkpoint(path) -> dict[str, Parameter]:
@@ -66,16 +64,23 @@ def load_checkpoint(path) -> dict[str, Parameter]:
                 f"unsupported HPRM version {version}, expected {HPRM_VERSION}")
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
-            name = _read_exact(f, name_len, "name").decode("utf-8")
+            try:
+                name = _read_exact(f, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointFormatError(f"parameter name is not UTF-8: {e}") from e
+            if name in params:
+                raise CheckpointFormatError(f"parameter {name} appears twice")
             shape = struct.unpack("<4I", _read_exact(f, 16, "shape"))
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             value = np.frombuffer(_read_exact(f, size * 8, f"{name} values"),
                                   dtype="<f8").reshape(shape).copy()
             momentum = np.frombuffer(_read_exact(f, size * 8, f"{name} momentum"),
                                      dtype="<f8").reshape(shape).copy()
             lock = np.frombuffer(_read_exact(f, size, f"{name} lock mask"),
-                                 dtype=np.uint8).reshape(shape).astype(np.float64)
-            p = Parameter(value, lock, name=name)
+                                 dtype=np.uint8).reshape(shape)
+            if lock.max(initial=0) > 1:
+                raise CheckpointFormatError(f"{name} lock mask holds values other than 0/1")
+            p = Parameter(value, lock.astype(np.float64), name=name)
             p.momentum_buf = momentum
             params[name] = p
     return params
@@ -95,6 +100,8 @@ def load_into(params: dict[str, Parameter], path) -> None:
         if src.shape != p.shape:
             raise CheckpointFormatError(
                 f"parameter {name}: checkpoint shape {src.shape} vs model shape {p.shape}")
+        if not np.array_equal(src.lock_mask, p.lock_mask):
+            raise CheckpointFormatError(
+                f"parameter {name}: checkpoint lock mask differs from the model's")
         p.data[...] = src.data
         p.momentum_buf[...] = src.momentum_buf
-        p.lock_mask[...] = src.lock_mask

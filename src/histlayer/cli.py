@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import verify
-from .autodiff import Tensor
 from .checkpoint import CheckpointFormatError, load_checkpoint, load_into, save_checkpoint
 from .config import ConfigError, RunConfig, eval_threads, load_config, write_resolved
 from .data import (DatasetFormatError, default_spec, generate, local_bayes_ceiling,
@@ -166,14 +165,14 @@ def cmd_eval(cfg: RunConfig, ckpt: Path, data_path: Path, out_dir: Path) -> int:
     return 0
 
 
-def run_gradcheck(cfg: RunConfig, seed: int = 0, corrupt: str | None = None):
-    """Finite-difference suite over primitives and a full network graph.
+def cmd_gradcheck(seed: int, corrupt: str | None) -> int:
+    """Run the property battery `verify.run_all(seed)` as JSON lines.
 
     `corrupt` names one of `verify.PRIMITIVES` whose backward pass is
     deliberately broken, as a sanity check that the harness can actually
     fail: its `gradcheck_<op>` report must fail.
     """
-    undo = None
+    original = None
     if corrupt is not None:
         if corrupt not in verify.PRIMITIVES:
             raise ConfigError(f"cannot corrupt {corrupt!r}: expected one of "
@@ -193,56 +192,14 @@ def run_gradcheck(cfg: RunConfig, seed: int = 0, corrupt: str | None = None):
             return result
 
         setattr(ad, corrupt, broken)
-        undo = (corrupt, original)
-
     try:
-        reports = verify.primitive_reports(seed)
-        reports.append(verify.check_histogram_gradients(seed + 1, 3))
-        reports.append(_full_network_gradcheck(cfg, seed + 2))
+        reports = verify.run_all(seed)
     finally:
-        if undo is not None:
-            setattr(ad, undo[0], undo[1])
-    return reports
-
-
-def _full_network_gradcheck(cfg: RunConfig, seed: int):
-    rng = np.random.default_rng(seed)
-    small = HistNetConfig(K=3, B=4, D_in=4, C_feat=5, stages=cfg.stages,
-                          baseline_mode="histnet")
-    net = Network(small, seed=seed)
-    feats = Tensor(rng.standard_normal((2, small.D_in, 3, 3)))
-    labels = rng.integers(0, small.K, size=(2, 3, 3))
-
-    def loss_fn():
-        loss, _ = net.loss(feats, labels)
-        return loss
-
-    worst = 0.0
-    skipped = 0
-    for p in net.params.values():
-        res = ad.grad_check(loss_fn, p, eps=verify.FD_EPS,
-                            kink_margin=verify.KINK_MARGIN, max_entries=6, rng=rng)
-        worst = max(worst, res.max_rel_err)
-        skipped += len(res.skipped)
-        if res.max_rel_err >= verify.TOL_FINITE_DIFF:
-            return verify.PropertyReport("full_network_finite_differences", 1, worst,
-                                         skipped, False, seed,
-                                         f"worst parameter: {p.name}")
-    return verify.PropertyReport("full_network_finite_differences", 1, worst,
-                                 skipped, True, seed)
-
-
-def cmd_gradcheck(cfg: RunConfig, corrupt: str | None) -> int:
-    reports = run_gradcheck(cfg, seed=cfg.seed, corrupt=corrupt)
-    ok = True
+        if original is not None:
+            setattr(ad, corrupt, original)
     for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name}: max_rel_err={r.max_error:.3e} skipped={r.skipped}")
-        if not r.passed:
-            ok = False
-            if r.detail:
-                print(f"     {r.detail}")
-    return 0 if ok else EXIT_VERIFY
+        print(r.to_json())
+    return 0 if all(r.passed for r in reports) else EXIT_VERIFY
 
 
 def cmd_inspect_histogram(ckpt: Path, out_path: Path | None) -> int:
@@ -352,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint", type=Path)
     p.add_argument("dataset", type=Path)
 
-    p = sub.add_parser("gradcheck", help="finite-difference verification")
+    p = sub.add_parser("gradcheck", help="run the property battery as JSON lines")
     common(p)
     p.add_argument("--corrupt", default=None,
                    help="deliberately break the named op's backward (harness sanity)")
@@ -374,6 +331,7 @@ def _resolve(args) -> RunConfig:
         cfg.seed = args.seed
     if args.mode is not None:
         cfg.mode = args.mode
+    cfg.validate()
     eval_threads()
     return cfg
 
@@ -390,7 +348,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint, args.dataset, out)
         if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, args.corrupt)
+            return cmd_gradcheck(cfg.seed, args.corrupt)
         if args.command == "inspect-histogram":
             return cmd_inspect_histogram(args.checkpoint, args.csv)
         if args.command == "compare":

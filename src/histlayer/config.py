@@ -51,6 +51,35 @@ class RunConfig:
     # compare command
     compare_seeds: int = 3
 
+    def validate(self) -> None:
+        """Raise ConfigError for a value no command can run with."""
+        from .data import default_spec
+        from .networks import HistNetConfig  # networks imports this module
+        bounds = {
+            "seed >= 0": self.seed >= 0,
+            "B >= 2": self.B >= 2,
+            "H, W >= 1": min(self.H, self.W) >= 1,
+            "n_train, n_val, n_test, n_mc >= 1":
+                min(self.n_train, self.n_val, self.n_test, self.n_mc) >= 1,
+            "batch_size >= 1": self.batch_size >= 1,
+            "epochs, decay_epoch >= 0": min(self.epochs, self.decay_epoch) >= 0,
+            "lr > 0": self.lr > 0,
+            "0 <= momentum < 1": 0 <= self.momentum < 1,
+            "lr_decay > 0": self.lr_decay > 0,
+            "compare_seeds >= 1": self.compare_seeds >= 1,
+        }
+        broken = [rule for rule, ok in bounds.items() if not ok]
+        if broken:
+            raise ConfigError(f"values out of range, need {'; '.join(broken)}")
+        try:
+            HistNetConfig(K=self.K, B=self.B, D_in=self.D, C_feat=self.C_feat,
+                          stages=self.stages, baseline_mode=self.mode,
+                          share_stage_params=self.share_stage_params).validate()
+            default_spec(K=self.K, D=self.D, noise_sigma=self.noise_sigma,
+                         ambiguous_occupancy=self.ambiguous_occupancy)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 

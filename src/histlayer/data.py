@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binfile import read_exact
+
 HCTX_MAGIC = b"HCTX"
 HCTX_VERSION = 1
 _U64_MASK = (1 << 64) - 1
@@ -210,11 +212,7 @@ def write_dataset(dataset: ContextDataset, path) -> None:
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise DatasetTruncationError(
-            f"file truncated while reading {what}: wanted {n} bytes, got {len(data)}")
-    return data
+    return read_exact(f, n, what, DatasetTruncationError)
 
 
 def read_dataset(path) -> ContextDataset:
@@ -226,15 +224,26 @@ def read_dataset(path) -> ContextDataset:
         if version != HCTX_VERSION:
             raise DatasetVersionError(f"unsupported HCTX version {version}, "
                                       f"expected {HCTX_VERSION}")
+        if min(n, d, h, w) < 1:
+            raise DatasetFormatError(f"header declares an empty dataset: "
+                                     f"N={n} D={d} H={h} W={w}")
         feat_bytes = _read_exact(f, n * d * h * w * 8, "features")
         features = np.frombuffer(feat_bytes, dtype="<f8").reshape(n, d, h, w).copy()
         labels = np.frombuffer(_read_exact(f, n * h * w, "labels"),
                                dtype=np.uint8).reshape(n, h, w).copy()
         scene_ids = np.frombuffer(_read_exact(f, n, "scene ids"), dtype=np.uint8).copy()
         (blob_len,) = struct.unpack("<I", _read_exact(f, 4, "spec length"))
-        spec = SceneSpec.from_json(_read_exact(f, blob_len, "spec blob").decode("utf-8"))
+        blob = _read_exact(f, blob_len, "spec blob")
         (seed,) = struct.unpack("<q", _read_exact(f, 8, "seed"))
+    try:
+        spec = SceneSpec.from_json(blob.decode("utf-8"))
+        spec.validate()
+    except (ValueError, KeyError, TypeError, IndexError) as e:
+        raise DatasetFormatError(f"malformed spec blob: {e}") from e
     if (spec.K, spec.S) != (k, s):
         raise DatasetFormatError(f"header (K,S)=({k},{s}) disagrees with spec blob "
                                  f"({spec.K},{spec.S})")
+    if labels.max() >= k or scene_ids.max() >= s:
+        raise DatasetFormatError(f"labels must be < K={k} and scene ids < S={s}, got "
+                                 f"{labels.max()} and {scene_ids.max()}")
     return ContextDataset(features, labels, scene_ids, spec, seed & _U64_MASK)

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .data import default_spec, generate, read_dataset, write_dataset
 from .histogram import ComposedHistogram, HistogramParams, hist_forward_direct, init_params
-from .networks import metrics_from_confusion
+from .networks import HistNetConfig, Network, metrics_from_confusion
 from .oracle import hist_oracle
 
 TOL_STRUCTURAL = 1e-12
@@ -56,43 +56,6 @@ def _rand_params(rng, K, B) -> HistogramParams:
     slopes = rng.uniform(0.5, 8.0, size=(K, B, 1, 1))
     return HistogramParams(Parameter(centers, name="hist.centers"),
                            Parameter(slopes, name="hist.slopes"))
-
-
-def _hist_pair(rng, K, B):
-    """Matching direct-form params and composed layer at a random point."""
-    hp = _rand_params(rng, K, B)
-    layer = ComposedHistogram(hp)
-    return hp, layer
-
-
-def check_primitive_gradients(seed: int, trials: int) -> PropertyReport:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    skipped = 0
-    for _ in range(trials):
-        n, cin, cout, h, w = 2, 3, 4, 2, 3
-        x = Parameter(rng.standard_normal((n, cin, h, w)), name="x")
-        wgt = Parameter(rng.standard_normal((cout, cin, 1, 1)), name="w")
-        b = Parameter(rng.standard_normal((cout, 1, 1, 1)), name="b")
-        labels = rng.integers(0, cout, size=(n, h, w))
-        head_w = Parameter(rng.standard_normal((cout, 2 * cout, 1, 1)) * 0.5,
-                           name="head.w")
-        head_b = Parameter(rng.standard_normal((cout, 1, 1, 1)), name="head.b")
-
-        def loss_fn():
-            y = ad.abs_elem(ad.relu(ad.conv1x1(x, wgt, b)))
-            pooled = ad.global_avg_pool(y)
-            cat = ad.broadcast_concat(y, pooled)
-            logits = ad.conv1x1(cat, head_w, head_b)
-            loss, _ = ad.softmax_xent(logits, labels)
-            return loss
-        for p in (x, wgt, b, head_w, head_b):
-            res = ad.grad_check(loss_fn, p, eps=FD_EPS, kink_margin=KINK_MARGIN,
-                                max_entries=8, rng=rng)
-            worst = max(worst, res.max_rel_err)
-            skipped += len(res.skipped)
-    return PropertyReport("primitive_finite_differences", trials, worst, skipped,
-                          worst < TOL_FINITE_DIFF, seed)
 
 
 def primitive_reports(seed: int) -> list[PropertyReport]:
@@ -171,6 +134,42 @@ def check_histogram_gradients(seed: int, trials: int) -> PropertyReport:
                           worst < TOL_FINITE_DIFF, seed)
 
 
+def check_network_gradients(seed: int) -> PropertyReport:
+    """Finite differences through a whole two-stage histnet at a random point.
+
+    At init the stage-1 probabilities sit near 1/K, a bin center of the init
+    grid, so most wiggles would land inside the kink margin and be skipped.
+    `trials` counts the checked entries, so the skip share shows.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = HistNetConfig(K=3, B=4, D_in=4, C_feat=5, stages=2, baseline_mode="histnet")
+    net = Network(cfg, seed=seed)
+    for p in net.params.values():
+        if p.name.endswith(".centers"):
+            p.data[...] = rng.uniform(-0.2, 1.2, size=p.shape)
+        elif p.name.endswith(".slopes"):
+            p.data[...] = rng.uniform(0.5, 8.0, size=p.shape)
+        else:
+            p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
+    feats = Tensor(rng.standard_normal((2, cfg.D_in, 3, 3)))
+    labels = rng.integers(0, cfg.K, size=(2, 3, 3))
+
+    def loss_fn():
+        return net.loss(feats, labels)[0]
+
+    worst, worst_name, checked, skipped = 0.0, "", 0, 0
+    for p in net.params.values():
+        res = ad.grad_check(loss_fn, p, eps=FD_EPS, kink_margin=KINK_MARGIN,
+                            max_entries=6, rng=rng)
+        if res.max_rel_err > worst:
+            worst, worst_name = res.max_rel_err, p.name
+        checked += res.n_checked
+        skipped += len(res.skipped)
+    passed = worst < TOL_FINITE_DIFF
+    return PropertyReport("full_network_finite_differences", checked, worst, skipped,
+                          passed, seed, "" if passed else f"worst parameter: {worst_name}")
+
+
 def check_equivalence(seed: int, trials: int) -> PropertyReport:
     """Direct form vs composed pipeline: outputs and all gradients."""
     rng = np.random.default_rng(seed)
@@ -183,7 +182,8 @@ def check_equivalence(seed: int, trials: int) -> PropertyReport:
             h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         else:
             h, w = 1, 1  # vector-input mode
-        hp, layer = _hist_pair(rng, K, B)
+        hp = _rand_params(rng, K, B)
+        layer = ComposedHistogram(hp)
         xdata = rng.uniform(-0.2, 1.2, size=(n, K, h, w))
         upstream = rng.standard_normal((n, K * B, 1, 1))
 
@@ -339,9 +339,10 @@ def check_metric_fixtures(seed: int = 0) -> PropertyReport:
 
 
 def run_all(seed: int = 0, trials: int = 50) -> list[PropertyReport]:
-    return [
-        check_primitive_gradients(seed, max(2, trials // 10)),
+    """The whole property battery, one report per property."""
+    return primitive_reports(seed) + [
         check_histogram_gradients(seed + 1, max(3, trials // 10)),
+        check_network_gradients(seed + 10),
         check_equivalence(seed + 2, trials),
         check_oracle_agreement(seed + 3, trials),
         check_partition_of_unity(seed + 4, trials),

@@ -1,8 +1,10 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
+from histlayer import verify
 from histlayer.checkpoint import save_checkpoint
 from histlayer.cli import main
 from histlayer.config import (ConfigError, RunConfig, dump_config, load_config,
@@ -88,6 +90,17 @@ def test_bad_thread_count_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                "--out", str(tmp_path)])
     assert rc == 2
     assert "HISTLAYER_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,value", [
+    ("train", "B=1"), ("train", "lr=-1"), ("train", "mode=bogus"),
+    ("train", "batch_size=0"), ("train", "stages=1"), ("train", "momentum=1.5"),
+    ("gen-data", "K=3"), ("gen-data", "H=0")])
+def test_bad_config_value_exits_2_before_any_work(tmp_path, capsys, command, value):
+    rc = main([command, "--out", str(tmp_path / "out"), "--set", value])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_data_deterministic(tmp_path):
@@ -236,17 +249,43 @@ def test_eval_composed_histogram_checkpoint_exits_3(trained, tmp_path, capsys, m
     assert "parameter mismatch" in err and "hist.w2" in err and "hist.centers" in err
 
 
+def test_eval_unlocked_fix_hist_checkpoint_exits_3(trained, tmp_path, capsys):
+    """A file cannot unlock the bins that fix_hist freezes."""
+    net = Network(HistNetConfig(baseline_mode="fix_hist"), seed=0)
+    net.params["hist.centers"].lock_mask[...] = 1.0
+    ckpt = tmp_path / "unlocked.hprm"
+    save_checkpoint(net.state(), ckpt)
+    rc = main(["eval", str(ckpt), str(trained["data"] / "val.hctx"),
+               "--mode", "fix_hist", "--out", str(tmp_path / "out")] + SMALL)
+    assert rc == 3
+    assert "hist.centers: checkpoint lock mask" in capsys.readouterr().err
+
+
+def gradcheck_reports(capsys, argv, rc):
+    assert main(["gradcheck"] + argv) == rc
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
 def test_gradcheck_passes(capsys):
-    assert main(["gradcheck", "--set", "stages=2"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "full_network_finite_differences" in out
+    reports = gradcheck_reports(capsys, ["--set", "stages=2"], 0)
+    assert [r["property"] for r in reports if not r["passed"]] == []
+    assert "full_network_finite_differences" in [r["property"] for r in reports]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_gradcheck_prints_the_property_battery(capsys, seed):
+    assert main(["gradcheck", "--seed", str(seed)]) == 0
+    want = "".join(r.to_json() + "\n" for r in verify.run_all(seed))
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("op", PRIMITIVES)
 def test_gradcheck_corrupt_backward_exits_4(capsys, op):
-    assert main(["gradcheck", "--corrupt", op]) == 4
-    assert f"FAIL gradcheck_{op}:" in capsys.readouterr().out
+    reports = gradcheck_reports(capsys, ["--corrupt", op], 4)
+    failed = [r["property"] for r in reports if not r["passed"]]
+    assert f"gradcheck_{op}" in failed
+    if op in ("relu", "softmax"):
+        assert "full_network_finite_differences" in failed
 
 
 @pytest.mark.parametrize("op", ["frobnicate", "backward", "IGNORE_LABEL"])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -171,4 +173,36 @@ def test_version_mismatch_distinct_error(tmp_path):
     raw[4] = 99
     path.write_bytes(bytes(raw))
     with pytest.raises(DatasetVersionError):
+        read_dataset(path)
+
+
+def test_huge_declared_image_count_is_truncation_not_overflow(tmp_path):
+    ds = generate(default_spec(), 2, 3, 3, seed=1)
+    path = tmp_path / "d.hctx"
+    write_dataset(ds, path)
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", 2**32 - 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DatasetTruncationError, match="features"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("field,value", [("labels", 6), ("labels", 255), ("scene_ids", 2)])
+def test_out_of_range_labels_and_scene_ids_rejected(tmp_path, field, value):
+    ds = generate(default_spec(), 2, 3, 3, seed=1)
+    getattr(ds, field).flat[0] = value
+    path = tmp_path / "d.hctx"
+    write_dataset(ds, path)
+    with pytest.raises(DatasetFormatError, match="labels must be < K=6"):
+        read_dataset(path)
+
+
+def test_malformed_spec_blob_is_a_format_error(tmp_path):
+    ds = generate(default_spec(), 2, 3, 3, seed=1)
+    path = tmp_path / "d.hctx"
+    write_dataset(ds, path)
+    raw = path.read_bytes()
+    blob = ds.spec.to_json().encode()
+    path.write_bytes(raw.replace(blob, b"\xff" + blob[1:]))
+    with pytest.raises(DatasetFormatError, match="spec blob"):
         read_dataset(path)

@@ -1,10 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histlayer.autodiff import Parameter
 from histlayer.checkpoint import (CheckpointFormatError, CheckpointTruncationError,
                                   CheckpointVersionError, load_checkpoint, load_into,
                                   save_checkpoint)
+from histlayer.data import (DatasetFormatError, default_spec, generate, read_dataset,
+                            write_dataset)
 
 
 def make_params(rng):
@@ -98,3 +104,89 @@ def test_empty_dict_roundtrip(tmp_path):
     path = tmp_path / "c.hprm"
     save_checkpoint({}, path)
     assert load_checkpoint(path) == {}
+
+
+def test_load_into_rejects_a_different_lock_mask(tmp_path, rng):
+    params = make_params(rng)
+    params["a"].lock_mask[...] = 1.0
+    path = tmp_path / "c.hprm"
+    save_checkpoint(params, path)
+    fresh = make_params(rng)
+    before = fresh["a"].lock_mask.copy()
+    with pytest.raises(CheckpointFormatError, match="a: checkpoint lock mask"):
+        load_into(fresh, path)
+    np.testing.assert_array_equal(fresh["a"].lock_mask, before)
+
+
+def test_huge_declared_shape_is_truncation(tmp_path):
+    path = tmp_path / "c.hprm"
+    path.write_bytes(b"HPRM" + struct.pack("<3I", 1, 1, 1) + b"a"
+                     + struct.pack("<4I", *[2**32 - 1] * 4))
+    with pytest.raises(CheckpointTruncationError, match="a values"):
+        load_checkpoint(path)
+
+
+def test_duplicate_parameter_name_rejected(tmp_path, rng):
+    path = tmp_path / "c.hprm"
+    save_checkpoint({"b.w": make_params(rng)["b.w"]}, path)
+    raw = path.read_bytes()
+    record = raw[12:]
+    path.write_bytes(raw[:8] + struct.pack("<I", 2) + record + record)
+    with pytest.raises(CheckpointFormatError, match="b.w appears twice"):
+        load_checkpoint(path)
+
+
+def test_non_binary_lock_mask_rejected(tmp_path, rng):
+    path = tmp_path / "c.hprm"
+    save_checkpoint({"b.w": make_params(rng)["b.w"]}, path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] = 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="lock mask"):
+        load_checkpoint(path)
+
+
+# --------------------------------------------------------------------------
+# hostile files: either a clean load or an error of the reader's format family
+
+def _sample_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_dataset(generate(default_spec(), 2, 3, 3, seed=1), root / "d.hctx")
+    save_checkpoint(make_params(np.random.default_rng(0)), root / "c.hprm")
+    return root
+
+
+def _flip(raw: bytes, bits: list[int]) -> bytes:
+    out = bytearray(raw)
+    for b in bits:
+        out[(b // 8) % len(out)] ^= 1 << (b % 8)
+    return bytes(out)
+
+
+def _mutations(raw: bytes):
+    return st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n]),
+        st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)
+          .map(lambda bits: _flip(raw, bits)),
+        st.binary(max_size=256).map(lambda tail: raw[:4] + tail),
+        st.binary(max_size=64))
+
+
+@pytest.mark.parametrize("name,reader,family", [
+    ("d.hctx", read_dataset, DatasetFormatError),
+    ("c.hprm", load_checkpoint, CheckpointFormatError)])
+def test_mangled_file_raises_only_the_format_family(tmp_path_factory, name, reader, family):
+    root = _sample_files(tmp_path_factory)
+    raw = (root / name).read_bytes()
+    target = root / ("mangled." + name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutations(raw))
+    def check(data):
+        target.write_bytes(data)
+        try:
+            reader(target)
+        except family:
+            pass
+
+    check()

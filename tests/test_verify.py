@@ -1,11 +1,19 @@
 import json
 
+import pytest
+
 from histlayer import verify
 
 
 def test_run_all_properties_pass():
     reports = verify.run_all(seed=0, trials=20)
-    assert len(reports) == 10
+    assert [r.name for r in reports] == [
+        *(f"gradcheck_{op}" for op in verify.PRIMITIVES),
+        "histogram_finite_differences", "full_network_finite_differences",
+        "direct_vs_composed_equivalence", "oracle_agreement",
+        "partition_of_unity_at_init", "lock_mask_immutability",
+        "free_all_diagonal_expected_fail", "feature_range_bounds",
+        "dataset_determinism_roundtrip", "metric_fixtures"]
     failed = [r.name for r in reports if not r.passed]
     assert failed == []
 
@@ -45,3 +53,10 @@ def test_free_all_drift_is_the_expected_failure():
     report = verify.check_free_all_unlock(seed=5)
     assert report.passed
     assert "drift" in report.detail or "unlock" in report.detail or report.detail == ""
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_network_gradients_check_most_sampled_entries(seed):
+    report = verify.check_network_gradients(seed)
+    assert report.passed
+    assert report.skipped <= 0.25 * (report.trials + report.skipped)
