@@ -178,15 +178,18 @@ def conv1x1(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
         )
     if bias.shape[0] != cout:
         raise ShapeError(f"conv1x1 bias has {bias.shape[0]} entries, weight has {cout} outputs")
+    # one BLAS matmul per image over (n, c, h*w) views keeps every
+    # activation and gradient C-contiguous (N, C, H, W)
     w2 = weight.data[:, :, 0, 0]
-    out = np.tensordot(w2, x.data, axes=([1], [1])).transpose(1, 0, 2, 3)
+    xv = x.data.reshape(n, cin, h * w)
+    out = np.matmul(w2, xv).reshape(n, cout, h, w)
     out += bias.data.reshape(1, cout, 1, 1)
 
-    def _bw(out_t=None):
-        g = node.grad
-        x.grad += np.tensordot(w2.T, g, axes=([1], [1])).transpose(1, 0, 2, 3)
-        weight.grad[:, :, 0, 0] += np.einsum("nohw,nchw->oc", g, x.data)
-        bias.grad += g.sum(axis=(0, 2, 3)).reshape(bias.shape)
+    def _bw():
+        gv = node.grad.reshape(n, cout, h * w)
+        x.grad += np.matmul(w2.T, gv).reshape(x.shape)
+        weight.grad[:, :, 0, 0] += np.matmul(gv, xv.transpose(0, 2, 1)).sum(axis=0)
+        bias.grad += node.grad.sum(axis=(0, 2, 3)).reshape(bias.shape)
 
     node = _node(out, _bw)
     return node
@@ -215,12 +218,11 @@ def abs_elem(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at 0 is 0."""
     _record_hinge(x.data)
-    mask = x.data > 0
 
     def _bw():
-        x.grad += mask * node.grad
+        x.grad += (x.data > 0) * node.grad
 
-    node = _node(np.where(mask, x.data, 0.0), _bw)
+    node = _node(np.maximum(x.data, 0.0), _bw)
     return node
 
 

@@ -1,4 +1,5 @@
-"""Bounded reads shared by the HCTX dataset and HPRM checkpoint readers."""
+"""Bounded reads and the end-of-file check shared by the HCTX dataset and
+HPRM checkpoint readers."""
 
 from __future__ import annotations
 
@@ -16,3 +17,10 @@ def read_exact(f, n: int, what: str, error: type[Exception]) -> bytes:
         raise error(f"file truncated while reading {what}: "
                     f"wanted {n} bytes, {left} left")
     return f.read(n)
+
+
+def expect_end(f, what: str, error: type[Exception]) -> None:
+    """Raise `error` unless the open binary file `f` is fully consumed."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left:
+        raise error(f"{left} unexpected bytes after the end of the {what}")

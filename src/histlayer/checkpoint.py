@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .autodiff import Parameter
-from .binfile import read_exact
+from .binfile import expect_end, read_exact
 
 HPRM_MAGIC = b"HPRM"
 HPRM_VERSION = 1
@@ -83,6 +83,7 @@ def load_checkpoint(path) -> dict[str, Parameter]:
             p = Parameter(value, lock.astype(np.float64), name=name)
             p.momentum_buf = momentum
             params[name] = p
+        expect_end(f, "checkpoint", CheckpointFormatError)
     return params
 
 

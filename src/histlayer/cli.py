@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, gradcheck, inspect-histogram, compare.
 Exit codes: 0 success, 2 config error, 3 I/O or format error,
-4 verification failure.
+4 verification failure, 5 training diverged (a parameter became non-finite;
+no final.hprm is written).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +23,14 @@ from .config import ConfigError, RunConfig, eval_threads, load_config, write_res
 from .data import (DatasetFormatError, default_spec, generate, local_bayes_ceiling,
                    read_dataset, write_dataset)
 from .histogram import histogram_table
-from .networks import (BASELINE_MODES, HistNetConfig, Network, TrainSchedule,
-                       evaluate, parameter_census, train_base, two_phase_train)
+from .networks import (BASELINE_MODES, HistNetConfig, Network, TrainingDivergedError,
+                       TrainSchedule, evaluate, parameter_census, train_base,
+                       two_phase_train)
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
+EXIT_DIVERGED = 5
 
 _SPLIT_SALT = 0x9E3779B97F4A7C15
 _U64 = (1 << 64) - 1
@@ -122,8 +126,10 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
     _write_log(rows, out_dir / "log.csv")
     write_resolved(cfg, out_dir)
 
-    for split in ("val", "test"):
-        m = evaluate(net, splits[split])
+    # the last epoch-end val pass ran on the final parameters (base_only
+    # copies the base it just trained); without one, evaluate val here
+    val = asdict(rows[-1]) if rows else evaluate(net, val_ds)
+    for split, m in (("val", val), ("test", evaluate(net, splits["test"]))):
         summary[f"{split}_per_pixel"] = m["per_pixel"]
         summary[f"{split}_per_class"] = m["per_class"]
     summary["census"] = parameter_census(net)["extra_trainable"]
@@ -360,6 +366,9 @@ def main(argv=None) -> int:
     except (OSError, DatasetFormatError, CheckpointFormatError, FileNotFoundError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
+    except TrainingDivergedError as e:
+        print(f"diverged: {e}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

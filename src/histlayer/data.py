@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binfile import read_exact
+from .binfile import expect_end, read_exact
 
 HCTX_MAGIC = b"HCTX"
 HCTX_VERSION = 1
@@ -235,6 +235,7 @@ def read_dataset(path) -> ContextDataset:
         (blob_len,) = struct.unpack("<I", _read_exact(f, 4, "spec length"))
         blob = _read_exact(f, blob_len, "spec blob")
         (seed,) = struct.unpack("<q", _read_exact(f, 8, "seed"))
+        expect_end(f, "dataset", DatasetFormatError)
     try:
         spec = SceneSpec.from_json(blob.decode("utf-8"))
         spec.validate()

@@ -106,17 +106,26 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     t *= -s
     t += 1.0
     _record_hinge(t)
-    active = t > 0
     np.maximum(t, 0.0, out=t)
     out = t.mean(axis=(3, 4)).reshape(n, K * B, 1, 1)
 
     def _bw():
         gg = node.grad.reshape(n, K, B, 1, 1) / (h * w)
-        sgn = np.sign(d)
-        common = np.where(active, gg, 0.0)
-        params.slopes.grad += (common * -np.abs(d)).sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
-        params.centers.grad += (common * s * sgn).sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
-        likelihood.grad += (common * -s * sgn).sum(axis=2).reshape(n, K, h, w)
+        a = np.abs(d)
+        t = a * -s
+        t += 1.0
+        active = t > 0                # the forward's support, same arithmetic
+        # on the support d(out)/d(mu) = s*sign(d) = -d(out)/d(x) and
+        # d(out)/d(s) = -|d|; negating a sum is exact, so one product serves
+        # both the centers and the likelihood
+        v = np.sign(d)
+        v *= active
+        v *= gg * s
+        a *= active
+        a *= gg
+        params.slopes.grad -= a.sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
+        params.centers.grad += v.sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
+        likelihood.grad -= v.sum(axis=2).reshape(n, K, h, w)
 
     node = _node(out, _bw)
     return node

@@ -206,11 +206,19 @@ def parameter_census(net: Network) -> dict:
 EVAL_BATCH = 50
 
 
-def _evaluate_range(net: Network, dataset, lo: int, hi: int, stage: int | None):
-    """Confusion counts and per-batch loss terms (batch loss * batch length)
-    of images [lo, hi), one forward-only pass in EVAL_BATCH batches."""
+def _confusion(labels: np.ndarray, probs: Tensor, K: int) -> np.ndarray:
+    pred = np.argmax(probs.data, axis=1)
+    idx = labels.astype(np.int64) * K + pred
+    return np.bincount(idx.ravel(), minlength=K * K).reshape(K, K)
+
+
+def _evaluate_range(net: Network, dataset, lo: int, hi: int):
+    """Confusion counts of the final and of the stage-1 prediction, and
+    per-batch loss terms (batch loss * batch length) of images [lo, hi),
+    one forward-only pass in EVAL_BATCH batches."""
     K = net.cfg.K
     conf = np.zeros((K, K), dtype=np.int64)
+    conf1 = np.zeros((K, K), dtype=np.int64)
     terms = []
     with ad.no_grad():
         for start in range(lo, hi, EVAL_BATCH):
@@ -218,11 +226,9 @@ def _evaluate_range(net: Network, dataset, lo: int, hi: int, stage: int | None):
             labels = dataset.labels[start:stop]
             loss, out = net.loss(Tensor(dataset.features[start:stop]), labels)
             terms.append(loss.item() * (stop - start))
-            probs = out.final_probs if stage is None else out.stage_probs[stage]
-            pred = np.argmax(probs.data, axis=1)
-            idx = labels.astype(np.int64) * K + pred
-            conf += np.bincount(idx.ravel(), minlength=K * K).reshape(K, K)
-    return conf, terms
+            conf += _confusion(labels, out.final_probs, K)
+            conf1 += _confusion(labels, out.stage_probs[0], K)
+    return conf, conf1, terms
 
 
 def metrics_from_confusion(conf: np.ndarray) -> dict:
@@ -236,10 +242,11 @@ def metrics_from_confusion(conf: np.ndarray) -> dict:
             "recalls": recalls, "confusion": conf}
 
 
-def evaluate(net: Network, dataset, stage: int | None = None) -> dict:
+def evaluate(net: Network, dataset) -> dict:
     """Mean loss, per-pixel accuracy and unweighted mean per-class recall,
-    from one forward-only pass. The confusion matrix has rows = true class,
-    columns = predicted class (argmax, ties to lowest).
+    from one forward-only pass, plus the per-pixel accuracy of the stage-1
+    prediction (`stage1_per_pixel`). The confusion matrix has rows = true
+    class, columns = predicted class (argmax, ties to lowest).
 
     HISTLAYER_THREADS shards the pass on whole EVAL_BATCH batches, with at
     most one thread per batch, and the loss terms are summed in batch order,
@@ -251,21 +258,24 @@ def evaluate(net: Network, dataset, stage: int | None = None) -> dict:
     n_batches = -(-n // EVAL_BATCH)
     workers = min(eval_threads(), n_batches)
     if workers <= 1:
-        parts = [_evaluate_range(net, dataset, 0, n, stage)]
+        parts = [_evaluate_range(net, dataset, 0, n)]
     else:
         cuts = np.linspace(0, n_batches, workers + 1).astype(int) * EVAL_BATCH
         cuts = np.minimum(cuts, n).tolist()
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
-                lambda ab: _evaluate_range(net, dataset, ab[0], ab[1], stage),
+                lambda ab: _evaluate_range(net, dataset, ab[0], ab[1]),
                 zip(cuts[:-1], cuts[1:])))
     conf = np.zeros((net.cfg.K, net.cfg.K), dtype=np.int64)
+    conf1 = np.zeros_like(conf)
     total = 0.0
-    for part_conf, terms in parts:
+    for part_conf, part_conf1, terms in parts:
         conf += part_conf
+        conf1 += part_conf1
         for term in terms:  # a plain loop: sum() of floats is compensated on 3.12+
             total += term
-    return {**metrics_from_confusion(conf), "loss": total / n}
+    return {**metrics_from_confusion(conf), "loss": total / n,
+            "stage1_per_pixel": metrics_from_confusion(conf1)["per_pixel"]}
 
 
 # --------------------------------------------------------------------------
@@ -282,6 +292,10 @@ class TrainSchedule:
     seed: int = 0
 
 
+class TrainingDivergedError(ArithmeticError):
+    """A parameter stopped being finite during training."""
+
+
 @dataclass
 class LogRow:
     phase: int
@@ -290,6 +304,15 @@ class LogRow:
     loss: float
     per_pixel: float
     per_class: float
+    stage1_per_pixel: float | None = None   # val rows only; not written to log.csv
+
+
+def _check_finite(net: Network, phase: int, epoch: int) -> None:
+    for p in net.params.values():
+        if not np.isfinite(p.data).all():
+            raise TrainingDivergedError(
+                f"training diverged in phase {phase}, epoch {epoch}: parameter "
+                f"{p.name} holds a non-finite value; lower lr")
 
 
 def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
@@ -297,7 +320,9 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
     """One SGD phase; returns one train and one val log row per epoch.
 
     Train-split metrics are accumulated from the minibatch forward passes,
-    val metrics come from a full evaluation pass at each epoch end.
+    val metrics come from a full evaluation pass at each epoch end, so the
+    last val row describes the parameters the phase ends with. Raises
+    TrainingDivergedError after an epoch that leaves a parameter non-finite.
     """
     rows = []
     rng = np.random.default_rng(schedule.seed * 1000003 + phase)
@@ -319,15 +344,14 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
             net.clamp()
             loss_sum += loss.item() * len(idx)
             seen += len(idx)
-            pred = np.argmax(out.final_probs.data, axis=1)
-            flat = labels.astype(np.int64) * K + pred
-            conf += np.bincount(flat.ravel(), minlength=K * K).reshape(K, K)
+            conf += _confusion(labels, out.final_probs, K)
         train_m = metrics_from_confusion(conf)
         rows.append(LogRow(phase, epoch, "train", loss_sum / seen,
                            train_m["per_pixel"], train_m["per_class"]))
+        _check_finite(net, phase, epoch)
         val_m = evaluate(net, val_ds)
-        rows.append(LogRow(phase, epoch, "val", val_m["loss"],
-                           val_m["per_pixel"], val_m["per_class"]))
+        rows.append(LogRow(phase, epoch, "val", val_m["loss"], val_m["per_pixel"],
+                           val_m["per_class"], val_m["stage1_per_pixel"]))
     return rows
 
 
@@ -367,10 +391,11 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
     phase1 = [p for n, p in net.params.items()
               if n in net.new_param_names and n not in hist_names]
     rows = train_phase(net, train_ds, val_ds, phase1, schedule, phase=1)
-    stage1_before = evaluate(net, val_ds, stage=0)
     phase2 = list(net.params.values())
-    rows += train_phase(net, train_ds, val_ds, phase2, schedule, phase=2)
-    stage1_after = evaluate(net, val_ds, stage=0)
-    return rows, {"stage1_before_phase2": stage1_before["per_pixel"],
-                  "stage1_after_phase2": stage1_after["per_pixel"]}
+    rows2 = train_phase(net, train_ds, val_ds, phase2, schedule, phase=2)
+    if rows2:
+        before, after = rows[-1].stage1_per_pixel, rows2[-1].stage1_per_pixel
+    else:  # no epochs: no epoch-end pass ran and no parameter moved
+        before = after = evaluate(net, val_ds)["stage1_per_pixel"]
+    return rows + rows2, {"stage1_before_phase2": before, "stage1_after_phase2": after}
 

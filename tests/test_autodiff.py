@@ -74,6 +74,50 @@ def test_conv1x1_shape_mismatch_reports_dimensions():
         ad.conv1x1(x, w, b)
 
 
+# the network's conv shapes (n, cin, h, w, cout): feature layers, classifier,
+# stage head, free_all's composed kernels, an evaluation batch
+CONV_SHAPES = [(10, 8, 16, 16, 16), (10, 16, 16, 16, 6), (10, 52, 16, 16, 6),
+               (10, 6, 16, 16, 36), (10, 36, 16, 16, 36), (50, 52, 16, 16, 6)]
+FC_SHAPE = (10, 36, 1, 1, 36)
+
+
+def conv_pass(rng, n, cin, h, w, cout):
+    x = Tensor(rng.standard_normal((n, cin, h, w)))
+    weight = Parameter(rng.standard_normal((cout, cin, 1, 1)))
+    bias = Parameter(rng.standard_normal((cout, 1, 1, 1)))
+    upstream = rng.standard_normal((n, cout, h, w))
+    ad.reset_tape()
+    out = ad.conv1x1(x, weight, bias)
+    ad.backward(out, upstream)
+    return x, weight, bias, upstream, out
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES + [FC_SHAPE], ids=lambda s: "x".join(map(str, s)))
+def test_conv1x1_outputs_and_gradients_are_c_contiguous(shape, rng):
+    x, weight, _, _, out = conv_pass(rng, *shape)
+    for arr in (out.data, out.grad, x.grad, weight.grad):
+        assert arr.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES + [FC_SHAPE], ids=lambda s: "x".join(map(str, s)))
+def test_conv1x1_matches_tensordot_and_einsum_reference(shape, rng):
+    x, weight, bias, upstream, out = conv_pass(rng, *shape)
+    w2 = weight.data[:, :, 0, 0]
+    ref_out = np.tensordot(w2, x.data, axes=([1], [1])).transpose(1, 0, 2, 3)
+    ref_out += bias.data.reshape(1, -1, 1, 1)
+    ref_gx = np.tensordot(w2.T, upstream, axes=([1], [1])).transpose(1, 0, 2, 3)
+    ref_gw = np.einsum("nohw,nchw->oc", upstream, x.data)
+    assert np.abs(weight.grad[:, :, 0, 0] - ref_gw).max() <= 1e-12
+    if shape[2] * shape[3] > 1:
+        np.testing.assert_array_equal(out.data, ref_out)
+        np.testing.assert_array_equal(x.grad, ref_gx)
+    else:
+        # one matrix-vector product per image rounds differently from
+        # tensordot's single matrix product
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, ref_gx, rtol=0, atol=1e-12)
+
+
 # --------------------------------------------------------------------------
 # abs / relu
 
@@ -104,6 +148,21 @@ def test_relu_values_and_dead_gradient():
     run_backward(out)
     assert np.all(out.data == 0.0)
     assert np.all(neg.grad == 0.0)
+
+
+def test_relu_is_bit_equal_to_where_on_signed_zeros(rng):
+    raw = rng.standard_normal((2, 3, 4, 4))
+    raw.flat[:6] = [0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300]
+    ref = np.where(raw > 0, raw, 0.0)
+    with ad.no_grad():
+        assert ad.relu(Tensor(raw)).data.tobytes() == ref.tobytes()
+    x = Tensor(raw)
+    upstream = rng.standard_normal(raw.shape)
+    ad.reset_tape()
+    out = ad.relu(x)
+    assert out.data.tobytes() == ref.tobytes()
+    ad.backward(out, upstream)
+    assert x.grad.tobytes() == (np.zeros_like(raw) + (raw > 0) * upstream).tobytes()
 
 
 def test_abs_relu_finite_difference_away_from_kinks(rng):

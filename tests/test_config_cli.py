@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from histlayer import verify
-from histlayer.checkpoint import save_checkpoint
+from histlayer import cli, networks, verify
+from histlayer.checkpoint import load_into, save_checkpoint
 from histlayer.cli import main
 from histlayer.config import (ConfigError, RunConfig, dump_config, load_config,
                               parse_config_text)
+from histlayer.data import read_dataset
 from histlayer.histogram import ComposedHistogram
 from histlayer.networks import HistNetConfig, Network
 from histlayer.verify import PRIMITIVES
@@ -173,6 +174,56 @@ def test_eval_reproduces_final_log_metrics(trained, capsys):
     assert float(metrics["per_pixel"]) == float(last_val["per_pixel"])
     assert float(metrics["per_class"]) == float(last_val["per_class"])
     assert (out / "confusion.csv").exists()
+
+
+@pytest.mark.parametrize("mode,with_base,epochs,passes", [
+    ("histnet", True, 2, 5), ("histnet", False, 2, 7), ("histnet", True, 0, 3),
+    ("base_only", True, 2, 2), ("base_only", False, 2, 3)])
+def test_train_run_evaluates_val_once_per_parameter_state(trained, monkeypatch, tmp_path,
+                                                          mode, with_base, epochs, passes):
+    calls = []
+    real = networks.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(networks, "evaluate", counting)
+    monkeypatch.setattr(cli, "evaluate", counting)
+    cfg = load_config(None, SMALL[1::2] + [f"epochs={epochs}"])
+    base = trained["run"] / "base.hprm" if with_base else None
+    summary = cli.train_run(cfg, tmp_path, trained["data"], base_ckpt=base, mode=mode)
+    # one epoch-end pass per trained epoch, then test; histnet's 2 * epochs + 1
+    assert len(calls) == passes
+
+    # the same values as separate passes over the final parameters
+    net = Network(cli.net_config(cfg, mode), seed=cfg.seed)
+    load_into(net.state(), tmp_path / "final.hprm")
+    for split in ("val", "test"):
+        m = real(net, read_dataset(trained["data"] / f"{split}.hctx"))
+        assert summary[f"{split}_per_pixel"] == m["per_pixel"]
+        assert summary[f"{split}_per_class"] == m["per_class"]
+        if split == "val" and mode == "histnet":
+            assert summary["stage1_after_phase2"] == m["stage1_per_pixel"]
+
+
+def test_diverging_run_exits_5_without_final_checkpoint(trained, tmp_path, capsys):
+    rc = main(["train", "--out", str(tmp_path), "--data", str(trained["data"])]
+              + SMALL + ["--set", "lr=1e6", "--set", "batch_size=2"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert "diverged" in err and "parameter" in err
+    assert not (tmp_path / "final.hprm").exists()
+    assert not (tmp_path / "log.csv").exists()
+
+
+def test_eval_checkpoint_with_trailing_bytes_exits_3(trained, tmp_path, capsys):
+    ckpt = tmp_path / "final.hprm"
+    ckpt.write_bytes((trained["run"] / "final.hprm").read_bytes() + bytes(70))
+    rc = main(["eval", str(ckpt), str(trained["data"] / "val.hctx"),
+               "--out", str(tmp_path / "eval")] + SMALL)
+    assert rc == 3
+    assert "unexpected bytes" in capsys.readouterr().err
 
 
 def test_eval_dimension_mismatch_exits_2(trained, capsys):

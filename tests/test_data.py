@@ -148,6 +148,14 @@ def test_roundtrip_bit_exact(tmp_path):
     assert back.seed == ds.seed
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "d.hctx"
+    write_dataset(generate(default_spec(), 3, 4, 4, seed=9), path)
+    path.write_bytes(path.read_bytes() + bytes(70))
+    with pytest.raises(DatasetFormatError, match="70 unexpected bytes"):
+        read_dataset(path)
+
+
 def test_truncated_file_reports_truncation(tmp_path):
     ds = generate(default_spec(), 3, 4, 4, seed=9)
     path = tmp_path / "d.hctx"

@@ -83,6 +83,14 @@ def test_truncated_checkpoint(tmp_path, rng):
         load_checkpoint(path)
 
 
+def test_trailing_bytes_rejected(tmp_path, rng):
+    path = tmp_path / "c.hprm"
+    save_checkpoint(make_params(rng), path)
+    path.write_bytes(path.read_bytes() + bytes(70))
+    with pytest.raises(CheckpointFormatError, match="70 unexpected bytes"):
+        load_checkpoint(path)
+
+
 def test_bad_magic_names_expected(tmp_path):
     path = tmp_path / "c.hprm"
     path.write_bytes(b"JUNK" + b"\0" * 32)

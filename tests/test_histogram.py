@@ -178,6 +178,51 @@ def test_backward_finite_difference_full(rng):
         assert res.max_rel_err < 1e-5
 
 
+def reference_hist_grads(x, mu, s, upstream):
+    """The backward formula with the broadcast np.where and separate centers
+    and likelihood products, kept as the reference for the fused one."""
+    n, K, h, w = x.shape
+    B = mu.shape[1]
+    mu, s = mu.reshape(1, K, B, 1, 1), s.reshape(1, K, B, 1, 1)
+    d = x.reshape(n, K, 1, h, w) - mu
+    t = np.abs(d)
+    t *= -s
+    t += 1.0
+    active = t > 0
+    gg = upstream.reshape(n, K, B, 1, 1) / (h * w)
+    sgn = np.sign(d)
+    common = np.where(active, gg, 0.0)
+    slopes = (common * -np.abs(d)).sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
+    centers = (common * s * sgn).sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
+    likelihood = (common * -s * sgn).sum(axis=2).reshape(n, K, h, w)
+    # accumulated into zero-filled buffers, as the layer does
+    return [np.zeros_like(g) + g for g in (likelihood, centers, slopes)]
+
+
+def test_backward_bit_equal_to_reference_formula(rng):
+    kinks = 0
+    for trial in range(60):
+        K, B = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+        n, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        p = init_params(K, B) if trial % 3 == 0 else random_params(rng, K, B)
+        x = rng.uniform(-0.2, 1.2, size=(n, K, h, w))
+        # half the pixels sit exactly on a bin center or a support edge
+        mu, s = p.centers.data[:, :, 0, 0], p.slopes.data[:, :, 0, 0]
+        for idx in np.ndindex(x.shape):
+            if rng.random() < 0.5:
+                b = rng.integers(B)
+                x[idx] = mu[idx[1], b] + rng.choice([0.0, 1.0, -1.0]) / s[idx[1], b]
+        upstream = rng.standard_normal((n, K * B, 1, 1))
+        ref = reference_hist_grads(x, p.centers.data, p.slopes.data, upstream)
+        kinks += int((np.abs(x.reshape(n, K, 1, h, w) - mu.reshape(1, K, B, 1, 1)) == 0).sum())
+        lik = Tensor(x)
+        ad.reset_tape()
+        run_backward(hist_forward_direct(lik, p), upstream)
+        for got, want in zip((lik.grad, p.centers.grad, p.slopes.grad), ref):
+            assert got.tobytes() == want.tobytes()
+    assert kinks > 0
+
+
 # --------------------------------------------------------------------------
 # brute-force oracle
 

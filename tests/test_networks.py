@@ -353,6 +353,47 @@ def test_two_phase_train_moves_bins_in_phase_two():
     assert 0.0 <= stage1["stage1_after_phase2"] <= 1.0
 
 
+def stage1_per_pixel(net, ds):
+    """Stage-1 per-pixel accuracy from a separate forward pass."""
+    with ad.no_grad():
+        out = net.forward(Tensor(ds.features))
+    return float(np.mean(np.argmax(out.stage_probs[0].data, axis=1) == ds.labels))
+
+
+@pytest.mark.parametrize("epochs", [2, 0])
+def test_two_phase_train_takes_stage1_from_the_epoch_end_passes(monkeypatch, epochs):
+    ds, val = small_data(16, seed=3), small_data(8, seed=4)
+    base = Network(small_cfg("base_only"), seed=0)
+    train_base(base, ds, val, schedule())
+    # reference: a separate stage-1 pass after each phase
+    ref = Network(small_cfg(), seed=0)
+    load_base(ref, base.state())
+    hist_names = {p.name for p in ref.hists[0].parameters()}
+    phase1 = [p for n, p in ref.params.items()
+              if n in ref.new_param_names and n not in hist_names]
+    train_phase(ref, ds, val, phase1, schedule(epochs), phase=1)
+    before = stage1_per_pixel(ref, val)
+    train_phase(ref, ds, val, list(ref.params.values()), schedule(epochs), phase=2)
+    after = stage1_per_pixel(ref, val)
+
+    calls = []
+    real = networks.evaluate
+    monkeypatch.setattr(networks, "evaluate", lambda *a: calls.append(a) or real(*a))
+    net = Network(small_cfg(), seed=0)
+    _, stage1 = two_phase_train(net, base.state(), ds, val, schedule(epochs))
+    assert stage1 == {"stage1_before_phase2": before, "stage1_after_phase2": after}
+    assert len(calls) == max(2 * epochs, 1)
+
+
+def test_train_phase_names_the_first_non_finite_parameter():
+    net = Network(small_cfg("base_only"), seed=0)
+    net.params["base.f2.b"].data[3] = np.inf
+    net.params["base.cls.w"].data[0] = np.nan
+    with pytest.raises(networks.TrainingDivergedError,
+                       match="phase 0, epoch 0: parameter base.f2.b"):
+        train_phase(net, small_data(8), small_data(4), [], schedule(), phase=0)
+
+
 def test_two_phase_train_rejects_base_only():
     net = Network(small_cfg("base_only"), seed=0)
     with pytest.raises(ValueError, match="context-refinement"):
