@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Record one benchmark snapshot as a BENCH_*.json file.
+
+Runs `perfbench/run.py` on every workload of `BENCHMARK.json` at seed
+104729 with `--trace 0`, one after another, for the declared run length,
+then one `--trace 1` run of `train_histnet` for the per-layer table. Writes
+the git commit, the environment line of the first run, and per workload the
+median, q1, q3 and sample count of each end-to-end metric with the failed-op
+ratio.
+
+Example:
+    python scripts/bench.py --out BENCH_6.json
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 104729
+TRACED_WORKLOAD = "train_histnet"
+
+
+def run_perfbench(workload: str, seconds: float, trace: int) -> list[dict]:
+    """The JSON lines one perfbench run prints: environment, detail, result."""
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+    print("running", " ".join(cmd[1:]), file=sys.stderr, flush=True)
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{workload}: perfbench exited {proc.returncode}:\n{proc.stderr}")
+    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    if len(lines) != 3 or "metrics" not in lines[-1]:
+        raise SystemExit(f"{workload}: unexpected perfbench output:\n{proc.stdout}")
+    return lines
+
+
+def end_to_end(lines: list[dict]) -> dict:
+    _, detail_line, result = lines
+    detail = detail_line["detail"]
+    metrics = {}
+    for name, m in result["metrics"].items():
+        # peak_rss_mb is one reading per process; the others are summarized
+        s = detail.get(name, {"median": m["value"], "q1": m["value"],
+                              "q3": m["value"], "n": 1})
+        metrics[name] = {"unit": m["unit"], **{k: s[k] for k in ("median", "q1", "q3", "n")}}
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "failed_op_ratio": detail["failed_op_ratio"],
+            "metrics": metrics}
+
+
+def per_layer(lines: list[dict]) -> dict:
+    _, detail_line, result = lines
+    return {"workload": TRACED_WORKLOAD, "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"],
+            **detail_line["detail"], "metrics": result["metrics"]}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json to write")
+    args = parser.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                                cwd=ROOT, capture_output=True, text=True,
+                                check=True).stdout.strip())
+    report = {"git_sha": sha, "git_dirty": dirty, "seed": SEED, "seconds": seconds,
+              "environment": None, "workloads": {}}
+    for wl in spec["workloads"]:
+        lines = run_perfbench(wl["name"], seconds, trace=0)
+        report["environment"] = report["environment"] or lines[0]["environment"]
+        report["workloads"][wl["name"]] = end_to_end(lines)
+    report["per_layer"] = per_layer(run_perfbench(TRACED_WORKLOAD, seconds, trace=1))
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,13 +28,14 @@ import sys
 from pathlib import Path
 
 from histlayer.checkpoint import load_checkpoint
-from histlayer.cli import ALL_MODES, cmd_gen_data, train_run
+from histlayer.cli import cmd_gen_data, train_run
 from histlayer.config import RunConfig
+from histlayer.networks import BASELINE_MODES
 
 RECIPE = RunConfig(seed=7, H=16, W=16, n_train=100, n_val=60, n_test=50, n_mc=2000,
                    lr=0.05, epochs=3, decay_epoch=2)
 BASE_EPOCHS = 4
-RUNS = ("base_pretrain",) + ALL_MODES
+RUNS = ("base_pretrain",) + BASELINE_MODES
 FILES = ("log.csv", "final.hprm")
 
 
@@ -45,7 +46,7 @@ def run_recipe(out: Path) -> None:
     base_cfg = dataclasses.replace(RECIPE, epochs=BASE_EPOCHS, decay_epoch=BASE_EPOCHS)
     train_run(base_cfg, out / "base_pretrain", data, mode="base_only")
     base_ckpt = out / "base_pretrain" / "base.hprm"
-    for mode in ALL_MODES:
+    for mode in BASELINE_MODES:
         train_run(RECIPE, out / mode, data, base_ckpt=base_ckpt, mode=mode)
 
 

@@ -7,8 +7,13 @@ cross-entropy head and SGD with momentum and per-entry update locks.
 
 All tensors are (N, C, H, W) float64 arrays. Ops are recorded on a global
 tape in forward order; `backward` replays the tape in exact reverse order,
-so gradient accumulation order is deterministic. Under `no_grad` ops record
-nothing and allocate no gradient buffers, for forward-only passes.
+so gradient accumulation order is deterministic. A recorded node gets its
+gradient buffer on the first write into it (`_accumulate`), and `backward`
+skips the closure of a node whose gradient was never written, since the
+output it was called on does not depend on that node. Leaf tensors built with `with_grad=True`
+(`Parameter`s among them) keep an eager zero-filled buffer; data built with
+`with_grad=False` takes no gradient. Under `no_grad` ops record nothing,
+for forward-only passes.
 """
 
 from __future__ import annotations
@@ -87,10 +92,11 @@ def backward(out: "Tensor", grad: np.ndarray | None = None) -> None:
     """Seed `out` with the upstream gradient `grad` (1 for a scalar output
     when omitted) and replay the tape in reverse.
 
-    Each node drops its closure once run, so the graph is freed by
-    refcounting as soon as the caller lets go of it.
+    A node whose gradient was never written feeds nothing that needs one,
+    so its closure is skipped. Each node drops its closure once passed, so
+    the graph is freed by refcounting as soon as the caller lets go of it.
     """
-    if out.grad is None:
+    if not out.requires_grad:
         raise ValueError("backward needs an output recorded with gradients on")
     if grad is None:
         if out.data.size != 1:
@@ -99,11 +105,11 @@ def backward(out: "Tensor", grad: np.ndarray | None = None) -> None:
     elif np.shape(grad) != out.shape:
         raise ShapeError(f"upstream gradient shape {np.shape(grad)} does not match "
                          f"output {out.shape}")
-    out.grad[...] = grad
+    out.grad = np.full(out.shape, grad, dtype=np.float64)
     for t in reversed(_STATE.tape):
-        if t._backward is not None:
+        if t.grad is not None:
             t._backward()
-            t._backward = None
+        t._backward = None
     _STATE.tape.clear()
 
 
@@ -124,6 +130,12 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
+
+    @property
+    def requires_grad(self) -> bool:
+        """True for a tensor with a gradient buffer and for a recorded node,
+        whose buffer is allocated on its first gradient write."""
+        return self.grad is not None or self._backward is not None
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -156,12 +168,24 @@ class Parameter(Tensor):
 
 
 def _node(data: np.ndarray, backward_fn) -> Tensor:
-    if not _STATE.grad_enabled:
-        return Tensor(data, with_grad=False)
-    out = Tensor(data)
-    out._backward = backward_fn
-    _record(out)
+    out = Tensor(data, with_grad=False)
+    if _STATE.grad_enabled:
+        out._backward = backward_fn
+        _record(out)
     return out
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add the gradient contribution `g` into `t.grad`.
+
+    The first write takes `g` itself as the buffer, so `g` must have t's
+    shape and be an array no other tensor holds: never a view of another
+    node's gradient, nor one array handed to several tensors.
+    """
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +211,8 @@ def conv1x1(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
 
     def _bw():
         gv = node.grad.reshape(n, cout, h * w)
-        x.grad += np.matmul(w2.T, gv).reshape(x.shape)
+        if x.requires_grad:  # data inputs take no gradient
+            _accumulate(x, np.matmul(w2.T, gv).reshape(x.shape))
         weight.grad[:, :, 0, 0] += np.matmul(gv, xv.transpose(0, 2, 1)).sum(axis=0)
         bias.grad += node.grad.sum(axis=(0, 2, 3)).reshape(bias.shape)
 
@@ -206,10 +231,9 @@ def fully_connected(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
 def abs_elem(x: Tensor) -> Tensor:
     """Elementwise |x|; subgradient at 0 is 0."""
     _record_hinge(x.data)
-    sgn = np.sign(x.data)
 
     def _bw():
-        x.grad += sgn * node.grad
+        _accumulate(x, np.sign(x.data) * node.grad)
 
     node = _node(np.abs(x.data), _bw)
     return node
@@ -220,7 +244,7 @@ def relu(x: Tensor) -> Tensor:
     _record_hinge(x.data)
 
     def _bw():
-        x.grad += (x.data > 0) * node.grad
+        _accumulate(x, (x.data > 0) * node.grad)
 
     node = _node(np.maximum(x.data, 0.0), _bw)
     return node
@@ -234,7 +258,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = x.data.mean(axis=(2, 3), keepdims=True)
 
     def _bw():
-        x.grad += node.grad / (h * w)
+        _accumulate(x, np.broadcast_to(node.grad / (h * w), x.shape).copy())
 
     node = _node(out, _bw)
     return node
@@ -253,8 +277,8 @@ def broadcast_concat(features: Tensor, context: Tensor) -> Tensor:
 
     def _bw():
         g = node.grad
-        features.grad += g[:, :c]
-        context.grad += g[:, c:].sum(axis=(2, 3), keepdims=True)
+        _accumulate(features, g[:, :c].copy())
+        _accumulate(context, g[:, c:].sum(axis=(2, 3), keepdims=True))
 
     node = _node(out, _bw)
     return node
@@ -272,7 +296,7 @@ def softmax(logits: Tensor) -> Tensor:
 
     def _bw():
         g = node.grad
-        logits.grad += p * (g - (g * p).sum(axis=1, keepdims=True))
+        _accumulate(logits, p * (g - (g * p).sum(axis=1, keepdims=True)))
 
     node = _node(p, _bw)
     return node
@@ -283,7 +307,10 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
 
     labels is an integer (N,H,W) map; IGNORE_LABEL positions are excluded
     from the loss. Returns (scalar loss, probability tensor); both are graph
-    nodes, so gradients flow into the logits from either.
+    nodes, so gradients flow into the logits from either. The loss tensor's
+    `clamped` attribute counts the valid positions whose picked probability
+    underflowed to 0, where log 0 is clamped to -745: a logit gap above 745,
+    which only a diverging network reaches.
     """
     n, k, h, w = logits.shape
     labels = np.asarray(labels)
@@ -299,18 +326,24 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
 
     probs = softmax(logits)
     p = probs.data
-    safe = np.where(valid, labels, 0)
-    picked = np.take_along_axis(p, safe[:, None], axis=1)[:, 0]
-    logp = np.log(picked, where=picked > 0, out=np.full_like(picked, -745.0))
+    # flat index of (image, label, row, col) in p; uint8 labels would
+    # overflow the products, so widen them first
+    safe = np.where(valid, labels, 0).astype(np.intp)
+    flat = (np.arange(n).reshape(n, 1, 1) * k + safe) * (h * w) + np.arange(h * w).reshape(h, w)
+    picked = p.reshape(-1)[flat]
+    positive = picked > 0
+    logp = np.log(picked, where=positive, out=np.full_like(picked, -745.0))
     loss_val = -(logp * valid).sum() / count
 
     def _bw():
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, safe[:, None], 1.0, axis=1)
         g = loss_node.grad.reshape(-1)[0]
-        logits.grad += (p - onehot) * valid[:, None] * (g / count)
+        d = p * valid[:, None]
+        d.reshape(-1)[flat] -= valid
+        d *= g / count
+        _accumulate(logits, d)
 
     loss_node = _node(np.full((1, 1, 1, 1), loss_val), _bw)
+    loss_node.clamped = int(np.count_nonzero(valid & ~positive))
     return loss_node, probs
 
 
@@ -321,9 +354,8 @@ def scalar_mean(terms: list[Tensor]) -> Tensor:
     total = sum(t.item() for t in terms) / len(terms)
 
     def _bw():
-        g = node.grad / len(terms)
-        for t in terms:
-            t.grad += g
+        for t in terms:  # a fresh quotient per term: no two share a buffer
+            _accumulate(t, node.grad / len(terms))
 
     node = _node(np.full((1, 1, 1, 1), total), _bw)
     return node
@@ -339,9 +371,8 @@ def mean_tensors(terms: list[Tensor]) -> Tensor:
     out /= len(terms)
 
     def _bw():
-        g = node.grad / len(terms)
-        for t in terms:
-            t.grad += g
+        for t in terms:  # a fresh quotient per term: no two share a buffer
+            _accumulate(t, node.grad / len(terms))
 
     node = _node(out, _bw)
     return node

@@ -2,8 +2,8 @@
 
 Subcommands: gen-data, train, eval, gradcheck, inspect-histogram, compare.
 Exit codes: 0 success, 2 config error, 3 I/O or format error,
-4 verification failure, 5 training diverged (a parameter became non-finite;
-no final.hprm is written).
+4 verification failure, 5 training diverged (a parameter became non-finite
+or the loss clamped log 0; no final.hprm or log.csv is written).
 """
 
 from __future__ import annotations
@@ -232,12 +232,8 @@ def cmd_inspect_histogram(ckpt: Path, out_path: Path | None) -> int:
     return 0
 
 
-ALL_MODES = ("base_only", "fix_hist", "free_all", "score_global",
-             "feat_global", "histnet")
-
-
 def compare_runs(cfg: RunConfig, out_dir: Path, data_dir: Path,
-                 modes=ALL_MODES):
+                 modes=BASELINE_MODES):
     """Train every requested mode over cfg.compare_seeds seeds.
 
     Each seed shares one pretrained base checkpoint across modes. Returns

@@ -24,6 +24,7 @@ from .autodiff import (
     Parameter,
     Tensor,
     ShapeError,
+    _accumulate,
     _node,
     _record_hinge,
     abs_elem,
@@ -125,7 +126,9 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
         a *= gg
         params.slopes.grad -= a.sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
         params.centers.grad += v.sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
-        likelihood.grad -= v.sum(axis=2).reshape(n, K, h, w)
+        gx = v.sum(axis=2).reshape(n, K, h, w)
+        np.negative(gx, out=gx)     # a - b and a + (-b) round alike
+        _accumulate(likelihood, gx)
 
     node = _node(out, _bw)
     return node

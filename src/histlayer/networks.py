@@ -25,8 +25,8 @@ from .autodiff import Parameter, Tensor
 from .config import eval_threads
 from .histogram import ComposedHistogram, HistogramParams, init_params
 
-BASELINE_MODES = ("histnet", "fix_hist", "free_all", "score_global",
-                  "feat_global", "base_only")
+BASELINE_MODES = ("base_only", "fix_hist", "free_all", "score_global",
+                  "feat_global", "histnet")
 HIST_MODES = ("histnet", "fix_hist", "free_all")
 
 
@@ -65,6 +65,7 @@ class StageOutputs:
     stage_logits: list
     stage_probs: list
     final_probs: Tensor
+    clamped: int    # positions whose loss clamped log 0 (see ad.softmax_xent)
 
 
 def _gauss(rng, shape, std):
@@ -172,7 +173,7 @@ class Network:
                 head_probs(logits[-1])
 
         final = ad.mean_tensors(probs)
-        outputs = StageOutputs(logits, probs, final)
+        outputs = StageOutputs(logits, probs, final, sum(t.clamped for t in losses))
         if labels is None:
             return outputs
         return ad.scalar_mean(losses), outputs
@@ -213,13 +214,14 @@ def _confusion(labels: np.ndarray, probs: Tensor, K: int) -> np.ndarray:
 
 
 def _evaluate_range(net: Network, dataset, lo: int, hi: int):
-    """Confusion counts of the final and of the stage-1 prediction, and
-    per-batch loss terms (batch loss * batch length) of images [lo, hi),
-    one forward-only pass in EVAL_BATCH batches."""
+    """Confusion counts of the final and of the stage-1 prediction, per-batch
+    loss terms (batch loss * batch length) and the clamped-log count of
+    images [lo, hi), one forward-only pass in EVAL_BATCH batches."""
     K = net.cfg.K
     conf = np.zeros((K, K), dtype=np.int64)
     conf1 = np.zeros((K, K), dtype=np.int64)
     terms = []
+    clamped = 0
     with ad.no_grad():
         for start in range(lo, hi, EVAL_BATCH):
             stop = min(start + EVAL_BATCH, hi)
@@ -228,7 +230,8 @@ def _evaluate_range(net: Network, dataset, lo: int, hi: int):
             terms.append(loss.item() * (stop - start))
             conf += _confusion(labels, out.final_probs, K)
             conf1 += _confusion(labels, out.stage_probs[0], K)
-    return conf, conf1, terms
+            clamped += out.clamped
+    return conf, conf1, terms, clamped
 
 
 def metrics_from_confusion(conf: np.ndarray) -> dict:
@@ -245,8 +248,9 @@ def metrics_from_confusion(conf: np.ndarray) -> dict:
 def evaluate(net: Network, dataset) -> dict:
     """Mean loss, per-pixel accuracy and unweighted mean per-class recall,
     from one forward-only pass, plus the per-pixel accuracy of the stage-1
-    prediction (`stage1_per_pixel`). The confusion matrix has rows = true
-    class, columns = predicted class (argmax, ties to lowest).
+    prediction (`stage1_per_pixel`) and the number of positions whose loss
+    clamped log 0 (`clamped`, see `ad.softmax_xent`). The confusion matrix
+    has rows = true class, columns = predicted class (argmax, ties to lowest).
 
     HISTLAYER_THREADS shards the pass on whole EVAL_BATCH batches, with at
     most one thread per batch, and the loss terms are summed in batch order,
@@ -269,13 +273,16 @@ def evaluate(net: Network, dataset) -> dict:
     conf = np.zeros((net.cfg.K, net.cfg.K), dtype=np.int64)
     conf1 = np.zeros_like(conf)
     total = 0.0
-    for part_conf, part_conf1, terms in parts:
+    clamped = 0
+    for part_conf, part_conf1, terms, part_clamped in parts:
         conf += part_conf
         conf1 += part_conf1
+        clamped += part_clamped
         for term in terms:  # a plain loop: sum() of floats is compensated on 3.12+
             total += term
     return {**metrics_from_confusion(conf), "loss": total / n,
-            "stage1_per_pixel": metrics_from_confusion(conf1)["per_pixel"]}
+            "stage1_per_pixel": metrics_from_confusion(conf1)["per_pixel"],
+            "clamped": clamped}
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +300,8 @@ class TrainSchedule:
 
 
 class TrainingDivergedError(ArithmeticError):
-    """A parameter stopped being finite during training."""
+    """A parameter stopped being finite, or the loss clamped log 0, during
+    training."""
 
 
 @dataclass
@@ -315,6 +323,15 @@ def _check_finite(net: Network, phase: int, epoch: int) -> None:
                 f"{p.name} holds a non-finite value; lower lr")
 
 
+def _check_clamped(net: Network, phase: int, epoch: int, clamped: int) -> None:
+    if clamped:
+        big = max(net.params.values(), key=lambda p: np.abs(p.data).max())
+        raise TrainingDivergedError(
+            f"training diverged in phase {phase}, epoch {epoch}: the loss clamped log 0 "
+            f"at {clamped} positions, and parameter {big.name} reaches magnitude "
+            f"{np.abs(big.data).max():.3g}; lower lr")
+
+
 def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
                 schedule: TrainSchedule, phase: int) -> list[LogRow]:
     """One SGD phase; returns one train and one val log row per epoch.
@@ -322,7 +339,10 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
     Train-split metrics are accumulated from the minibatch forward passes,
     val metrics come from a full evaluation pass at each epoch end, so the
     last val row describes the parameters the phase ends with. Raises
-    TrainingDivergedError after an epoch that leaves a parameter non-finite.
+    TrainingDivergedError after an epoch that leaves a parameter non-finite
+    or whose train steps or val pass clamped log 0 in the loss: a picked
+    probability underflowed to 0, so the logits are diverging even where
+    every value stays finite.
     """
     rows = []
     rng = np.random.default_rng(schedule.seed * 1000003 + phase)
@@ -332,10 +352,10 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
         lr = schedule.lr * (schedule.lr_decay if epoch >= schedule.decay_epoch else 1.0)
         perm = rng.permutation(n)
         conf = np.zeros((K, K), dtype=np.int64)
-        loss_sum, seen = 0.0, 0
+        loss_sum, seen, clamped = 0.0, 0, 0
         for start in range(0, n, schedule.batch_size):
             idx = perm[start:start + schedule.batch_size]
-            feats = Tensor(train_ds.features[idx])
+            feats = Tensor(train_ds.features[idx], with_grad=False)
             labels = train_ds.labels[idx]
             net.zero_grads()
             loss, out = net.loss(feats, labels)
@@ -345,11 +365,13 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
             loss_sum += loss.item() * len(idx)
             seen += len(idx)
             conf += _confusion(labels, out.final_probs, K)
+            clamped += out.clamped
         train_m = metrics_from_confusion(conf)
         rows.append(LogRow(phase, epoch, "train", loss_sum / seen,
                            train_m["per_pixel"], train_m["per_class"]))
         _check_finite(net, phase, epoch)
         val_m = evaluate(net, val_ds)
+        _check_clamped(net, phase, epoch, clamped + val_m["clamped"])
         rows.append(LogRow(phase, epoch, "val", val_m["loss"], val_m["per_pixel"],
                            val_m["per_class"], val_m["stage1_per_pixel"]))
     return rows

@@ -73,7 +73,7 @@ def primitive_reports(seed: int) -> list[PropertyReport]:
     def quadratic(t):
         # smooth scalar readout sum(t^2)/2 so every op's output is exercised
         def _bw():
-            t.grad += t.data * out.grad.reshape(-1)[0]
+            ad._accumulate(t, t.data * out.grad.reshape(-1)[0])
         out = ad._node(np.full((1, 1, 1, 1), 0.5 * (t.data ** 2).sum()), _bw)
         return out
 
@@ -120,7 +120,7 @@ def check_histogram_gradients(seed: int, trials: int) -> PropertyReport:
             s = (feat.data * upstream).sum()
 
             def _bw():
-                feat.grad += upstream * out.grad.reshape(-1)[0]
+                ad._accumulate(feat, upstream * out.grad.reshape(-1)[0])
 
             out = ad._node(np.full((1, 1, 1, 1), s), _bw)
             return out

@@ -14,20 +14,14 @@ from histlayer.histogram import hist_forward_direct, init_params
 def scalar_sum(t):
     """Graph node summing all entries of t (linear readout for backward tests)."""
     def _bw():
-        t.grad += out.grad.reshape(-1)[0]
+        ad._accumulate(t, np.full(t.shape, out.grad.reshape(-1)[0]))
     out = ad._node(np.full((1, 1, 1, 1), t.data.sum()), _bw)
     return out
 
 
-def run_backward(out, upstream=None):
-    if upstream is not None:
-        out.grad[...] = upstream
-    else:
-        out.grad[...] = 1.0
-    for node in reversed(ad._STATE.tape):
-        if node._backward is not None:
-            node._backward()
-    ad.reset_tape()
+def run_backward(out, upstream=1.0):
+    """Backpropagate `upstream`, broadcast to the shape of `out`."""
+    ad.backward(out, np.broadcast_to(upstream, out.shape))
 
 
 # --------------------------------------------------------------------------
@@ -324,6 +318,35 @@ def test_softmax_xent_ignore_label_excluded(rng):
     assert loss.item() == pytest.approx(loss_only.item(), rel=1e-12)
 
 
+def test_softmax_xent_bit_equal_to_take_along_axis_reference(rng):
+    # 3*6*5*7 = 630 entries: a flat index built in uint8 would wrap
+    n, k, h, w = 3, 6, 5, 7
+    logits_arr = rng.standard_normal((n, k, h, w))
+    labels = rng.integers(0, k, size=(n, h, w)).astype(np.uint8)
+    labels[0, 0, :3] = ad.IGNORE_LABEL
+    labels[2, 4, 6] = 1
+    logits_arr[2, 0, 4, 6] = 800.0      # label 1 there underflows to p = 0
+    logits_arr[0, 0, 0, 0] = 900.0      # at an ignored position: not counted
+    logits = Tensor(logits_arr)
+    ad.reset_tape()
+    loss, probs = ad.softmax_xent(logits, labels)
+    ad.backward(loss)
+
+    p = probs.data
+    valid = labels != ad.IGNORE_LABEL
+    safe = np.where(valid, labels, 0)
+    picked = np.take_along_axis(p, safe[:, None], axis=1)[:, 0]
+    logp = np.log(picked, where=picked > 0, out=np.full_like(picked, -745.0))
+    count = int(valid.sum())
+    want_loss = -(logp * valid).sum() / count
+    onehot = np.zeros_like(p)
+    np.put_along_axis(onehot, safe[:, None], 1.0, axis=1)
+    want_grad = np.zeros_like(p) + (p - onehot) * valid[:, None] * (1.0 / count)
+    assert loss.data.tobytes() == np.full((1, 1, 1, 1), want_loss).tobytes()
+    assert logits.grad.tobytes() == want_grad.tobytes()
+    assert loss.clamped == 1
+
+
 # --------------------------------------------------------------------------
 # SGD with lock masks
 
@@ -501,6 +524,35 @@ def test_backward_upstream_matches_manual_replay(rng):
     assert ad._STATE.tape == []
     for p, g in zip((x, w, b), want):
         np.testing.assert_array_equal(p.grad, g)
+
+
+def test_nodes_consumed_twice_get_summed_gradients_in_their_own_buffers(rng):
+    x = Parameter(rng.standard_normal((2, 3, 2, 2)), name="x")
+    ad.reset_tape()
+    h = ad.relu(x)
+    a = ad.abs_elem(x)
+    ctx = ad.global_avg_pool(h)
+    m = ad.mean_tensors([h, h, a, a])
+    cat = ad.broadcast_concat(m, ctx)
+    s = scalar_sum(cat)
+    s2 = scalar_sum(ctx)
+    loss = ad.scalar_mean([s, s, s2, s2])
+    ad.backward(loss)
+    # every sum below is exact in binary floating point
+    assert s.grad.item() == s2.grad.item() == 0.5
+    np.testing.assert_array_equal(cat.grad, np.full(cat.shape, 0.5))
+    np.testing.assert_array_equal(m.grad, np.full(m.shape, 0.5))
+    np.testing.assert_array_equal(ctx.grad, np.full(ctx.shape, 4 * 0.5 + 0.5))
+    np.testing.assert_array_equal(h.grad, np.full(h.shape, 2 * 0.125 + 2.5 / 4))
+    np.testing.assert_array_equal(a.grad, np.full(a.shape, 2 * 0.125))
+    np.testing.assert_array_equal(x.grad, np.where(x.data > 0, 1.125, -0.25))
+    buffers = [t.grad for t in (loss, s, s2, cat, m, ctx, h, a, x)]
+    for i, buf in enumerate(buffers):
+        before = [b.copy() for b in buffers]
+        buf += 1.0
+        for j, other in enumerate(buffers):
+            if j != i:
+                np.testing.assert_array_equal(other, before[j])
 
 
 def test_backward_rejects_bad_upstream_and_tape_free_outputs():

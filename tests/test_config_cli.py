@@ -217,6 +217,20 @@ def test_diverging_run_exits_5_without_final_checkpoint(trained, tmp_path, capsy
     assert not (tmp_path / "log.csv").exists()
 
 
+def test_finite_blow_up_exits_5_without_outputs(tmp_path, capsys):
+    # parameters grow to ~1e53 and stay finite; the loss clamps log 0
+    sizes = []
+    for kv in ("n_train=40", "n_val=20", "n_test=20", "H=8", "W=8",
+               "epochs=2", "decay_epoch=1"):
+        sizes += ["--set", kv]
+    assert main(["gen-data", "--out", str(tmp_path)] + sizes) == 0
+    rc = main(["train", "--out", str(tmp_path)] + sizes + ["--set", "lr=1e6"])
+    assert rc == 5
+    assert "the loss clamped log 0" in capsys.readouterr().err
+    assert not (tmp_path / "final.hprm").exists()
+    assert not (tmp_path / "log.csv").exists()
+
+
 def test_eval_checkpoint_with_trailing_bytes_exits_3(trained, tmp_path, capsys):
     ckpt = tmp_path / "final.hprm"
     ckpt.write_bytes((trained["run"] / "final.hprm").read_bytes() + bytes(70))

@@ -10,14 +10,6 @@ from histlayer.histogram import (S_MIN, ComposedHistogram, HistogramParams, basi
 from histlayer.oracle import hist_oracle
 
 
-def run_backward(out, upstream):
-    out.grad[...] = upstream
-    for node in reversed(ad._STATE.tape):
-        if node._backward is not None:
-            node._backward()
-    ad.reset_tape()
-
-
 def random_params(rng, K, B):
     return HistogramParams(
         Parameter(rng.uniform(-0.2, 1.2, size=(K, B, 1, 1)), name="hist.centers"),
@@ -139,7 +131,7 @@ def test_backward_inactive_vote_has_zero_partials():
     feat = hist_forward_direct(x, p)
     upstream = np.zeros((1, 2, 1, 1))
     upstream[0, 1] = 1.0    # only bin 1 receives upstream error
-    run_backward(feat, upstream)
+    ad.backward(feat, upstream)
     assert p.centers.grad[0, 1, 0, 0] == 0.0
     assert p.slopes.grad[0, 1, 0, 0] == 0.0
     assert x.grad.ravel()[0] == 0.0
@@ -152,7 +144,7 @@ def test_backward_single_pixel_hand_case():
     x = Tensor(np.full((1, 1, 1, 1), 0.45))
     ad.reset_tape()
     feat = hist_forward_direct(x, p)
-    run_backward(feat, np.ones((1, 1, 1, 1)))
+    ad.backward(feat, np.ones((1, 1, 1, 1)))
     assert p.centers.grad.ravel()[0] == pytest.approx(5.0, rel=1e-15)
     assert p.slopes.grad.ravel()[0] == pytest.approx(-0.05, rel=1e-12)
     assert x.grad.ravel()[0] == pytest.approx(-5.0, rel=1e-15)
@@ -168,7 +160,7 @@ def test_backward_finite_difference_full(rng):
         s = (feat.data * upstream).sum()
 
         def _bw():
-            feat.grad += upstream * out.grad.reshape(-1)[0]
+            ad._accumulate(feat, upstream * out.grad.reshape(-1)[0])
 
         out = ad._node(np.full((1, 1, 1, 1), s), _bw)
         return out
@@ -217,7 +209,7 @@ def test_backward_bit_equal_to_reference_formula(rng):
         kinks += int((np.abs(x.reshape(n, K, 1, h, w) - mu.reshape(1, K, B, 1, 1)) == 0).sum())
         lik = Tensor(x)
         ad.reset_tape()
-        run_backward(hist_forward_direct(lik, p), upstream)
+        ad.backward(hist_forward_direct(lik, p), upstream)
         for got, want in zip((lik.grad, p.centers.grad, p.slopes.grad), ref):
             assert got.tobytes() == want.tobytes()
     assert kinks > 0
@@ -278,11 +270,11 @@ def test_composed_gradients_equal_direct(rng):
 
     xd = Tensor(x.copy())
     ad.reset_tape()
-    run_backward(hist_forward_direct(xd, p), upstream)
+    ad.backward(hist_forward_direct(xd, p), upstream)
 
     xc = Tensor(x.copy())
     ad.reset_tape()
-    run_backward(layer.forward(xc), upstream)
+    ad.backward(layer.forward(xc), upstream)
 
     diag = np.arange(8)
     np.testing.assert_allclose(xc.grad, xd.grad, atol=1e-12)
@@ -302,7 +294,7 @@ def test_composed_structural_entries_locked_under_sgd(rng):
         ad.reset_tape()
         out = layer.forward(x)
         ad.zero_grads(layer.parameters())
-        run_backward(out, rng.standard_normal(out.shape))
+        ad.backward(out, rng.standard_normal(out.shape))
         ad.sgd_step(layer.parameters(), lr=1e-2, momentum=0.9)
         layer.clamp_slopes()
     diag = np.arange(12)

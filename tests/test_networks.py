@@ -259,6 +259,38 @@ def test_no_grad_loss_records_nothing_and_matches_recorded(mode):
         np.testing.assert_array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("mode", BASELINE_MODES)
+def test_training_backward_skips_the_unused_probability_branch(mode):
+    net = Network(small_cfg(mode), seed=3)
+    ds = small_data(3, seed=4)
+    feats = Tensor(ds.features, with_grad=False)
+    loss, out = net.loss(feats, ds.labels)
+    # final_probs and the last stage's probabilities feed no loss
+    pruned = [out.final_probs, out.stage_probs[-1]]
+    ran = []
+    for t in pruned:
+        inner = t._backward
+        t._backward = lambda inner=inner: ran.append(inner) or inner()
+    ad.backward(loss)
+    assert ran == []
+    assert all(t.grad is None for t in pruned)
+    assert feats.grad is None
+    assert out.stage_logits[-1].grad is not None
+
+
+@pytest.mark.parametrize("mode", BASELINE_MODES)
+def test_data_batch_without_gradient_gives_identical_parameter_gradients(mode):
+    ds = small_data(3, seed=4)
+    grads = []
+    for with_grad in (True, False):
+        net = Network(small_cfg(mode), seed=3)
+        net.zero_grads()
+        loss, _ = net.loss(Tensor(ds.features, with_grad=with_grad), ds.labels)
+        ad.backward(loss)
+        grads.append({n: p.grad.tobytes() for n, p in net.params.items()})
+    assert grads[0] == grads[1]
+
+
 def test_threaded_evaluation_matches_serial(monkeypatch):
     net = Network(small_cfg(), seed=4)
     ds = small_data(30, seed=5)
@@ -392,6 +424,20 @@ def test_train_phase_names_the_first_non_finite_parameter():
     with pytest.raises(networks.TrainingDivergedError,
                        match="phase 0, epoch 0: parameter base.f2.b"):
         train_phase(net, small_data(8), small_data(4), [], schedule(), phase=0)
+
+
+def test_train_phase_stops_when_the_loss_clamps_with_finite_parameters():
+    net = Network(small_cfg("base_only"), seed=0)
+    net.params["base.cls.w"].data *= 1e6    # logit gaps far above 745
+    val = small_data(4)
+    with ad.no_grad():
+        clamped = net.loss(Tensor(val.features), val.labels)[1].clamped
+    assert clamped > 0
+    assert evaluate(net, val)["clamped"] == clamped
+    with pytest.raises(networks.TrainingDivergedError,
+                       match="phase 0, epoch 0: the loss clamped log 0 at"):
+        train_phase(net, small_data(8), val, [], schedule(), phase=0)
+    assert all(np.isfinite(p.data).all() for p in net.params.values())
 
 
 def test_two_phase_train_rejects_base_only():
