@@ -3,19 +3,25 @@
 
 Runs `perfbench/run.py` on every workload of `BENCHMARK.json` at seed
 104729 with `--trace 0`, one after another, for the declared run length,
-then one `--trace 1` run of `train_histnet` for the per-layer table. Writes
-the git commit, the environment line of the first run, and per workload the
-median, q1, q3 and sample count of each end-to-end metric with the failed-op
-ratio.
+then one `--trace 1` run of `train_histnet` for the per-layer table, then
+one run of the tier-1 suite with `--durations`. Writes the git commit, the
+environment line of the first run, per workload the median, q1, q3 and
+sample count of each end-to-end metric with the failed-op ratio, and the
+tier-1 wall time, test counts and the set-up time of the acceptance
+`comparison` fixture (the slowest set-up in `tests/test_acceptance.py`,
+where the session fixture is built).
 
 Example:
-    python scripts/bench.py --out BENCH_6.json
+    python scripts/bench.py --out BENCH_7.json
 """
 
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +64,27 @@ def per_layer(lines: list[dict]) -> dict:
             **detail_line["detail"], "metrics": result["metrics"]}
 
 
+def tier1() -> dict:
+    """Wall time, test counts and the `comparison` fixture set-up of one
+    tier-1 run, under the caller's environment with `src` on the path."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "--durations=0", "-p", "no:cacheprovider"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    print("running", " ".join(cmd[1:]), file=sys.stderr, flush=True)
+    start = time.monotonic()
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.monotonic() - start
+    counts = {k: int(v) for v, k in re.findall(
+        r"(\d+) (passed|failed|errors?|skipped)", proc.stdout.rstrip().rpartition("\n")[2])}
+    setups = [float(t) for t in re.findall(
+        r"^([\d.]+)s setup\s+tests/test_acceptance\.py::", proc.stdout, re.M)]
+    return {"command": "PYTHONPATH=src python " + " ".join(cmd[1:]),
+            "exit_code": proc.returncode, "wall_s": wall, **counts,
+            "comparison_setup_s": max(setups, default=None),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -78,6 +105,7 @@ def main() -> int:
         report["environment"] = report["environment"] or lines[0]["environment"]
         report["workloads"][wl["name"]] = end_to_end(lines)
     report["per_layer"] = per_layer(run_perfbench(TRACED_WORKLOAD, seconds, trace=1))
+    report["tier1"] = tier1()
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -7,13 +7,17 @@ cross-entropy head and SGD with momentum and per-entry update locks.
 
 All tensors are (N, C, H, W) float64 arrays. Ops are recorded on a global
 tape in forward order; `backward` replays the tape in exact reverse order,
-so gradient accumulation order is deterministic. A recorded node gets its
-gradient buffer on the first write into it (`_accumulate`), and `backward`
-skips the closure of a node whose gradient was never written, since the
-output it was called on does not depend on that node. Leaf tensors built with `with_grad=True`
+so gradient accumulation order is deterministic. An op records a node only
+when at least one of its inputs takes a gradient, and its closure writes
+only into the inputs that take one, so a frozen prefix of the graph is
+never recorded. A recorded node gets its gradient buffer on the first
+write into it (`_accumulate`), and `backward` skips the closure of a node
+whose gradient was never written, since the output it was called on does
+not depend on that node. Leaf tensors built with `with_grad=True`
 (`Parameter`s among them) keep an eager zero-filled buffer; data built with
-`with_grad=False` takes no gradient. Under `no_grad` ops record nothing,
-for forward-only passes.
+`with_grad=False`, and a parameter whose buffer was set to None (frozen
+for a training phase), take no gradient. Under `no_grad` ops record
+nothing, for forward-only passes.
 """
 
 from __future__ import annotations
@@ -167,9 +171,11 @@ class Parameter(Tensor):
         return f"Parameter(name={self.name!r}, shape={self.shape})"
 
 
-def _node(data: np.ndarray, backward_fn) -> Tensor:
+def _node(data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
+    """The output of an op on `inputs`. It is recorded, with `backward_fn`
+    as its closure, only when gradients are on and an input takes one."""
     out = Tensor(data, with_grad=False)
-    if _STATE.grad_enabled:
+    if _STATE.grad_enabled and any(t.requires_grad for t in inputs):
         out._backward = backward_fn
         _record(out)
     return out
@@ -213,10 +219,12 @@ def conv1x1(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
         gv = node.grad.reshape(n, cout, h * w)
         if x.requires_grad:  # data inputs take no gradient
             _accumulate(x, np.matmul(w2.T, gv).reshape(x.shape))
-        weight.grad[:, :, 0, 0] += np.matmul(gv, xv.transpose(0, 2, 1)).sum(axis=0)
-        bias.grad += node.grad.sum(axis=(0, 2, 3)).reshape(bias.shape)
+        if weight.grad is not None:  # nor do frozen parameters
+            weight.grad[:, :, 0, 0] += np.matmul(gv, xv.transpose(0, 2, 1)).sum(axis=0)
+        if bias.grad is not None:
+            bias.grad += node.grad.sum(axis=(0, 2, 3)).reshape(bias.shape)
 
-    node = _node(out, _bw)
+    node = _node(out, _bw, x, weight, bias)
     return node
 
 
@@ -235,7 +243,7 @@ def abs_elem(x: Tensor) -> Tensor:
     def _bw():
         _accumulate(x, np.sign(x.data) * node.grad)
 
-    node = _node(np.abs(x.data), _bw)
+    node = _node(np.abs(x.data), _bw, x)
     return node
 
 
@@ -246,7 +254,7 @@ def relu(x: Tensor) -> Tensor:
     def _bw():
         _accumulate(x, (x.data > 0) * node.grad)
 
-    node = _node(np.maximum(x.data, 0.0), _bw)
+    node = _node(np.maximum(x.data, 0.0), _bw, x)
     return node
 
 
@@ -260,7 +268,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def _bw():
         _accumulate(x, np.broadcast_to(node.grad / (h * w), x.shape).copy())
 
-    node = _node(out, _bw)
+    node = _node(out, _bw, x)
     return node
 
 
@@ -277,10 +285,12 @@ def broadcast_concat(features: Tensor, context: Tensor) -> Tensor:
 
     def _bw():
         g = node.grad
-        _accumulate(features, g[:, :c].copy())
-        _accumulate(context, g[:, c:].sum(axis=(2, 3), keepdims=True))
+        if features.requires_grad:
+            _accumulate(features, g[:, :c].copy())
+        if context.requires_grad:
+            _accumulate(context, g[:, c:].sum(axis=(2, 3), keepdims=True))
 
-    node = _node(out, _bw)
+    node = _node(out, _bw, features, context)
     return node
 
 
@@ -298,7 +308,7 @@ def softmax(logits: Tensor) -> Tensor:
         g = node.grad
         _accumulate(logits, p * (g - (g * p).sum(axis=1, keepdims=True)))
 
-    node = _node(p, _bw)
+    node = _node(p, _bw, logits)
     return node
 
 
@@ -342,7 +352,7 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
         d *= g / count
         _accumulate(logits, d)
 
-    loss_node = _node(np.full((1, 1, 1, 1), loss_val), _bw)
+    loss_node = _node(np.full((1, 1, 1, 1), loss_val), _bw, logits)
     loss_node.clamped = int(np.count_nonzero(valid & ~positive))
     return loss_node, probs
 
@@ -355,9 +365,10 @@ def scalar_mean(terms: list[Tensor]) -> Tensor:
 
     def _bw():
         for t in terms:  # a fresh quotient per term: no two share a buffer
-            _accumulate(t, node.grad / len(terms))
+            if t.requires_grad:
+                _accumulate(t, node.grad / len(terms))
 
-    node = _node(np.full((1, 1, 1, 1), total), _bw)
+    node = _node(np.full((1, 1, 1, 1), total), _bw, *terms)
     return node
 
 
@@ -372,9 +383,10 @@ def mean_tensors(terms: list[Tensor]) -> Tensor:
 
     def _bw():
         for t in terms:  # a fresh quotient per term: no two share a buffer
-            _accumulate(t, node.grad / len(terms))
+            if t.requires_grad:
+                _accumulate(t, node.grad / len(terms))
 
-    node = _node(out, _bw)
+    node = _node(out, _bw, *terms)
     return node
 
 
@@ -440,6 +452,9 @@ def grad_check(loss_fn, wiggle: Parameter, eps: float = 1e-4,
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if wiggle.grad is None:
+        raise ValueError(f"parameter {wiggle.name or 'param'} is frozen: it holds no "
+                         "gradient buffer to check")
 
     reset_tape()
     wiggle.zero_grad()

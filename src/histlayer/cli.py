@@ -189,6 +189,8 @@ def cmd_gradcheck(seed: int, corrupt: str | None) -> int:
             result = original(*args, **kwargs)
             out = result[0] if isinstance(result, tuple) else result
             inner = out._backward
+            if inner is None:  # not recorded: no closure to break
+                return result
 
             def bad():
                 out.grad *= 1.5

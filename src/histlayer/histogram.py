@@ -87,8 +87,8 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     """Soft histogram of a likelihood map, normalized by pixel count.
 
     Input (N,K,H,W) -> output (N, K*B, 1, 1) with layout index k*B + b.
-    A likelihood vector is simply the H=W=1 case. Gradients flow to the
-    input, the centers and the slopes.
+    A likelihood vector is simply the H=W=1 case. Gradients flow to those
+    of the input, the centers and the slopes that take one.
     """
     n, k, h, w = likelihood.shape
     K, B = params.K, params.B
@@ -122,15 +122,18 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
         v = np.sign(d)
         v *= active
         v *= gg * s
-        a *= active
-        a *= gg
-        params.slopes.grad -= a.sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
-        params.centers.grad += v.sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
-        gx = v.sum(axis=2).reshape(n, K, h, w)
-        np.negative(gx, out=gx)     # a - b and a + (-b) round alike
-        _accumulate(likelihood, gx)
+        if params.slopes.grad is not None:  # frozen parameters take none
+            a *= active
+            a *= gg
+            params.slopes.grad -= a.sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
+        if params.centers.grad is not None:
+            params.centers.grad += v.sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
+        if likelihood.requires_grad:
+            gx = v.sum(axis=2).reshape(n, K, h, w)
+            np.negative(gx, out=gx)     # a - b and a + (-b) round alike
+            _accumulate(likelihood, gx)
 
-    node = _node(out, _bw)
+    node = _node(out, _bw, likelihood, params.centers, params.slopes)
     return node
 
 

@@ -189,7 +189,20 @@ class Network:
             h.clamp_slopes()
 
     def zero_grads(self) -> None:
-        ad.zero_grads(self.params.values())
+        ad.zero_grads(p for p in self.params.values() if p.grad is not None)
+
+    def set_trainable(self, trainable: list[Parameter]) -> None:
+        """Take the gradient buffer of every parameter outside `trainable`
+        and give each trainable one a zero-filled buffer where it holds none.
+        An op whose inputs are all frozen is then not recorded, so the
+        backward stops at the first trainable layer."""
+        keep = {id(p) for p in trainable}
+        for p in self.params.values():
+            if id(p) not in keep:
+                p.grad = None
+        for p in trainable:
+            if p.grad is None:
+                p.grad = np.zeros_like(p.data)
 
     def state(self) -> dict[str, Parameter]:
         return self.params
@@ -342,8 +355,10 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
     TrainingDivergedError after an epoch that leaves a parameter non-finite
     or whose train steps or val pass clamped log 0 in the loss: a picked
     probability underflowed to 0, so the logits are diverging even where
-    every value stays finite.
+    every value stays finite. See `Network.set_trainable` for the gradient
+    buffers the phase leaves behind.
     """
+    net.set_trainable(trainable)
     rows = []
     rng = np.random.default_rng(schedule.seed * 1000003 + phase)
     n = len(train_ds)
@@ -357,9 +372,10 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
             idx = perm[start:start + schedule.batch_size]
             feats = Tensor(train_ds.features[idx], with_grad=False)
             labels = train_ds.labels[idx]
-            net.zero_grads()
+            ad.zero_grads(trainable)
             loss, out = net.loss(feats, labels)
-            ad.backward(loss)
+            if loss.requires_grad:  # unrecorded when no trainable parameter feeds it
+                ad.backward(loss)
             ad.sgd_step(trainable, lr, schedule.momentum)
             net.clamp()
             loss_sum += loss.item() * len(idx)
@@ -400,8 +416,11 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
     """Incremental training: new layers first, then everything jointly.
 
     Phase 1 updates only the context FC layers and the stage heads; the
-    base and the histogram bins stay fixed. Phase 2 updates all parameters
-    whose lock masks allow it (fix_hist keeps its bins frozen).
+    base and the histogram bins stay fixed and hold no gradient buffer, so
+    the base and histogram ops are not recorded and phase 1's backward
+    stops at the context FC layer. Phase 2 gives every parameter a buffer
+    again and updates all parameters whose lock masks allow it (fix_hist
+    keeps its bins frozen).
     """
     if net.cfg.baseline_mode == "base_only":
         raise ValueError("two_phase_train needs a context-refinement mode")

@@ -74,7 +74,7 @@ def primitive_reports(seed: int) -> list[PropertyReport]:
         # smooth scalar readout sum(t^2)/2 so every op's output is exercised
         def _bw():
             ad._accumulate(t, t.data * out.grad.reshape(-1)[0])
-        out = ad._node(np.full((1, 1, 1, 1), 0.5 * (t.data ** 2).sum()), _bw)
+        out = ad._node(np.full((1, 1, 1, 1), 0.5 * (t.data ** 2).sum()), _bw, t)
         return out
 
     cases = {
@@ -122,7 +122,7 @@ def check_histogram_gradients(seed: int, trials: int) -> PropertyReport:
             def _bw():
                 ad._accumulate(feat, upstream * out.grad.reshape(-1)[0])
 
-            out = ad._node(np.full((1, 1, 1, 1), s), _bw)
+            out = ad._node(np.full((1, 1, 1, 1), s), _bw, feat)
             return out
 
         for p in (x, hp.centers, hp.slopes):

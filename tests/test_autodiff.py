@@ -15,7 +15,7 @@ def scalar_sum(t):
     """Graph node summing all entries of t (linear readout for backward tests)."""
     def _bw():
         ad._accumulate(t, np.full(t.shape, out.grad.reshape(-1)[0]))
-    out = ad._node(np.full((1, 1, 1, 1), t.data.sum()), _bw)
+    out = ad._node(np.full((1, 1, 1, 1), t.data.sum()), _bw, t)
     return out
 
 
@@ -410,6 +410,67 @@ def test_grad_check_flags_input_at_bin_center_as_skipped():
     res = ad.grad_check(loss_fn, x, eps=1e-4, kink_margin=1e-3)
     assert res.skipped == [(0, 0, 0, 0)]
     assert res.n_checked == 0
+
+
+def test_grad_check_names_a_frozen_parameter(rng):
+    x = Parameter(rng.standard_normal((1, 3, 2, 2)), name="x")
+    w = Parameter(rng.standard_normal((2, 3, 1, 1)), name="frozen.w")
+    b = Parameter(rng.standard_normal((2, 1, 1, 1)), name="b")
+    w.grad = None
+    with pytest.raises(ValueError, match="frozen.w is frozen"):
+        ad.grad_check(lambda: scalar_sum(ad.conv1x1(x, w, b)), w)
+
+
+# --------------------------------------------------------------------------
+# frozen inputs: nodes recorded only toward inputs that take a gradient
+
+def test_node_records_nothing_without_a_gradient_input(rng):
+    data = Tensor(rng.standard_normal((1, 2, 1, 1)), with_grad=False)
+    frozen = Parameter(rng.standard_normal((1, 2, 1, 1)), name="frozen")
+    frozen.grad = None
+    live = Parameter(rng.standard_normal((1, 2, 1, 1)), name="live")
+    ad.reset_tape()
+    out = ad._node(data.data, lambda: None, data, frozen)
+    assert ad._STATE.tape == []
+    assert not out.requires_grad
+    mixed = ad._node(data.data, lambda: None, data, frozen, live)
+    assert ad._STATE.tape == [mixed]
+    assert mixed.requires_grad
+    ad.reset_tape()
+
+
+def test_frozen_conv_parameters_take_no_gradient_and_the_rest_match(rng):
+    xdata = rng.standard_normal((2, 3, 2, 2))
+    wdata = rng.standard_normal((4, 3, 1, 1))
+    bdata = rng.standard_normal((4, 1, 1, 1))
+    grads = []
+    for freeze in (False, True):
+        x = Parameter(xdata, name="x")
+        w, b = Parameter(wdata, name="w"), Parameter(bdata, name="b")
+        if freeze:
+            w.grad = b.grad = None
+        ad.reset_tape()
+        ad.backward(scalar_sum(ad.relu(ad.conv1x1(x, w, b))))
+        grads.append(x.grad.tobytes())
+    assert grads[0] == grads[1]
+    assert w.grad is None and b.grad is None
+
+
+@pytest.mark.parametrize("op", ["broadcast_concat", "scalar_mean", "mean_tensors"])
+def test_multi_input_ops_skip_inputs_without_gradient(op, rng):
+    frozen = Tensor(rng.standard_normal((2, 3, 2, 2)), with_grad=False)
+    live = Parameter(rng.standard_normal((2, 3, 1, 1) if op == "broadcast_concat"
+                                         else (2, 3, 2, 2)), name="live")
+    ad.reset_tape()
+    if op == "broadcast_concat":
+        out = scalar_sum(ad.broadcast_concat(frozen, live))
+    elif op == "scalar_mean":
+        out = ad.scalar_mean([scalar_sum(frozen), scalar_sum(live)])
+    else:
+        out = scalar_sum(ad.mean_tensors([frozen, live]))
+    ad.backward(out)
+    assert frozen.grad is None
+    assert np.all(live.grad != 0.0)
 
 
 # --------------------------------------------------------------------------

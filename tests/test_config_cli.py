@@ -353,6 +353,22 @@ def test_gradcheck_corrupt_backward_exits_4(capsys, op):
         assert "full_network_finite_differences" in failed
 
 
+def test_gradcheck_corrupt_leaves_unrecorded_outputs_alone(monkeypatch, capsys):
+    seen = []
+
+    def battery(seed):
+        x = networks.Tensor(np.ones((1, 2, 1, 1)))
+        with networks.ad.no_grad():
+            seen.append(networks.ad.relu(x).requires_grad)
+        seen.append(networks.ad.relu(x).requires_grad)
+        networks.ad.reset_tape()
+        return []
+
+    monkeypatch.setattr(verify, "run_all", battery)
+    assert main(["gradcheck", "--corrupt", "relu"]) == 0
+    assert seen == [False, True]
+
+
 @pytest.mark.parametrize("op", ["frobnicate", "backward", "IGNORE_LABEL"])
 def test_gradcheck_corrupt_unknown_op_exits_2(capsys, op):
     assert main(["gradcheck", "--corrupt", op]) == 2

@@ -162,7 +162,7 @@ def test_backward_finite_difference_full(rng):
         def _bw():
             ad._accumulate(feat, upstream * out.grad.reshape(-1)[0])
 
-        out = ad._node(np.full((1, 1, 1, 1), s), _bw)
+        out = ad._node(np.full((1, 1, 1, 1), s), _bw, feat)
         return out
 
     for wiggle in (x, p.centers, p.slopes):

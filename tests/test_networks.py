@@ -291,6 +291,65 @@ def test_data_batch_without_gradient_gives_identical_parameter_gradients(mode):
     assert grads[0] == grads[1]
 
 
+CONTEXT_MODES = [m for m in BASELINE_MODES if m != "base_only"]
+
+
+def phase1_params(net):
+    """The context fc layers and the stage heads, as two_phase_train's phase 1."""
+    hist_names = {p.name for h in net.hists for p in h.parameters()}
+    return [p for n, p in net.params.items()
+            if n in net.new_param_names and n not in hist_names]
+
+
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+def test_phase1_step_gives_the_full_graph_gradients_bitwise(mode):
+    ds = small_data(3, seed=4)
+    grads = []
+    for frozen in (False, True):
+        net = Network(small_cfg(mode), seed=3)
+        net.zero_grads()
+        if frozen:
+            net.set_trainable(phase1_params(net))
+        loss, _ = net.loss(Tensor(ds.features, with_grad=False), ds.labels)
+        ad.backward(loss)
+        grads.append({p.name: p.grad.tobytes() for p in phase1_params(net)})
+    assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+def test_phase1_tape_holds_no_base_or_histogram_node(mode):
+    net = Network(small_cfg(mode), seed=3)
+    net.set_trainable(phase1_params(net))
+    ds = small_data(3, seed=4)
+    loss, out = net.loss(Tensor(ds.features, with_grad=False), ds.labels)
+    tape = ad._STATE.tape
+    # fc, concat, stage-2 head conv, its softmax and loss, the mean of the
+    # stage probabilities and the mean of the stage losses
+    assert len(tape) == 7
+    assert tape[0].shape == (3, net.fcs[0][0].shape[0], 1, 1)
+    assert tape[2:4] == [out.stage_logits[1], out.stage_probs[1]]
+    assert tape[5:] == [out.final_probs, loss]
+    assert not out.stage_logits[0].requires_grad
+    assert not out.stage_probs[0].requires_grad
+    ad.reset_tape()
+
+
+def test_frozen_parameters_hold_no_buffer_until_phase_two():
+    ds, val = small_data(8, seed=3), small_data(4, seed=4)
+    net = Network(small_cfg(), seed=0)
+    phase1 = phase1_params(net)
+    train_phase(net, ds, val, phase1, schedule(1), phase=1)
+    trained = {p.name for p in phase1}
+    assert all((p.grad is None) == (n not in trained) for n, p in net.params.items())
+    kept = {n: net.params[n].grad for n in trained}
+    train_phase(net, ds, val, list(net.params.values()), schedule(0), phase=2)
+    for n, p in net.params.items():
+        if n in trained:
+            assert p.grad is kept[n]
+        else:
+            np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
+
+
 def test_threaded_evaluation_matches_serial(monkeypatch):
     net = Network(small_cfg(), seed=4)
     ds = small_data(30, seed=5)
