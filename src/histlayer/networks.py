@@ -372,7 +372,7 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
             idx = perm[start:start + schedule.batch_size]
             feats = Tensor(train_ds.features[idx], with_grad=False)
             labels = train_ds.labels[idx]
-            ad.zero_grads(trainable)
+            net.zero_grads()
             loss, out = net.loss(feats, labels)
             if loss.requires_grad:  # unrecorded when no trainable parameter feeds it
                 ad.backward(loss)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import histlayer.autodiff as ad
 from histlayer import cli, networks, verify
 from histlayer.checkpoint import load_into, save_checkpoint
 from histlayer.cli import main
@@ -357,11 +358,11 @@ def test_gradcheck_corrupt_leaves_unrecorded_outputs_alone(monkeypatch, capsys):
     seen = []
 
     def battery(seed):
-        x = networks.Tensor(np.ones((1, 2, 1, 1)))
-        with networks.ad.no_grad():
-            seen.append(networks.ad.relu(x).requires_grad)
-        seen.append(networks.ad.relu(x).requires_grad)
-        networks.ad.reset_tape()
+        x = ad.Tensor(np.ones((1, 2, 1, 1)))
+        with ad.no_grad():
+            seen.append(ad.relu(x).requires_grad)
+        seen.append(ad.relu(x).requires_grad)
+        ad.reset_tape()
         return []
 
     monkeypatch.setattr(verify, "run_all", battery)
