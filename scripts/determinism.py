@@ -4,8 +4,8 @@
 Generates a small dataset (seed 7, 100 train / 60 val / 50 test images at
 16x16, n_mc 2000), pretrains a 4-epoch base_only network at lr 0.05 without
 decay, then trains every mode from that base with 3 epochs per phase,
-decay_epoch 2. Prints one JSON object holding the sha256 of each run's
-`log.csv` and `final.hprm`.
+decay_epoch 2. Prints one JSON object holding 17 sha256 values: each run's
+`log.csv` and `final.hprm`, and the three `data/*.hctx` dataset files.
 
 With `--against DIR` (the `--out` directory of an earlier run, e.g. made
 from another commit), it also prints, per run, the largest absolute
@@ -37,6 +37,7 @@ RECIPE = RunConfig(seed=7, H=16, W=16, n_train=100, n_val=60, n_test=50, n_mc=20
 BASE_EPOCHS = 4
 RUNS = ("base_pretrain",) + BASELINE_MODES
 FILES = ("log.csv", "final.hprm")
+DATASETS = tuple(f"data/{split}.hctx" for split in ("train", "val", "test"))
 
 
 def run_recipe(out: Path) -> None:
@@ -51,8 +52,8 @@ def run_recipe(out: Path) -> None:
 
 
 def hashes(out: Path) -> dict:
-    return {f"{run}/{name}": hashlib.sha256((out / run / name).read_bytes()).hexdigest()
-            for run in RUNS for name in FILES}
+    names = [f"{run}/{name}" for run in RUNS for name in FILES] + list(DATASETS)
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
 def _log(path: Path) -> list[list[str]]:

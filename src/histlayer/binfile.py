@@ -1,26 +1,70 @@
-"""Bounded reads and the end-of-file check shared by the HCTX dataset and
-HPRM checkpoint readers."""
+"""The container of HCTX dataset and HPRM checkpoint files: a 4-byte magic, a
+u32 version, then the format's fields in order and nothing after them, all
+little-endian. A field is a struct, a blob (u32 byte count, then the bytes) or
+a raw C-order array. A read past the end of the file raises before reading, so
+a hostile length cannot make the reader allocate."""
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
+import struct
+
+import numpy as np
 
 
-def read_exact(f, n: int, what: str, error: type[Exception]) -> bytes:
-    """Read exactly `n` bytes of `what` from the open binary file `f`.
-
-    A declared length beyond the end of the file raises `error` before
-    anything is read, so a hostile header cannot make the reader allocate.
-    """
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if n > left:
-        raise error(f"file truncated while reading {what}: "
-                    f"wanted {n} bytes, {left} left")
-    return f.read(n)
+def blob(data: bytes) -> bytes:
+    """Encode `data` as a blob field."""
+    return struct.pack("<I", len(data)) + data
 
 
-def expect_end(f, what: str, error: type[Exception]) -> None:
-    """Raise `error` unless the open binary file `f` is fully consumed."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if left:
-        raise error(f"{left} unexpected bytes after the end of the {what}")
+def write(path, magic: bytes, version: int, parts) -> None:
+    """Write `magic`, `version` and the encoded fields `parts` to `path`."""
+    with open(path, "wb") as f:
+        f.write(b"".join([magic, struct.pack("<I", version), *parts]))
+
+
+class Reader:
+    """Bounded reads of the fields of an open file; made by `reader`."""
+
+    def __init__(self, f, truncated: type[Exception]):
+        self._f = f
+        self._truncated = truncated
+        self.left = os.fstat(f.fileno()).st_size
+
+    def read(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise self._truncated(f"file truncated while reading {what}: "
+                                  f"wanted {n} bytes, {self.left} left")
+        self.left -= n
+        return self._f.read(n)
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def blob(self, what: str) -> bytes:
+        (n,) = self.unpack("<I", f"{what} length")
+        return self.read(n, what)
+
+    def array(self, dtype, shape, what: str) -> np.ndarray:
+        data = self.read(math.prod(shape) * np.dtype(dtype).itemsize, what)
+        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+
+@contextlib.contextmanager
+def reader(path, magic: bytes, version: int, what: str, error: type[Exception],
+           version_error: type[Exception], truncated: type[Exception]):
+    """Check the magic and version of the `what` file at `path`, then yield a `Reader`."""
+    with open(path, "rb") as f:
+        r = Reader(f, truncated)
+        found = r.read(len(magic), "magic")
+        if found != magic:
+            raise error(f"bad magic {found!r}, expected {magic!r}")
+        (found,) = r.unpack("<I", "version")
+        if found != version:
+            raise version_error(f"unsupported {magic.decode()} version {found}, "
+                                f"expected {version}")
+        yield r
+        if r.left:
+            raise error(f"{r.left} unexpected bytes after the end of the {what}")

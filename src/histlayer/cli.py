@@ -24,7 +24,7 @@ from .data import (DatasetFormatError, default_spec, generate, local_bayes_ceili
                    read_dataset, write_dataset)
 from .histogram import histogram_table
 from .networks import (BASELINE_MODES, HistNetConfig, Network, TrainingDivergedError,
-                       TrainSchedule, evaluate, parameter_census, train_base,
+                       TrainSchedule, evaluate, load_base, parameter_census, train_base,
                        two_phase_train)
 
 EXIT_CONFIG = 2
@@ -112,12 +112,10 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
     base_params = load_checkpoint(base_ckpt)
 
     summary = {"mode": mode, "seed": seed}
+    net = Network(net_config(cfg, mode), seed=seed)
     if mode == "base_only":
-        net = Network(net_config(cfg, mode), seed=seed)
-        for name in net.base_param_names:
-            net.params[name].data[...] = base_params[name].data
+        load_base(net, base_params)
     else:
-        net = Network(net_config(cfg, mode), seed=seed)
         rows2, phase_info = two_phase_train(net, base_params, train_ds, val_ds,
                                             schedule(cfg, seed))
         rows += rows2

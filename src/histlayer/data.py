@@ -9,14 +9,13 @@ frequencies can.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binfile import expect_end, read_exact
+from . import binfile
 
 HCTX_MAGIC = b"HCTX"
 HCTX_VERSION = 1
@@ -62,8 +61,9 @@ class SceneSpec:
         sums = self.class_priors.sum(axis=1)
         if not np.allclose(sums, 1.0, atol=1e-12):
             raise ValueError(f"each prior row must sum to 1, got {sums}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and nonnegative, "
+                             f"got {self.noise_sigma}")
         for a, b in self.ambiguous_pairs:
             if not np.array_equal(self.class_means[a], self.class_means[b]):
                 raise ValueError(f"ambiguous pair ({a},{b}) must share class means exactly")
@@ -155,6 +155,8 @@ def generate(spec: SceneSpec, N: int, H: int, W: int, seed: int) -> ContextDatas
         features[i] = feat.transpose(2, 0, 1)
         labels[i] = lab
         scene_ids[i] = s
+    if not np.isfinite(features).all():
+        raise DatasetFormatError("features hold non-finite values")
     return ContextDataset(features, labels, scene_ids, spec, seed)
 
 
@@ -192,54 +194,35 @@ def local_bayes_ceiling(spec: SceneSpec, n_mc: int, seed: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# HCTX file format
+# HCTX files, fields in `binfile`'s container: N, D, H, W, K, S u32; features
+# float64 (N,D,H,W); labels u8 (N,H,W); scene ids u8 (N); spec JSON blob; seed u64.
 
 def write_dataset(dataset: ContextDataset, path) -> None:
-    buf = io.BytesIO()
-    n, d = dataset.features.shape[0], dataset.features.shape[1]
-    h, w = dataset.features.shape[2], dataset.features.shape[3]
-    buf.write(HCTX_MAGIC)
-    buf.write(struct.pack("<7I", HCTX_VERSION, n, d, h, w, dataset.spec.K, dataset.spec.S))
-    buf.write(np.ascontiguousarray(dataset.features, dtype="<f8").tobytes())
-    buf.write(dataset.labels.astype(np.uint8).tobytes())
-    buf.write(dataset.scene_ids.astype(np.uint8).tobytes())
-    blob = dataset.spec.to_json().encode("utf-8")
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    buf.write(struct.pack("<q", dataset.seed if dataset.seed < 2**63 else dataset.seed - 2**64))
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
-
-
-def _read_exact(f, n: int, what: str) -> bytes:
-    return read_exact(f, n, what, DatasetTruncationError)
+    binfile.write(path, HCTX_MAGIC, HCTX_VERSION, [
+        struct.pack("<6I", *dataset.features.shape, dataset.spec.K, dataset.spec.S),
+        np.ascontiguousarray(dataset.features, dtype="<f8").tobytes(),
+        dataset.labels.astype(np.uint8).tobytes(),
+        dataset.scene_ids.astype(np.uint8).tobytes(),
+        binfile.blob(dataset.spec.to_json().encode("utf-8")),
+        struct.pack("<Q", dataset.seed & _U64_MASK)])
 
 
 def read_dataset(path) -> ContextDataset:
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != HCTX_MAGIC:
-            raise DatasetFormatError(f"bad magic {magic!r}, expected {HCTX_MAGIC!r}")
-        version, n, d, h, w, k, s = struct.unpack("<7I", _read_exact(f, 28, "header"))
-        if version != HCTX_VERSION:
-            raise DatasetVersionError(f"unsupported HCTX version {version}, "
-                                      f"expected {HCTX_VERSION}")
+    with binfile.reader(path, HCTX_MAGIC, HCTX_VERSION, "dataset", DatasetFormatError,
+                        DatasetVersionError, DatasetTruncationError) as f:
+        n, d, h, w, k, s = f.unpack("<6I", "header")
         if min(n, d, h, w) < 1:
             raise DatasetFormatError(f"header declares an empty dataset: "
                                      f"N={n} D={d} H={h} W={w}")
-        feat_bytes = _read_exact(f, n * d * h * w * 8, "features")
-        features = np.frombuffer(feat_bytes, dtype="<f8").reshape(n, d, h, w).copy()
-        labels = np.frombuffer(_read_exact(f, n * h * w, "labels"),
-                               dtype=np.uint8).reshape(n, h, w).copy()
-        scene_ids = np.frombuffer(_read_exact(f, n, "scene ids"), dtype=np.uint8).copy()
-        (blob_len,) = struct.unpack("<I", _read_exact(f, 4, "spec length"))
-        blob = _read_exact(f, blob_len, "spec blob")
-        (seed,) = struct.unpack("<q", _read_exact(f, 8, "seed"))
-        expect_end(f, "dataset", DatasetFormatError)
+        features = f.array("<f8", (n, d, h, w), "features")
+        labels = f.array(np.uint8, (n, h, w), "labels")
+        scene_ids = f.array(np.uint8, (n,), "scene ids")
+        blob = f.blob("spec blob")
+        (seed,) = f.unpack("<Q", "seed")
     try:
         spec = SceneSpec.from_json(blob.decode("utf-8"))
         spec.validate()
-    except (ValueError, KeyError, TypeError, IndexError) as e:
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError) as e:
         raise DatasetFormatError(f"malformed spec blob: {e}") from e
     if (spec.K, spec.S) != (k, s):
         raise DatasetFormatError(f"header (K,S)=({k},{s}) disagrees with spec blob "
@@ -247,4 +230,6 @@ def read_dataset(path) -> ContextDataset:
     if labels.max() >= k or scene_ids.max() >= s:
         raise DatasetFormatError(f"labels must be < K={k} and scene ids < S={s}, got "
                                  f"{labels.max()} and {scene_ids.max()}")
-    return ContextDataset(features, labels, scene_ids, spec, seed & _U64_MASK)
+    if not np.isfinite(features).all():
+        raise DatasetFormatError("features hold non-finite values")
+    return ContextDataset(features, labels, scene_ids, spec, seed)

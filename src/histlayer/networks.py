@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .checkpoint import CheckpointFormatError
 from .config import eval_threads
 from .histogram import ComposedHistogram, HistogramParams, init_params
 
@@ -402,12 +403,12 @@ def train_base(net: Network, train_ds, val_ds, schedule: TrainSchedule) -> list[
 def load_base(net: Network, base_params: dict[str, Parameter]) -> None:
     for name in net.base_param_names:
         if name not in base_params:
-            raise ValueError(f"base checkpoint is missing parameter {name}")
+            raise CheckpointFormatError(f"base checkpoint is missing parameter {name}")
         src = base_params[name]
         dst = net.params[name]
         if src.shape != dst.shape:
-            raise ValueError(f"base parameter {name}: checkpoint shape {src.shape} "
-                             f"vs model shape {dst.shape}")
+            raise CheckpointFormatError(f"base parameter {name}: checkpoint shape "
+                                        f"{src.shape} vs model shape {dst.shape}")
         dst.data[...] = src.data
 
 

@@ -10,7 +10,7 @@ from histlayer.checkpoint import load_into, save_checkpoint
 from histlayer.cli import main
 from histlayer.config import (ConfigError, RunConfig, dump_config, load_config,
                               parse_config_text)
-from histlayer.data import read_dataset
+from histlayer.data import read_dataset, write_dataset
 from histlayer.histogram import ComposedHistogram
 from histlayer.networks import HistNetConfig, Network
 from histlayer.verify import PRIMITIVES
@@ -97,7 +97,8 @@ def test_bad_thread_count_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("command,value", [
     ("train", "B=1"), ("train", "lr=-1"), ("train", "mode=bogus"),
     ("train", "batch_size=0"), ("train", "stages=1"), ("train", "momentum=1.5"),
-    ("gen-data", "K=3"), ("gen-data", "H=0")])
+    ("gen-data", "K=3"), ("gen-data", "H=0"), ("gen-data", "noise_sigma=nan"),
+    ("gen-data", "noise_sigma=inf"), ("train", "noise_sigma=nan")])
 def test_bad_config_value_exits_2_before_any_work(tmp_path, capsys, command, value):
     rc = main([command, "--out", str(tmp_path / "out"), "--set", value])
     assert rc == 2
@@ -161,6 +162,21 @@ def test_train_missing_base_checkpoint_exits_3(trained, capsys):
                "--data", str(trained["data"]),
                "--base-checkpoint", str(trained["root"] / "absent.hprm")] + SMALL)
     assert rc == 3
+
+
+@pytest.mark.parametrize("mode", ["histnet", "base_only"])
+@pytest.mark.parametrize("defect", ["shape", "missing"])
+def test_train_mismatched_base_checkpoint_exits_3(trained, tmp_path, capsys, mode, defect):
+    base = Network(cli.net_config(RunConfig(C_feat=8 if defect == "shape" else 16),
+                                  "base_only"), seed=0).state()
+    if defect == "missing":
+        del base["base.f1.w"]
+    save_checkpoint(base, tmp_path / "base.hprm")
+    rc = main(["train", "--out", str(tmp_path / "run"), "--data", str(trained["data"]),
+               "--base-checkpoint", str(tmp_path / "base.hprm"), "--mode", mode] + SMALL)
+    assert rc == 3
+    assert "base.f1.w" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "final.hprm").exists()
 
 
 def test_eval_reproduces_final_log_metrics(trained, capsys):
@@ -239,6 +255,17 @@ def test_eval_checkpoint_with_trailing_bytes_exits_3(trained, tmp_path, capsys):
                "--out", str(tmp_path / "eval")] + SMALL)
     assert rc == 3
     assert "unexpected bytes" in capsys.readouterr().err
+
+
+def test_eval_dataset_with_a_nan_feature_exits_3(trained, tmp_path, capsys):
+    ds = read_dataset(trained["data"] / "val.hctx")
+    ds.features[0, 0, 0, 0] = np.nan
+    write_dataset(ds, tmp_path / "val.hctx")
+    rc = main(["eval", str(trained["run"] / "final.hprm"), str(tmp_path / "val.hctx"),
+               "--out", str(tmp_path / "eval")] + SMALL)
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_eval_dimension_mismatch_exits_2(trained, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from histlayer.data import (DatasetFormatError, DatasetTruncationError,
+from histlayer.data import (ContextDataset, DatasetFormatError, DatasetTruncationError,
                             DatasetVersionError, SceneSpec, default_spec, generate,
                             local_bayes_ceiling, read_dataset, write_dataset)
 
@@ -37,6 +37,14 @@ def test_spec_rejects_mismatched_ambiguous_means():
     spec = default_spec()
     spec.class_means[5, 0] += 1e-9
     with pytest.raises(ValueError, match="share class means"):
+        spec.validate()
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_spec_rejects_non_finite_noise_sigma(sigma):
+    spec = default_spec()
+    spec.noise_sigma = sigma
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
         spec.validate()
 
 
@@ -148,6 +156,24 @@ def test_roundtrip_bit_exact(tmp_path):
     assert back.seed == ds.seed
 
 
+def test_write_dataset_emits_the_documented_bytes(tmp_path):
+    n, d, h, w = 2, 8, 2, 3
+    features = np.arange(n * d * h * w, dtype=np.float64).reshape(n, d, h, w) / 7 - 3
+    labels = (np.arange(n * h * w) % 6).astype(np.uint8).reshape(n, h, w)
+    scene_ids = np.array([1, 0], dtype=np.uint8)
+    spec = default_spec()
+    seed = 2**64 - 5  # above 2**63, so the sign bit of the u64 is set
+    path = tmp_path / "d.hctx"
+    write_dataset(ContextDataset(features, labels, scene_ids, spec, seed), path)
+    blob = spec.to_json().encode("utf-8")
+    expected = (b"HCTX" + struct.pack("<7I", 1, n, d, h, w, spec.K, spec.S)
+                + struct.pack(f"<{features.size}d", *features.ravel().tolist())
+                + bytes(labels.ravel().tolist()) + bytes(scene_ids.tolist())
+                + struct.pack("<I", len(blob)) + blob + struct.pack("<Q", seed))
+    assert path.read_bytes() == expected
+    assert read_dataset(path).seed == seed
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "d.hctx"
     write_dataset(generate(default_spec(), 3, 4, 4, seed=9), path)
@@ -213,4 +239,34 @@ def test_malformed_spec_blob_is_a_format_error(tmp_path):
     blob = ds.spec.to_json().encode()
     path.write_bytes(raw.replace(blob, b"\xff" + blob[1:]))
     with pytest.raises(DatasetFormatError, match="spec blob"):
+        read_dataset(path)
+
+
+_SPEC_TEXT = default_spec().to_json()
+
+
+@pytest.mark.parametrize("blob", [
+    b"[" * 100_000,
+    _SPEC_TEXT.replace('"noise_sigma": 0.3', '"noise_sigma": NaN').encode(),
+    _SPEC_TEXT.replace('"noise_sigma": 0.3', '"noise_sigma": Infinity').encode()],
+    ids=["deep_nesting", "nan_sigma", "inf_sigma"])
+def test_hostile_spec_blob_is_a_format_error(tmp_path, blob):
+    ds = generate(default_spec(), 2, 3, 3, seed=1)
+    path = tmp_path / "d.hctx"
+    write_dataset(ds, path)
+    old = ds.spec.to_json().encode()
+    assert blob != old
+    path.write_bytes(path.read_bytes().replace(struct.pack("<I", len(old)) + old,
+                                               struct.pack("<I", len(blob)) + blob))
+    with pytest.raises(DatasetFormatError, match="spec blob"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_features_rejected(tmp_path, value):
+    ds = generate(default_spec(), 2, 3, 3, seed=1)
+    ds.features[1, 7, 2, 0] = value
+    path = tmp_path / "d.hctx"
+    write_dataset(ds, path)
+    with pytest.raises(DatasetFormatError, match="non-finite"):
         read_dataset(path)

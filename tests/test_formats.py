@@ -43,6 +43,21 @@ def test_save_is_byte_deterministic(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_checkpoint_emits_the_documented_bytes(tmp_path, rng):
+    params = make_params(rng)
+    path = tmp_path / "c.hprm"
+    save_checkpoint(params, path)
+    expected = b"HPRM" + struct.pack("<2I", 1, 2)
+    for name in ("a", "b.w"):
+        p = params[name]
+        expected += (struct.pack("<I", len(name)) + name.encode("utf-8")
+                     + struct.pack("<4I", *p.shape)
+                     + struct.pack(f"<{p.data.size}d", *p.data.ravel().tolist())
+                     + struct.pack(f"<{p.data.size}d", *p.momentum_buf.ravel().tolist())
+                     + bytes(int(v) for v in p.lock_mask.ravel()))
+    assert path.read_bytes() == expected
+
+
 def test_load_into_restores_in_place(tmp_path, rng):
     params = make_params(rng)
     path = tmp_path / "c.hprm"
