@@ -54,6 +54,8 @@ def load_checkpoint(path) -> dict[str, Parameter]:
             shape = f.unpack("<4I", "shape")
             value = f.array("<f8", shape, f"{name} values")
             momentum = f.array("<f8", shape, f"{name} momentum")
+            if not (np.isfinite(value).all() and np.isfinite(momentum).all()):
+                raise CheckpointFormatError(f"{name} holds non-finite values")
             lock = f.array(np.uint8, shape, f"{name} lock mask")
             if lock.max(initial=0) > 1:
                 raise CheckpointFormatError(f"{name} lock mask holds values other than 0/1")

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import verify
 from .checkpoint import CheckpointFormatError, load_checkpoint, load_into, save_checkpoint
-from .config import ConfigError, RunConfig, eval_threads, load_config, write_resolved
+from .config import ConfigError, RunConfig, load_config, write_resolved
 from .data import (DatasetFormatError, default_spec, generate, local_bayes_ceiling,
                    read_dataset, write_dataset)
 from .histogram import histogram_table
@@ -334,7 +334,6 @@ def _resolve(args) -> RunConfig:
     if args.mode is not None:
         cfg.mode = args.mode
     cfg.validate()
-    eval_threads()
     return cfg
 
 

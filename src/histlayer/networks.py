@@ -15,7 +15,6 @@ branch is selected by `baseline_mode`:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .checkpoint import CheckpointFormatError
-from .config import eval_threads
 from .histogram import ComposedHistogram, HistogramParams, init_params
 
 BASELINE_MODES = ("base_only", "fix_hist", "free_all", "score_global",
@@ -227,27 +225,6 @@ def _confusion(labels: np.ndarray, probs: Tensor, K: int) -> np.ndarray:
     return np.bincount(idx.ravel(), minlength=K * K).reshape(K, K)
 
 
-def _evaluate_range(net: Network, dataset, lo: int, hi: int):
-    """Confusion counts of the final and of the stage-1 prediction, per-batch
-    loss terms (batch loss * batch length) and the clamped-log count of
-    images [lo, hi), one forward-only pass in EVAL_BATCH batches."""
-    K = net.cfg.K
-    conf = np.zeros((K, K), dtype=np.int64)
-    conf1 = np.zeros((K, K), dtype=np.int64)
-    terms = []
-    clamped = 0
-    with ad.no_grad():
-        for start in range(lo, hi, EVAL_BATCH):
-            stop = min(start + EVAL_BATCH, hi)
-            labels = dataset.labels[start:stop]
-            loss, out = net.loss(Tensor(dataset.features[start:stop]), labels)
-            terms.append(loss.item() * (stop - start))
-            conf += _confusion(labels, out.final_probs, K)
-            conf1 += _confusion(labels, out.stage_probs[0], K)
-            clamped += out.clamped
-    return conf, conf1, terms, clamped
-
-
 def metrics_from_confusion(conf: np.ndarray) -> dict:
     total = conf.sum()
     per_pixel = conf.trace() / total if total else 0.0
@@ -261,39 +238,31 @@ def metrics_from_confusion(conf: np.ndarray) -> dict:
 
 def evaluate(net: Network, dataset) -> dict:
     """Mean loss, per-pixel accuracy and unweighted mean per-class recall,
-    from one forward-only pass, plus the per-pixel accuracy of the stage-1
-    prediction (`stage1_per_pixel`) and the number of positions whose loss
-    clamped log 0 (`clamped`, see `ad.softmax_xent`). The confusion matrix
-    has rows = true class, columns = predicted class (argmax, ties to lowest).
-
-    HISTLAYER_THREADS shards the pass on whole EVAL_BATCH batches, with at
-    most one thread per batch, and the loss terms are summed in batch order,
-    so every thread count gives the same batches and the same float sums.
+    from one forward-only pass in EVAL_BATCH batches, plus the per-pixel
+    accuracy of the stage-1 prediction (`stage1_per_pixel`) and the number
+    of positions whose loss clamped log 0 (`clamped`, see `ad.softmax_xent`).
+    The confusion matrix has rows = true class, columns = predicted class
+    (argmax, ties to lowest). The loss is the batch losses weighted by batch
+    length, summed in batch order, over the image count.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    n_batches = -(-n // EVAL_BATCH)
-    workers = min(eval_threads(), n_batches)
-    if workers <= 1:
-        parts = [_evaluate_range(net, dataset, 0, n)]
-    else:
-        cuts = np.linspace(0, n_batches, workers + 1).astype(int) * EVAL_BATCH
-        cuts = np.minimum(cuts, n).tolist()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda ab: _evaluate_range(net, dataset, ab[0], ab[1]),
-                zip(cuts[:-1], cuts[1:])))
-    conf = np.zeros((net.cfg.K, net.cfg.K), dtype=np.int64)
+    K = net.cfg.K
+    conf = np.zeros((K, K), dtype=np.int64)
     conf1 = np.zeros_like(conf)
     total = 0.0
     clamped = 0
-    for part_conf, part_conf1, terms, part_clamped in parts:
-        conf += part_conf
-        conf1 += part_conf1
-        clamped += part_clamped
-        for term in terms:  # a plain loop: sum() of floats is compensated on 3.12+
-            total += term
+    with ad.no_grad():
+        for start in range(0, n, EVAL_BATCH):
+            stop = min(start + EVAL_BATCH, n)
+            labels = dataset.labels[start:stop]
+            feats = Tensor(dataset.features[start:stop], with_grad=False)
+            loss, out = net.loss(feats, labels)
+            total += loss.item() * (stop - start)
+            conf += _confusion(labels, out.final_probs, K)
+            conf1 += _confusion(labels, out.stage_probs[0], K)
+            clamped += out.clamped
     return {**metrics_from_confusion(conf), "loss": total / n,
             "stage1_per_pixel": metrics_from_confusion(conf1)["per_pixel"],
             "clamped": clamped}

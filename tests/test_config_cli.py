@@ -6,7 +6,7 @@ import pytest
 
 import histlayer.autodiff as ad
 from histlayer import cli, networks, verify
-from histlayer.checkpoint import load_into, save_checkpoint
+from histlayer.checkpoint import load_checkpoint, load_into, save_checkpoint
 from histlayer.cli import main
 from histlayer.config import (ConfigError, RunConfig, dump_config, load_config,
                               parse_config_text)
@@ -82,16 +82,6 @@ def test_eval_missing_dataset_exits_3(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 3
     assert "io error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("threads", ["abc", "0"])
-def test_bad_thread_count_exits_2_before_any_work(tmp_path, monkeypatch, capsys, threads):
-    monkeypatch.setenv("HISTLAYER_THREADS", threads)
-    # the files do not exist: an unchecked run would fail later with exit 3
-    rc = main(["eval", str(tmp_path / "x.hprm"), str(tmp_path / "x.hctx"),
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert "HISTLAYER_THREADS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,value", [
@@ -268,6 +258,43 @@ def test_eval_dataset_with_a_nan_feature_exits_3(trained, tmp_path, capsys):
     assert not (tmp_path / "eval").exists()
 
 
+def _non_finite_copy(src, dst, name, value):
+    params = load_checkpoint(src)
+    params[name].data.reshape(-1)[0] = value
+    save_checkpoint(params, dst)
+    return dst
+
+
+def test_eval_checkpoint_with_a_nan_parameter_exits_3(trained, tmp_path, capsys):
+    ckpt = _non_finite_copy(trained["run"] / "final.hprm", tmp_path / "final.hprm",
+                            "head2.b", np.nan)
+    rc = main(["eval", str(ckpt), str(trained["data"] / "val.hctx"),
+               "--out", str(tmp_path / "eval")] + SMALL)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "io error" in err and "head2.b holds non-finite values" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_train_base_checkpoint_with_an_inf_parameter_exits_3(trained, tmp_path, capsys):
+    base = _non_finite_copy(trained["run"] / "base.hprm", tmp_path / "base.hprm",
+                            "base.f1.w", np.inf)
+    rc = main(["train", "--out", str(tmp_path / "run"), "--data", str(trained["data"]),
+               "--base-checkpoint", str(base)] + SMALL)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "io error" in err and "base.f1.w holds non-finite values" in err
+    assert not (tmp_path / "run" / "final.hprm").exists()
+
+
+def test_inspect_histogram_non_finite_checkpoint_exits_3(trained, tmp_path, capsys):
+    ckpt = _non_finite_copy(trained["run"] / "final.hprm", tmp_path / "final.hprm",
+                            "hist.centers", -np.inf)
+    assert main(["inspect-histogram", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert "io error" in err and "hist.centers holds non-finite values" in err
+
+
 def test_eval_dimension_mismatch_exits_2(trained, capsys):
     rc = main(["eval", str(trained["run"] / "final.hprm"),
                str(trained["data"] / "val.hctx"), "--out",
@@ -300,7 +327,6 @@ def test_inspect_histogram_trained_bins_match_checkpoint(trained, capsys):
     out = capsys.readouterr().out
     body = list(csv.reader(out.strip().splitlines()))[1:]
     assert len(body) == 6 * 6
-    from histlayer.checkpoint import load_checkpoint
     params = load_checkpoint(trained["run"] / "final.hprm")
     centers = params["hist.centers"].data.reshape(36)
     got = np.array([float(r[2]) for r in body])

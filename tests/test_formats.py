@@ -169,6 +169,17 @@ def test_non_binary_lock_mask_rejected(tmp_path, rng):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("field", ["data", "momentum_buf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_rejected(tmp_path, rng, field, value):
+    params = make_params(rng)
+    getattr(params["a"], field)[1, 2, 0, 0] = value
+    path = tmp_path / "c.hprm"
+    save_checkpoint(params, path)
+    with pytest.raises(CheckpointFormatError, match="a holds non-finite values"):
+        load_checkpoint(path)
+
+
 # --------------------------------------------------------------------------
 # hostile files: either a clean load or an error of the reader's format family
 

@@ -350,48 +350,46 @@ def test_frozen_parameters_hold_no_buffer_until_phase_two():
             np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
 
 
-def test_threaded_evaluation_matches_serial(monkeypatch):
-    net = Network(small_cfg(), seed=4)
-    ds = small_data(30, seed=5)
-    # 8 batches of at most 4 images, so 4 threads get several batches each
-    monkeypatch.setattr(networks, "EVAL_BATCH", 4)
-    monkeypatch.setenv("HISTLAYER_THREADS", "1")
-    serial = evaluate(net, ds)
-    monkeypatch.setenv("HISTLAYER_THREADS", "4")
-    threaded = evaluate(net, ds)
-    np.testing.assert_array_equal(threaded["confusion"], serial["confusion"])
-    assert threaded["loss"] == serial["loss"]
-
-
-def test_evaluation_threads_capped_at_batch_count(monkeypatch):
-    pools = []
-
-    class RecordingPool(networks.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(networks, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(networks, "EVAL_BATCH", 4)
-    monkeypatch.setenv("HISTLAYER_THREADS", "64")
-    evaluate(Network(small_cfg(), seed=4), small_data(30, seed=5))
-    assert pools == [8]
-
-
 def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch):
     """The merged pass gives the loss of the former separate loss pass: recorded
-    batch losses weighted by batch length, summed in batch order, over N."""
+    batch losses weighted by batch length, summed in batch order, over N; and
+    the confusion counts of the per-batch final and stage-1 predictions."""
     net = Network(small_cfg(), seed=6)
     ds = small_data(12, seed=8)
     monkeypatch.setattr(networks, "EVAL_BATCH", 5)  # batches of 5, 5 and 2
+    K = net.cfg.K
     total = 0.0
+    conf = np.zeros((K, K), dtype=np.int64)
+    conf1 = np.zeros_like(conf)
     for start in range(0, len(ds), 5):
         stop = min(start + 5, len(ds))
-        loss, _ = net.loss(Tensor(ds.features[start:stop]), ds.labels[start:stop])
+        labels = ds.labels[start:stop]
+        loss, out = net.loss(Tensor(ds.features[start:stop]), labels)
         total += loss.item() * (stop - start)
+        conf += networks._confusion(labels, out.final_probs, K)
+        conf1 += networks._confusion(labels, out.stage_probs[0], K)
     ad.reset_tape()
-    assert evaluate(net, ds)["loss"] == total / len(ds)
+    m = evaluate(net, ds)
+    assert m["loss"] == total / len(ds)
+    np.testing.assert_array_equal(m["confusion"], conf)
+    assert m["stage1_per_pixel"] == metrics_from_confusion(conf1)["per_pixel"]
     assert ad._STATE.tape == []
+
+
+def test_evaluate_batches_take_no_gradient(monkeypatch):
+    built = []
+
+    def recording(*args, **kwargs):
+        t = Tensor(*args, **kwargs)
+        built.append(t)
+        return t
+
+    monkeypatch.setattr(networks, "Tensor", recording)
+    monkeypatch.setattr(networks, "EVAL_BATCH", 5)
+    ds = small_data(12, seed=8)
+    evaluate(Network(small_cfg(), seed=6), ds)
+    assert [t.shape[0] for t in built] == [5, 5, 2]
+    assert all(t.grad is None for t in built)
 
 
 # --------------------------------------------------------------------------
