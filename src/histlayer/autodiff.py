@@ -357,23 +357,8 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
     return loss_node, probs
 
 
-def scalar_mean(terms: list[Tensor]) -> Tensor:
-    """Mean of scalar tensors (used to aggregate per-stage losses)."""
-    if not terms:
-        raise ValueError("scalar_mean of an empty list")
-    total = sum(t.item() for t in terms) / len(terms)
-
-    def _bw():
-        for t in terms:  # a fresh quotient per term: no two share a buffer
-            if t.requires_grad:
-                _accumulate(t, node.grad / len(terms))
-
-    node = _node(np.full((1, 1, 1, 1), total), _bw, *terms)
-    return node
-
-
 def mean_tensors(terms: list[Tensor]) -> Tensor:
-    """Elementwise mean of same-shape tensors (stage-probability averaging)."""
+    """Elementwise mean of same-shape tensors (stage probabilities or losses)."""
     if not terms:
         raise ValueError("mean_tensors of an empty list")
     out = terms[0].data.copy()

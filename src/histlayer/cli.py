@@ -42,8 +42,7 @@ def _split_seed(master: int, index: int) -> int:
 
 def net_config(cfg: RunConfig, mode: str | None = None) -> HistNetConfig:
     return HistNetConfig(K=cfg.K, B=cfg.B, D_in=cfg.D, C_feat=cfg.C_feat,
-                         stages=cfg.stages, baseline_mode=mode or cfg.mode,
-                         share_stage_params=cfg.share_stage_params)
+                         baseline_mode=mode or cfg.mode)
 
 
 def schedule(cfg: RunConfig, seed: int) -> TrainSchedule:
@@ -81,13 +80,22 @@ def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _load_splits(data_dir: Path):
+def _read_matching(cfg: RunConfig, path: Path):
+    """Read a dataset file; ConfigError unless its K and D are the config's."""
+    ds = read_dataset(path)
+    if ds.spec.K != cfg.K or ds.features.shape[1] != cfg.D:
+        raise ConfigError(f"config expects K={cfg.K}, D={cfg.D} but dataset {path} "
+                          f"has K={ds.spec.K}, D={ds.features.shape[1]}")
+    return ds
+
+
+def _load_splits(cfg: RunConfig, data_dir: Path):
     splits = {}
     for split in ("train", "val", "test"):
         path = data_dir / f"{split}.hctx"
         if not path.exists():
             raise FileNotFoundError(f"missing dataset file {path}; run gen-data first")
-        splits[split] = read_dataset(path)
+        splits[split] = _read_matching(cfg, path)
     return splits
 
 
@@ -97,8 +105,8 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
     """Train one model (base pretrain included if needed); returns a summary."""
     seed = cfg.seed if seed is None else seed
     mode = mode or cfg.mode
+    splits = _load_splits(cfg, data_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    splits = _load_splits(data_dir)
     train_ds, val_ds = splits["train"], splits["val"]
     rows = []
 
@@ -144,11 +152,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, data_dir: Path,
 
 
 def cmd_eval(cfg: RunConfig, ckpt: Path, data_path: Path, out_dir: Path) -> int:
-    ds = read_dataset(data_path)
-    if ds.spec.K != cfg.K or ds.features.shape[1] != cfg.D:
-        raise ConfigError(
-            f"checkpoint {ckpt} expects K={cfg.K}, D={cfg.D} but dataset "
-            f"{data_path} has K={ds.spec.K}, D={ds.features.shape[1]}")
+    ds = _read_matching(cfg, data_path)
     net = Network(net_config(cfg), seed=cfg.seed)
     load_into(net.state(), ckpt)
     m = evaluate(net, ds)
@@ -210,20 +214,16 @@ def cmd_gradcheck(seed: int, corrupt: str | None) -> int:
 
 def cmd_inspect_histogram(ckpt: Path, out_path: Path | None) -> int:
     params = load_checkpoint(ckpt)
-    prefixes = [name[:-len(".centers")] for name in params if name.endswith(".centers")]
-    if not prefixes:
+    centers, slopes = params.get("hist.centers"), params.get("hist.slopes")
+    if centers is None:
         raise CheckpointFormatError(f"checkpoint {ckpt} holds no histogram parameters")
+    if slopes is None or slopes.shape != centers.shape:
+        raise CheckpointFormatError(
+            f"checkpoint {ckpt}: hist.centers has no matching hist.slopes")
+    k, b = centers.shape[:2]
     lines = [["class", "bin", "center", "slope", "effective_width", "drifted"]]
-    for prefix in prefixes:
-        centers = params[f"{prefix}.centers"]
-        slopes = params.get(f"{prefix}.slopes")
-        if slopes is None or slopes.shape != centers.shape:
-            raise CheckpointFormatError(
-                f"checkpoint {ckpt}: {prefix}.centers has no matching {prefix}.slopes")
-        k, b = centers.shape[:2]
-        for row in histogram_table(centers.data.reshape(k, b), slopes.data.reshape(k, b)):
-            lines.append([row[0], row[1], repr(row[2]), repr(row[3]),
-                          repr(row[4]), row[5]])
+    for row in histogram_table(centers.data.reshape(k, b), slopes.data.reshape(k, b)):
+        lines.append([row[0], row[1], repr(row[2]), repr(row[3]), repr(row[4]), row[5]])
     text = "\n".join(",".join(str(c) for c in line) for line in lines) + "\n"
     print(text, end="")
     if out_path is not None:

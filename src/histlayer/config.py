@@ -35,9 +35,7 @@ class RunConfig:
     # network
     B: int = 6
     C_feat: int = 16
-    stages: int = 2
     mode: str = "histnet"
-    share_stage_params: bool = True
 
     # optimization
     epochs: int = 30
@@ -72,8 +70,7 @@ class RunConfig:
             raise ConfigError(f"values out of range, need {'; '.join(broken)}")
         try:
             HistNetConfig(K=self.K, B=self.B, D_in=self.D, C_feat=self.C_feat,
-                          stages=self.stages, baseline_mode=self.mode,
-                          share_stage_params=self.share_stage_params).validate()
+                          baseline_mode=self.mode).validate()
             default_spec(K=self.K, D=self.D, noise_sigma=self.noise_sigma,
                          ambiguous_occupancy=self.ambiguous_occupancy)
         except ValueError as e:
@@ -91,12 +88,6 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if f.type in ("float", float):
             return float(raw)
-        if f.type in ("bool", bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError as e:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from e

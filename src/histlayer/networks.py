@@ -1,9 +1,9 @@
 """Desk-scale context-refinement networks and their ablation baselines.
 
 Stage 1 is a pixelwise classifier (1x1 convolutions on per-pixel features).
-Later stages summarize the previous stage's likelihood map into a global
-context vector, tile it back over the grid and reclassify. The context
-branch is selected by `baseline_mode`:
+Stage 2 summarizes stage 1's likelihood map into a global context vector,
+tiles it back over the grid and reclassifies. The context branch is
+selected by `baseline_mode`:
 
 * histnet    — trainable histogram of the likelihood map (direct form)
 * fix_hist   — same histogram but with centers/slopes frozen
@@ -35,17 +35,12 @@ class HistNetConfig:
     B: int = 6
     D_in: int = 8
     C_feat: int = 16
-    stages: int = 2
     baseline_mode: str = "histnet"
-    share_stage_params: bool = True
 
     def validate(self) -> None:
         if self.baseline_mode not in BASELINE_MODES:
             raise ValueError(f"unknown baseline_mode {self.baseline_mode!r}, "
                              f"expected one of {BASELINE_MODES}")
-        if self.baseline_mode != "base_only" and self.stages < 2:
-            raise ValueError(f"mode {self.baseline_mode!r} needs stages >= 2, "
-                             f"got {self.stages}")
         if min(self.K, self.B, self.D_in, self.C_feat) < 1:
             raise ValueError("K, B, D_in and C_feat must all be positive")
 
@@ -72,7 +67,7 @@ def _gauss(rng, shape, std):
 
 
 class Network:
-    """A built network: named parameters plus forward/loss passes."""
+    """A built network: named parameters plus the loss pass."""
 
     def __init__(self, cfg: HistNetConfig, seed: int = 0):
         cfg.validate()
@@ -88,104 +83,62 @@ class Network:
         self.cls_w = Parameter(_gauss(rng, (K, C, 1, 1), 0.01), name="base.cls.w")
         self.cls_b = Parameter(np.zeros((K, 1, 1, 1)), name="base.cls.b")
 
-        self.hists: list[HistogramParams | ComposedHistogram] = []
-        self.fcs: list[tuple[Parameter, Parameter]] = []
-        self.heads: list[tuple[Parameter, Parameter]] = []
-
+        # stage 2: context branch (histogram in HIST_MODES, then fc) and head
+        self.hist: HistogramParams | ComposedHistogram | None = None
+        self.fc: tuple[Parameter, Parameter] | None = None
+        self.head: tuple[Parameter, Parameter] | None = None
+        if cfg.baseline_mode == "free_all":
+            self.hist = ComposedHistogram(init_params(K, cfg.B), unlocked=True)
+        elif cfg.baseline_mode in HIST_MODES:
+            self.hist = init_params(K, cfg.B)
+            if cfg.baseline_mode == "fix_hist":
+                for p in self.hist.parameters():
+                    p.lock_mask[...] = 0.0
         if cfg.baseline_mode != "base_only":
-            n_branches = 1 if cfg.share_stage_params else cfg.stages - 1
-            d_ctx = cfg.context_input_dim()
-            for i in range(n_branches):
-                tag = "" if n_branches == 1 else f".{i}"
-                if cfg.baseline_mode == "free_all":
-                    self.hists.append(ComposedHistogram(
-                        init_params(K, cfg.B), unlocked=True, name=f"hist{tag}"))
-                elif cfg.baseline_mode in HIST_MODES:
-                    hp = init_params(K, cfg.B, name=f"hist{tag}")
-                    if cfg.baseline_mode == "fix_hist":
-                        for p in hp.parameters():
-                            p.lock_mask[...] = 0.0
-                    self.hists.append(hp)
-                fc_w = Parameter(_gauss(rng, (K * cfg.B, d_ctx, 1, 1), 0.01),
-                                 name=f"fc{tag}.w")
-                fc_b = Parameter(np.zeros((K * cfg.B, 1, 1, 1)), name=f"fc{tag}.b")
-                self.fcs.append((fc_w, fc_b))
-            for t in range(2, cfg.stages + 1):
-                hw = Parameter(_gauss(rng, (K, C + K * cfg.B, 1, 1), 0.01),
-                               name=f"head{t}.w")
-                hb = Parameter(np.zeros((K, 1, 1, 1)), name=f"head{t}.b")
-                self.heads.append((hw, hb))
+            KB = K * cfg.B
+            self.fc = (Parameter(_gauss(rng, (KB, cfg.context_input_dim(), 1, 1), 0.01),
+                                 name="fc.w"),
+                       Parameter(np.zeros((KB, 1, 1, 1)), name="fc.b"))
+            self.head = (Parameter(_gauss(rng, (K, C + KB, 1, 1), 0.01), name="head2.w"),
+                         Parameter(np.zeros((K, 1, 1, 1)), name="head2.b"))
 
-        self.params: dict[str, Parameter] = {}
-        for p in self._all_params():
-            self.params[p.name] = p
-        self.base_param_names = ["base.f1.w", "base.f1.b", "base.f2.w", "base.f2.b",
-                                 "base.cls.w", "base.cls.b"]
-        self.new_param_names = [n for n in self.params if n not in self.base_param_names]
+        params = [self.f1_w, self.f1_b, self.f2_w, self.f2_b, self.cls_w, self.cls_b]
+        if self.hist is not None:
+            params += self.hist.parameters()
+        if self.fc is not None:
+            params += [*self.fc, *self.head]
+        self.params: dict[str, Parameter] = {p.name: p for p in params}
+        self.base_param_names = [p.name for p in params[:6]]
+        self.new_param_names = [p.name for p in params[6:]]
 
-    def _all_params(self):
-        ps = [self.f1_w, self.f1_b, self.f2_w, self.f2_b, self.cls_w, self.cls_b]
-        for h in self.hists:
-            ps.extend(h.parameters())
-        for w, b in self.fcs:
-            ps.extend([w, b])
-        for w, b in self.heads:
-            ps.extend([w, b])
-        return ps
-
-    def _branch(self, t: int):
-        """Context branch (histogram, fc) used by stage t (t >= 2)."""
-        i = 0 if self.cfg.share_stage_params else t - 2
-        hist = self.hists[i] if self.hists else None
-        return hist, self.fcs[i]
-
-    def _run(self, features: Tensor, labels=None):
-        cfg = self.cfg
+    def loss(self, features: Tensor, labels: np.ndarray):
+        """The network's one pass: (mean of the stage losses, StageOutputs)."""
+        mode = self.cfg.baseline_mode
         ad.reset_tape()
         x = ad.relu(ad.conv1x1(features, self.f1_w, self.f1_b))
         feats = ad.relu(ad.conv1x1(x, self.f2_w, self.f2_b))
         logits = [ad.conv1x1(feats, self.cls_w, self.cls_b)]
-        losses, probs = [], []
-
-        def head_probs(lg):
-            if labels is None:
-                probs.append(ad.softmax(lg))
-            else:
-                loss_t, p_t = ad.softmax_xent(lg, labels)
-                losses.append(loss_t)
-                probs.append(p_t)
-
-        head_probs(logits[0])
-        if cfg.baseline_mode != "base_only":
-            for t in range(2, cfg.stages + 1):
-                hist, (fc_w, fc_b) = self._branch(t)
-                if cfg.baseline_mode in HIST_MODES:
-                    summary = hist.forward(probs[-1])
-                elif cfg.baseline_mode == "score_global":
-                    summary = ad.global_avg_pool(probs[-1])
-                else:  # feat_global
-                    summary = ad.global_avg_pool(feats)
-                ctx = ad.fully_connected(summary, fc_w, fc_b)
-                cat = ad.broadcast_concat(feats, ctx)
-                hw, hb = self.heads[t - 2]
-                logits.append(ad.conv1x1(cat, hw, hb))
-                head_probs(logits[-1])
-
-        final = ad.mean_tensors(probs)
-        outputs = StageOutputs(logits, probs, final, sum(t.clamped for t in losses))
-        if labels is None:
-            return outputs
-        return ad.scalar_mean(losses), outputs
-
-    def forward(self, features: Tensor) -> StageOutputs:
-        return self._run(features)
-
-    def loss(self, features: Tensor, labels: np.ndarray):
-        return self._run(features, labels)
+        loss1, probs1 = ad.softmax_xent(logits[0], labels)
+        losses, probs = [loss1], [probs1]
+        if mode != "base_only":
+            if mode in HIST_MODES:
+                summary = self.hist.forward(probs1)
+            elif mode == "score_global":
+                summary = ad.global_avg_pool(probs1)
+            else:  # feat_global
+                summary = ad.global_avg_pool(feats)
+            ctx = ad.fully_connected(summary, *self.fc)
+            logits.append(ad.conv1x1(ad.broadcast_concat(feats, ctx), *self.head))
+            loss2, probs2 = ad.softmax_xent(logits[1], labels)
+            losses.append(loss2)
+            probs.append(probs2)
+        outputs = StageOutputs(logits, probs, ad.mean_tensors(probs),
+                               sum(t.clamped for t in losses))
+        return ad.mean_tensors(losses), outputs
 
     def clamp(self) -> None:
-        for h in self.hists:
-            h.clamp_slopes()
+        if self.hist is not None:
+            self.hist.clamp_slopes()
 
     def zero_grads(self) -> None:
         ad.zero_grads(p for p in self.params.values() if p.grad is not None)
@@ -385,7 +338,7 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
                     train_ds, val_ds, schedule: TrainSchedule):
     """Incremental training: new layers first, then everything jointly.
 
-    Phase 1 updates only the context FC layers and the stage heads; the
+    Phase 1 updates only the context FC layer and the stage-2 head; the
     base and the histogram bins stay fixed and hold no gradient buffer, so
     the base and histogram ops are not recorded and phase 1's backward
     stops at the context FC layer. Phase 2 gives every parameter a buffer
@@ -398,10 +351,7 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
         raise ValueError("two_phase_train requires a pretrained base checkpoint")
     load_base(net, base_params)
 
-    hist_names = {p.name for h in net.hists for p in h.parameters()}
-    phase1 = [p for n, p in net.params.items()
-              if n in net.new_param_names and n not in hist_names]
-    rows = train_phase(net, train_ds, val_ds, phase1, schedule, phase=1)
+    rows = train_phase(net, train_ds, val_ds, [*net.fc, *net.head], schedule, phase=1)
     phase2 = list(net.params.values())
     rows2 = train_phase(net, train_ds, val_ds, phase2, schedule, phase=2)
     if rows2:

@@ -28,8 +28,7 @@ KINK_MARGIN = 1e-3
 
 # the autodiff primitives, each with one finite-difference report
 PRIMITIVES = ("conv1x1", "fully_connected", "abs_elem", "relu", "global_avg_pool",
-              "broadcast_concat", "softmax", "softmax_xent", "scalar_mean",
-              "mean_tensors")
+              "broadcast_concat", "softmax", "softmax_xent", "mean_tensors")
 
 
 @dataclass
@@ -88,7 +87,6 @@ def primitive_reports(seed: int) -> list[PropertyReport]:
         "softmax": (lambda: quadratic(ad.softmax(x)), [x]),
         "softmax_xent": (lambda: ad.softmax_xent(ad.conv1x1(x, wgt, b), labels)[0],
                          [x, wgt, b]),
-        "scalar_mean": (lambda: ad.scalar_mean([quadratic(x), quadratic(vec)]), [x, vec]),
         "mean_tensors": (lambda: quadratic(ad.mean_tensors([x, y])), [x, y]),
     }
     reports = []
@@ -142,7 +140,7 @@ def check_network_gradients(seed: int) -> PropertyReport:
     `trials` counts the checked entries, so the skip share shows.
     """
     rng = np.random.default_rng(seed)
-    cfg = HistNetConfig(K=3, B=4, D_in=4, C_feat=5, stages=2, baseline_mode="histnet")
+    cfg = HistNetConfig(K=3, B=4, D_in=4, C_feat=5, baseline_mode="histnet")
     net = Network(cfg, seed=seed)
     for p in net.params.values():
         if p.name.endswith(".centers"):

@@ -104,11 +104,11 @@ def test_criterion_5_lock_semantics():
     base = Network(HistNetConfig(baseline_mode="base_only"), seed=0)
     train_base(base, train, val, sched)
     net = Network(HistNetConfig(baseline_mode="fix_hist"), seed=0)
-    centers_before = net.hists[0].centers.data.copy()
-    slopes_before = net.hists[0].slopes.data.copy()
+    centers_before = net.hist.centers.data.copy()
+    slopes_before = net.hist.slopes.data.copy()
     two_phase_train(net, base.state(), train, val, sched)
-    frozen = (np.array_equal(net.hists[0].centers.data, centers_before)
-              and np.array_equal(net.hists[0].slopes.data, slopes_before))
+    frozen = (np.array_equal(net.hist.centers.data, centers_before)
+              and np.array_equal(net.hist.slopes.data, slopes_before))
     ok = lock.passed and frozen
     verdict("lock mask semantics under momentum SGD", ok,
             f"structural drift after {lock.trials} steps: {lock.max_error}, "

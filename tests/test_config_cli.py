@@ -31,9 +31,9 @@ def test_parse_defaults_roundtrip():
 
 def test_parse_values_comments_and_blank_lines():
     cfg = parse_config_text("# a comment\n\nseed = 5\nlr = 0.5  # trailing\n"
-                            "mode = fix_hist\nshare_stage_params = false\n")
+                            "mode = fix_hist\n")
     assert cfg.seed == 5 and cfg.lr == 0.5
-    assert cfg.mode == "fix_hist" and cfg.share_stage_params is False
+    assert cfg.mode == "fix_hist"
 
 
 def test_parse_rejects_unknown_key():
@@ -94,6 +94,26 @@ def test_bad_config_value_exits_2_before_any_work(tmp_path, capsys, command, val
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+TINY = []
+for kv in ("n_train=2", "n_val=2", "n_test=2", "H=2", "W=2", "n_mc=10"):
+    TINY += ["--set", kv]
+
+
+def test_gen_data_with_256_classes_exits_2(tmp_path, capsys):
+    """Labels are u8 and 255 is the ignore label, so K tops out at 255."""
+    rc = main(["gen-data", "--out", str(tmp_path / "out"), "--set", "K=256",
+               "--set", "D=255"] + TINY)
+    assert rc == 2
+    assert "K must be at most 255" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_data_accepts_255_classes(tmp_path, capsys):
+    assert main(["gen-data", "--out", str(tmp_path), "--set", "K=255",
+                 "--set", "D=254"] + TINY) == 0
+    assert read_dataset(tmp_path / "train.hctx").spec.K == 255
 
 
 def test_gen_data_deterministic(tmp_path):
@@ -167,6 +187,18 @@ def test_train_mismatched_base_checkpoint_exits_3(trained, tmp_path, capsys, mod
     assert rc == 3
     assert "base.f1.w" in capsys.readouterr().err
     assert not (tmp_path / "run" / "final.hprm").exists()
+
+
+@pytest.mark.parametrize("command,value", [
+    ("train", "D=9"), ("train", "K=5"), ("train", "K=7"), ("compare", "D=9")])
+def test_dataset_disagreeing_with_config_exits_2_before_training(trained, tmp_path,
+                                                                 capsys, command, value):
+    rc = main([command, "--out", str(tmp_path / "run"), "--data", str(trained["data"]),
+               "--set", value] + SMALL)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "K=6, D=8" in err
+    assert list(tmp_path.rglob("*.hprm")) == []
 
 
 def test_eval_reproduces_final_log_metrics(trained, capsys):
@@ -357,7 +389,7 @@ def test_eval_composed_histogram_checkpoint_exits_3(trained, tmp_path, capsys, m
     into a histnet or fix_hist network, whose histogram is hist.centers/slopes."""
     net = Network(HistNetConfig(baseline_mode=mode), seed=0)
     params = {n: p for n, p in net.state().items() if not n.startswith("hist.")}
-    for p in ComposedHistogram(net.hists[0]).parameters():
+    for p in ComposedHistogram(net.hist).parameters():
         params[p.name] = p
     ckpt = tmp_path / "composed.hprm"
     save_checkpoint(params, ckpt)
@@ -386,7 +418,7 @@ def gradcheck_reports(capsys, argv, rc):
 
 
 def test_gradcheck_passes(capsys):
-    reports = gradcheck_reports(capsys, ["--set", "stages=2"], 0)
+    reports = gradcheck_reports(capsys, [], 0)
     assert [r["property"] for r in reports if not r["passed"]] == []
     assert "full_network_finite_differences" in [r["property"] for r in reports]
 

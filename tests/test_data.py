@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from histlayer.cli import main
 from histlayer.data import (ContextDataset, DatasetFormatError, DatasetTruncationError,
                             DatasetVersionError, SceneSpec, default_spec, generate,
                             local_bayes_ceiling, read_dataset, write_dataset)
@@ -46,6 +47,20 @@ def test_spec_rejects_non_finite_noise_sigma(sigma):
     spec.noise_sigma = sigma
     with pytest.raises(ValueError, match="noise_sigma must be finite"):
         spec.validate()
+
+
+def test_dataset_with_256_classes_is_a_format_error(tmp_path, capsys):
+    K, D = 256, 2
+    spec = SceneSpec(S=1, K=K, D=D, class_priors=np.full((1, K), 1.0 / K),
+                     class_means=np.zeros((K, D)), noise_sigma=0.3)
+    path = tmp_path / "d.hctx"
+    write_dataset(ContextDataset(np.zeros((2, D, 2, 2)), np.zeros((2, 2, 2), np.uint8),
+                                 np.zeros(2, np.uint8), spec, 0), path)
+    with pytest.raises(DatasetFormatError, match="K must be at most 255"):
+        read_dataset(path)
+    assert main(["eval", str(tmp_path / "m.hprm"), str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "K must be at most 255" in capsys.readouterr().err
 
 
 def test_generate_deterministic():

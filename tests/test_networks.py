@@ -14,7 +14,7 @@ from histlayer.verify import TOL_STRUCTURAL
 
 
 def small_cfg(mode="histnet", **kw):
-    defaults = dict(K=5, B=3, D_in=6, C_feat=6, stages=2, baseline_mode=mode)
+    defaults = dict(K=5, B=3, D_in=6, C_feat=6, baseline_mode=mode)
     defaults.update(kw)
     return HistNetConfig(**defaults)
 
@@ -24,21 +24,20 @@ def small_data(n=12, seed=0):
     return generate(spec, n, 6, 6, seed=seed)
 
 
+def outputs(net, x):
+    """The StageOutputs of the loss pass on features x; labels do not change them."""
+    n, _, h, w = x.shape
+    _, out = net.loss(Tensor(x), np.zeros((n, h, w), dtype=np.uint8))
+    ad.reset_tape()
+    return out
+
+
 # --------------------------------------------------------------------------
 # configuration
 
 def test_config_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown baseline_mode"):
         small_cfg(mode="magic").validate()
-
-
-def test_config_rejects_single_stage_context_mode():
-    with pytest.raises(ValueError, match="stages >= 2"):
-        small_cfg(stages=1).validate()
-
-
-def test_base_only_allows_single_stage():
-    small_cfg(mode="base_only", stages=1).validate()
 
 
 def test_context_input_dims():
@@ -54,8 +53,7 @@ def test_context_input_dims():
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 def test_forward_shapes_all_modes(mode):
     net = Network(small_cfg(mode), seed=1)
-    out = net.forward(Tensor(np.random.default_rng(0).standard_normal((2, 6, 4, 4))))
-    ad.reset_tape()
+    out = outputs(net, np.random.default_rng(0).standard_normal((2, 6, 4, 4)))
     expected_stages = 1 if mode == "base_only" else 2
     assert len(out.stage_probs) == expected_stages
     for p in out.stage_probs:
@@ -65,8 +63,7 @@ def test_forward_shapes_all_modes(mode):
 
 def test_stage_probs_normalized(rng):
     net = Network(small_cfg(), seed=2)
-    out = net.forward(Tensor(rng.standard_normal((3, 6, 5, 5))))
-    ad.reset_tape()
+    out = outputs(net, rng.standard_normal((3, 6, 5, 5)))
     for p in out.stage_probs + [out.final_probs]:
         np.testing.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -75,15 +72,14 @@ def test_zeroed_classifier_gives_uniform_probs(rng):
     net = Network(small_cfg("base_only"), seed=3)
     net.params["base.cls.w"].data[...] = 0.0
     net.params["base.cls.b"].data[...] = 0.0
-    out = net.forward(Tensor(rng.standard_normal((2, 6, 3, 3))))
-    ad.reset_tape()
+    out = outputs(net, rng.standard_normal((2, 6, 3, 3)))
     np.testing.assert_allclose(out.final_probs.data, 0.2, atol=1e-15)
 
 
 def test_stage_head_input_width():
     cfg = small_cfg()
     net = Network(cfg, seed=0)
-    hw, _ = net.heads[0]
+    hw, _ = net.head
     assert hw.shape[1] == cfg.C_feat + cfg.K * cfg.B
 
 
@@ -113,20 +109,36 @@ def test_zeroed_context_fc_makes_context_modes_agree(rng):
                 net.params[name].data[...] = ref.params[name].data
         else:
             outs_net = net
-        out = net.forward(Tensor(x.copy()))
-        ad.reset_tape()
-        outs.append(out.final_probs.data)
+        outs.append(outputs(net, x.copy()).final_probs.data)
     np.testing.assert_allclose(outs[1], outs[0], atol=1e-12)
     np.testing.assert_allclose(outs[2], outs[0], atol=1e-12)
 
 
-def test_shared_vs_unshared_stage_parameters():
-    shared = Network(small_cfg(stages=3), seed=0)
-    assert len(shared.hists) == 1 and len(shared.fcs) == 1 and len(shared.heads) == 2
-    solo = Network(small_cfg(stages=3, share_stage_params=False), seed=0)
-    assert len(solo.hists) == 2 and len(solo.fcs) == 2 and len(solo.heads) == 2
-    assert [p.name for h in solo.hists for p in h.parameters()] == [
-        "hist.0.centers", "hist.0.slopes", "hist.1.centers", "hist.1.slopes"]
+_BASE_LAYOUT = [("base.f1.w", (16, 8, 1, 1)), ("base.f1.b", (16, 1, 1, 1)),
+                ("base.f2.w", (16, 16, 1, 1)), ("base.f2.b", (16, 1, 1, 1)),
+                ("base.cls.w", (6, 16, 1, 1)), ("base.cls.b", (6, 1, 1, 1))]
+_BINS = [("hist.centers", (6, 6, 1, 1)), ("hist.slopes", (6, 6, 1, 1))]
+
+
+def _stage2_layout(d_ctx):
+    return [("fc.w", (36, d_ctx, 1, 1)), ("fc.b", (36, 1, 1, 1)),
+            ("head2.w", (6, 52, 1, 1)), ("head2.b", (6, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("base_only", []),
+    ("histnet", _BINS + _stage2_layout(36)),
+    ("fix_hist", _BINS + _stage2_layout(36)),
+    ("free_all", [("hist.w1", (36, 6, 1, 1)), ("hist.b1", (36, 1, 1, 1)),
+                  ("hist.w2", (36, 36, 1, 1)), ("hist.b2", (36, 1, 1, 1))]
+     + _stage2_layout(36)),
+    ("score_global", _stage2_layout(6)),
+    ("feat_global", _stage2_layout(16)),
+])
+def test_checkpoint_layout_per_mode(mode, extra):
+    """The ordered (name, shape) list that final.hprm writes, at the defaults."""
+    net = Network(HistNetConfig(baseline_mode=mode), seed=0)
+    assert [(n, p.shape) for n, p in net.params.items()] == _BASE_LAYOUT + extra
 
 
 # --------------------------------------------------------------------------
@@ -135,13 +147,12 @@ def test_shared_vs_unshared_stage_parameters():
 def census_expect(cfg):
     KB = cfg.K * cfg.B
     d_ctx = cfg.context_input_dim()
-    heads = (cfg.stages - 1) * (cfg.K * (cfg.C_feat + KB) + cfg.K)
-    branches = 1 if cfg.share_stage_params else cfg.stages - 1
-    fc = branches * (KB * d_ctx + KB)
-    hist = branches * 2 * KB if cfg.baseline_mode in ("histnet", "free_all") else 0
+    head = cfg.K * (cfg.C_feat + KB) + cfg.K
+    fc = KB * d_ctx + KB
+    hist = 2 * KB if cfg.baseline_mode == "histnet" else 0
     if cfg.baseline_mode == "free_all":
-        hist = branches * (KB * cfg.K + KB + KB * KB + KB)
-    return heads + fc + hist
+        hist = KB * cfg.K + KB + KB * KB + KB
+    return head + fc + hist
 
 
 @pytest.mark.parametrize("mode", ["histnet", "fix_hist", "free_all",
@@ -180,14 +191,14 @@ def test_direct_histogram_matches_composed_reference_in_network(mode):
     direct = Network(small_cfg(mode), seed=9)
     for p in direct.params.values():
         p.data[...] = rng.standard_normal(p.shape) * 0.5
-    hp = direct.hists[0]
+    hp = direct.hist
     hp.centers.data[...] = rng.uniform(-0.2, 1.2, size=hp.centers.shape)
     hp.slopes.data[...] = rng.uniform(0.5, 8.0, size=hp.slopes.shape)
     ref = Network(small_cfg(mode), seed=9)
     for name, p in ref.params.items():
         p.data[...] = direct.params[name].data
-    layer = ComposedHistogram(ref.hists[0])
-    ref.hists[0] = layer
+    layer = ComposedHistogram(ref.hist)
+    ref.hist = layer
     ds = small_data(3, seed=12)
     feats, labels = Tensor(ds.features), ds.labels
 
@@ -295,10 +306,8 @@ CONTEXT_MODES = [m for m in BASELINE_MODES if m != "base_only"]
 
 
 def phase1_params(net):
-    """The context fc layers and the stage heads, as two_phase_train's phase 1."""
-    hist_names = {p.name for h in net.hists for p in h.parameters()}
-    return [p for n, p in net.params.items()
-            if n in net.new_param_names and n not in hist_names]
+    """The context fc layer and the stage-2 head, as two_phase_train's phase 1."""
+    return [*net.fc, *net.head]
 
 
 @pytest.mark.parametrize("mode", CONTEXT_MODES)
@@ -326,7 +335,7 @@ def test_phase1_tape_holds_no_base_or_histogram_node(mode):
     # fc, concat, stage-2 head conv, its softmax and loss, the mean of the
     # stage probabilities and the mean of the stage losses
     assert len(tape) == 7
-    assert tape[0].shape == (3, net.fcs[0][0].shape[0], 1, 1)
+    assert tape[0].shape == (3, net.fc[0].shape[0], 1, 1)
     assert tape[2:4] == [out.stage_logits[1], out.stage_probs[1]]
     assert tape[5:] == [out.final_probs, loss]
     assert not out.stage_logits[0].requires_grad
@@ -417,15 +426,12 @@ def test_phase1_leaves_base_and_bins_bit_identical():
     net = Network(small_cfg(), seed=0)
     load_base(net, base.state())
     before = {n: net.params[n].data.copy() for n in net.base_param_names}
-    bins_before = (net.hists[0].centers.data.copy(), net.hists[0].slopes.data.copy())
-    hist_names = {p.name for p in net.hists[0].parameters()}
-    phase1 = [p for n, p in net.params.items()
-              if n in net.new_param_names and n not in hist_names]
-    train_phase(net, ds, val, phase1, schedule(), phase=1)
+    bins_before = (net.hist.centers.data.copy(), net.hist.slopes.data.copy())
+    train_phase(net, ds, val, phase1_params(net), schedule(), phase=1)
     for n, v in before.items():
         np.testing.assert_array_equal(net.params[n].data, v)
-    np.testing.assert_array_equal(net.hists[0].centers.data, bins_before[0])
-    np.testing.assert_array_equal(net.hists[0].slopes.data, bins_before[1])
+    np.testing.assert_array_equal(net.hist.centers.data, bins_before[0])
+    np.testing.assert_array_equal(net.hist.slopes.data, bins_before[1])
 
 
 def test_two_phase_train_moves_bins_in_phase_two():
@@ -434,10 +440,10 @@ def test_two_phase_train_moves_bins_in_phase_two():
     base = Network(small_cfg("base_only"), seed=0)
     train_base(base, ds, val, schedule())
     net = Network(small_cfg(), seed=0)
-    bins_before = net.hists[0].centers.data.copy()
+    bins_before = net.hist.centers.data.copy()
     rows, stage1 = two_phase_train(net, base.state(), ds, val, schedule())
     assert any(r.phase == 1 for r in rows) and any(r.phase == 2 for r in rows)
-    assert not np.array_equal(net.hists[0].centers.data, bins_before)
+    assert not np.array_equal(net.hist.centers.data, bins_before)
     assert 0.0 <= stage1["stage1_before_phase2"] <= 1.0
     assert 0.0 <= stage1["stage1_after_phase2"] <= 1.0
 
@@ -445,7 +451,7 @@ def test_two_phase_train_moves_bins_in_phase_two():
 def stage1_per_pixel(net, ds):
     """Stage-1 per-pixel accuracy from a separate forward pass."""
     with ad.no_grad():
-        out = net.forward(Tensor(ds.features))
+        _, out = net.loss(Tensor(ds.features), ds.labels)
     return float(np.mean(np.argmax(out.stage_probs[0].data, axis=1) == ds.labels))
 
 
@@ -457,10 +463,7 @@ def test_two_phase_train_takes_stage1_from_the_epoch_end_passes(monkeypatch, epo
     # reference: a separate stage-1 pass after each phase
     ref = Network(small_cfg(), seed=0)
     load_base(ref, base.state())
-    hist_names = {p.name for p in ref.hists[0].parameters()}
-    phase1 = [p for n, p in ref.params.items()
-              if n in ref.new_param_names and n not in hist_names]
-    train_phase(ref, ds, val, phase1, schedule(epochs), phase=1)
+    train_phase(ref, ds, val, phase1_params(ref), schedule(epochs), phase=1)
     before = stage1_per_pixel(ref, val)
     train_phase(ref, ds, val, list(ref.params.values()), schedule(epochs), phase=2)
     after = stage1_per_pixel(ref, val)
