@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 IGNORE_LABEL = 255
+LOG_ZERO = -745.0   # softmax_xent's clamped log 0
 
 
 class ShapeError(ValueError):
@@ -319,8 +320,9 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
     from the loss. Returns (scalar loss, probability tensor); both are graph
     nodes, so gradients flow into the logits from either. The loss tensor's
     `clamped` attribute counts the valid positions whose picked probability
-    underflowed to 0, where log 0 is clamped to -745: a logit gap above 745,
-    which only a diverging network reaches.
+    underflowed to 0, where log 0 is clamped to LOG_ZERO: a logit gap above
+    745, which only a diverging network reaches. Its `logp` attribute holds
+    the (N,H,W) log probability of each position's label.
     """
     n, k, h, w = logits.shape
     labels = np.asarray(labels)
@@ -341,9 +343,7 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
     safe = np.where(valid, labels, 0).astype(np.intp)
     flat = (np.arange(n).reshape(n, 1, 1) * k + safe) * (h * w) + np.arange(h * w).reshape(h, w)
     picked = p.reshape(-1)[flat]
-    positive = picked > 0
-    logp = np.log(picked, where=positive, out=np.full_like(picked, -745.0))
-    loss_val = -(logp * valid).sum() / count
+    logp = np.log(picked, where=picked > 0, out=np.full_like(picked, LOG_ZERO))
 
     def _bw():
         g = loss_node.grad.reshape(-1)[0]
@@ -352,9 +352,30 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
         d *= g / count
         _accumulate(logits, d)
 
-    loss_node = _node(np.full((1, 1, 1, 1), loss_val), _bw, logits)
-    loss_node.clamped = int(np.count_nonzero(valid & ~positive))
+    loss_node = _node(np.zeros((1, 1, 1, 1)), _bw, logits)
+    _set_xent_value(loss_node, logp, valid)
     return loss_node, probs
+
+
+def _set_xent_value(loss: Tensor, logp: np.ndarray, valid: np.ndarray) -> None:
+    """Give a (1,1,1,1) loss tensor the mean of -logp over the valid
+    positions, its `clamped` count and `logp` itself. A positive double's
+    log is at least -744.5, so LOG_ZERO marks exactly the clamped positions."""
+    loss.data[...] = -(logp * valid).sum() / int(valid.sum())
+    loss.clamped = int(np.count_nonzero(valid & (logp == LOG_ZERO)))
+    loss.logp = logp
+
+
+def xent_from_logp(logp: np.ndarray, labels: np.ndarray) -> Tensor:
+    """The loss `softmax_xent` gives for the per-position log probabilities
+    `logp` of `labels`, unrecorded: the same expression on the same values,
+    so the same bits."""
+    valid = np.asarray(labels) != IGNORE_LABEL
+    if not valid.any():
+        raise ValueError("all positions carry the ignore label")
+    loss = Tensor(np.zeros((1, 1, 1, 1)), with_grad=False)
+    _set_xent_value(loss, logp, valid)
+    return loss
 
 
 def mean_tensors(terms: list[Tensor]) -> Tensor:

@@ -55,6 +55,18 @@ class HistNetConfig:
 
 
 @dataclass
+class Prefix:
+    """A batch's pass up to the context fc layer: the top features, stage 1
+    and the context summary. Phase 1 of `two_phase_train` cannot change any
+    of it, so `PrefixCache` keeps it per image."""
+    feats: Tensor
+    logits: Tensor          # stage-1 logits
+    probs: Tensor           # stage-1 probabilities
+    loss: Tensor            # stage-1 loss, with its `clamped` and `logp`
+    summary: Tensor | None  # the context fc layer's input; None for base_only
+
+
+@dataclass
 class StageOutputs:
     stage_logits: list
     stage_probs: list
@@ -111,30 +123,42 @@ class Network:
         self.base_param_names = [p.name for p in params[:6]]
         self.new_param_names = [p.name for p in params[6:]]
 
-    def loss(self, features: Tensor, labels: np.ndarray):
-        """The network's one pass: (mean of the stage losses, StageOutputs)."""
+    def prefix(self, features: Tensor, labels: np.ndarray) -> Prefix:
+        """Stage 1 and the context summary of a batch; starts a new graph."""
         mode = self.cfg.baseline_mode
         ad.reset_tape()
         x = ad.relu(ad.conv1x1(features, self.f1_w, self.f1_b))
         feats = ad.relu(ad.conv1x1(x, self.f2_w, self.f2_b))
-        logits = [ad.conv1x1(feats, self.cls_w, self.cls_b)]
-        loss1, probs1 = ad.softmax_xent(logits[0], labels)
-        losses, probs = [loss1], [probs1]
-        if mode != "base_only":
-            if mode in HIST_MODES:
-                summary = self.hist.forward(probs1)
-            elif mode == "score_global":
-                summary = ad.global_avg_pool(probs1)
-            else:  # feat_global
-                summary = ad.global_avg_pool(feats)
-            ctx = ad.fully_connected(summary, *self.fc)
-            logits.append(ad.conv1x1(ad.broadcast_concat(feats, ctx), *self.head))
+        logits = ad.conv1x1(feats, self.cls_w, self.cls_b)
+        loss, probs = ad.softmax_xent(logits, labels)
+        summary = None
+        if mode in HIST_MODES:
+            summary = self.hist.forward(probs)
+        elif mode == "score_global":
+            summary = ad.global_avg_pool(probs)
+        elif mode == "feat_global":
+            summary = ad.global_avg_pool(feats)
+        return Prefix(feats, logits, probs, loss, summary)
+
+    def refine(self, pre: Prefix, labels: np.ndarray):
+        """The rest of the pass on a batch's prefix, whether `prefix` computed
+        it or `PrefixCache.take` gathered it: the context fc layer, the
+        stage-2 head and loss, and the means. Returns (mean of the stage
+        losses, StageOutputs)."""
+        logits, probs, losses = [pre.logits], [pre.probs], [pre.loss]
+        if self.fc is not None:
+            ctx = ad.fully_connected(pre.summary, *self.fc)
+            logits.append(ad.conv1x1(ad.broadcast_concat(pre.feats, ctx), *self.head))
             loss2, probs2 = ad.softmax_xent(logits[1], labels)
             losses.append(loss2)
             probs.append(probs2)
         outputs = StageOutputs(logits, probs, ad.mean_tensors(probs),
                                sum(t.clamped for t in losses))
         return ad.mean_tensors(losses), outputs
+
+    def loss(self, features: Tensor, labels: np.ndarray):
+        """The network's one pass: (mean of the stage losses, StageOutputs)."""
+        return self.refine(self.prefix(features, labels), labels)
 
     def clamp(self) -> None:
         if self.hist is not None:
@@ -158,6 +182,40 @@ class Network:
 
     def state(self) -> dict[str, Parameter]:
         return self.params
+
+
+class PrefixCache:
+    """Every image's `Prefix` under the network's current parameters, for a
+    phase that cannot change them. Stage 1 and the summaries work per image,
+    and the stage-1 loss of a batch is rebuilt from the gathered log
+    probabilities by `ad.xent_from_logp`, so a gathered batch holds the bits
+    its own `prefix` pass would give."""
+
+    TENSORS = ("feats", "logits", "probs", "summary")
+
+    def __init__(self, net: Network, dataset, batch_size: int):
+        n = len(dataset)
+        self.arrays: dict[str, np.ndarray] = {}
+        # filled in place: gathering per-batch parts first would hold the
+        # cache twice at its peak
+        with ad.no_grad():
+            for start in range(0, n, batch_size):
+                stop = min(start + batch_size, n)
+                pre = net.prefix(Tensor(dataset.features[start:stop], with_grad=False),
+                                 dataset.labels[start:stop])
+                parts = {name: getattr(pre, name) for name in self.TENSORS}
+                parts = {name: t.data for name, t in parts.items() if t is not None}
+                parts["logp"] = pre.loss.logp
+                for name, part in parts.items():
+                    if name not in self.arrays:
+                        self.arrays[name] = np.empty((n, *part.shape[1:]))
+                    self.arrays[name][start:stop] = part
+
+    def take(self, idx, labels: np.ndarray) -> Prefix:
+        """The prefix of the images at `idx` (indices or a slice) with their labels."""
+        tensors = {name: Tensor(self.arrays[name][idx], with_grad=False)
+                   if name in self.arrays else None for name in self.TENSORS}
+        return Prefix(loss=ad.xent_from_logp(self.arrays["logp"][idx], labels), **tensors)
 
 
 def parameter_census(net: Network) -> dict:
@@ -189,14 +247,24 @@ def metrics_from_confusion(conf: np.ndarray) -> dict:
             "recalls": recalls, "confusion": conf}
 
 
-def evaluate(net: Network, dataset) -> dict:
+def _batch_pass(net: Network, dataset, idx, labels: np.ndarray,
+                cache: PrefixCache | None):
+    """The loss pass on the images at `idx`, on their cached prefixes when
+    a cache is given."""
+    if cache is None:
+        return net.loss(Tensor(dataset.features[idx], with_grad=False), labels)
+    return net.refine(cache.take(idx, labels), labels)
+
+
+def evaluate(net: Network, dataset, cache: PrefixCache | None = None) -> dict:
     """Mean loss, per-pixel accuracy and unweighted mean per-class recall,
     from one forward-only pass in EVAL_BATCH batches, plus the per-pixel
     accuracy of the stage-1 prediction (`stage1_per_pixel`) and the number
     of positions whose loss clamped log 0 (`clamped`, see `ad.softmax_xent`).
     The confusion matrix has rows = true class, columns = predicted class
     (argmax, ties to lowest). The loss is the batch losses weighted by batch
-    length, summed in batch order, over the image count.
+    length, summed in batch order, over the image count. `cache` holds the
+    dataset's prefixes when they are known (see `PrefixCache`).
     """
     n = len(dataset)
     if n == 0:
@@ -210,8 +278,7 @@ def evaluate(net: Network, dataset) -> dict:
         for start in range(0, n, EVAL_BATCH):
             stop = min(start + EVAL_BATCH, n)
             labels = dataset.labels[start:stop]
-            feats = Tensor(dataset.features[start:stop], with_grad=False)
-            loss, out = net.loss(feats, labels)
+            loss, out = _batch_pass(net, dataset, slice(start, stop), labels, cache)
             total += loss.item() * (stop - start)
             conf += _confusion(labels, out.final_probs, K)
             conf1 += _confusion(labels, out.stage_probs[0], K)
@@ -269,7 +336,8 @@ def _check_clamped(net: Network, phase: int, epoch: int, clamped: int) -> None:
 
 
 def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
-                schedule: TrainSchedule, phase: int) -> list[LogRow]:
+                schedule: TrainSchedule, phase: int,
+                caches: tuple[PrefixCache, PrefixCache] | None = None) -> list[LogRow]:
     """One SGD phase; returns one train and one val log row per epoch.
 
     Train-split metrics are accumulated from the minibatch forward passes,
@@ -279,9 +347,11 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
     or whose train steps or val pass clamped log 0 in the loss: a picked
     probability underflowed to 0, so the logits are diverging even where
     every value stays finite. See `Network.set_trainable` for the gradient
-    buffers the phase leaves behind.
+    buffers the phase leaves behind. `caches` holds the train and val
+    prefixes when no trainable parameter feeds them.
     """
     net.set_trainable(trainable)
+    train_cache, val_cache = caches or (None, None)
     rows = []
     rng = np.random.default_rng(schedule.seed * 1000003 + phase)
     n = len(train_ds)
@@ -293,10 +363,9 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
         loss_sum, seen, clamped = 0.0, 0, 0
         for start in range(0, n, schedule.batch_size):
             idx = perm[start:start + schedule.batch_size]
-            feats = Tensor(train_ds.features[idx], with_grad=False)
             labels = train_ds.labels[idx]
             net.zero_grads()
-            loss, out = net.loss(feats, labels)
+            loss, out = _batch_pass(net, train_ds, idx, labels, train_cache)
             if loss.requires_grad:  # unrecorded when no trainable parameter feeds it
                 ad.backward(loss)
             ad.sgd_step(trainable, lr, schedule.momentum)
@@ -309,7 +378,7 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
         rows.append(LogRow(phase, epoch, "train", loss_sum / seen,
                            train_m["per_pixel"], train_m["per_class"]))
         _check_finite(net, phase, epoch)
-        val_m = evaluate(net, val_ds)
+        val_m = evaluate(net, val_ds, val_cache)
         _check_clamped(net, phase, epoch, clamped + val_m["clamped"])
         rows.append(LogRow(phase, epoch, "val", val_m["loss"], val_m["per_pixel"],
                            val_m["per_class"], val_m["stage1_per_pixel"]))
@@ -339,11 +408,12 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
     """Incremental training: new layers first, then everything jointly.
 
     Phase 1 updates only the context FC layer and the stage-2 head; the
-    base and the histogram bins stay fixed and hold no gradient buffer, so
-    the base and histogram ops are not recorded and phase 1's backward
-    stops at the context FC layer. Phase 2 gives every parameter a buffer
-    again and updates all parameters whose lock masks allow it (fix_hist
-    keeps its bins frozen).
+    base and the histogram bins stay fixed and hold no gradient buffer. So
+    phase 1 computes each train and val image's prefix once, before its
+    first step, and every batch gathers it from that cache; its backward
+    stops at the context FC layer. Phase 2 drops the caches, gives every
+    parameter a buffer again and updates all parameters whose lock masks
+    allow it (fix_hist keeps its bins frozen).
     """
     if net.cfg.baseline_mode == "base_only":
         raise ValueError("two_phase_train needs a context-refinement mode")
@@ -351,7 +421,10 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
         raise ValueError("two_phase_train requires a pretrained base checkpoint")
     load_base(net, base_params)
 
-    rows = train_phase(net, train_ds, val_ds, [*net.fc, *net.head], schedule, phase=1)
+    caches = tuple(PrefixCache(net, ds, schedule.batch_size) for ds in (train_ds, val_ds))
+    rows = train_phase(net, train_ds, val_ds, [*net.fc, *net.head], schedule, phase=1,
+                       caches=caches)
+    del caches
     phase2 = list(net.params.values())
     rows2 = train_phase(net, train_ds, val_ds, phase2, schedule, phase=2)
     if rows2:

@@ -343,6 +343,73 @@ def test_phase1_tape_holds_no_base_or_histogram_node(mode):
     ad.reset_tape()
 
 
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+def test_prefix_of_a_batch_equals_the_per_image_prefixes(mode):
+    net = Network(small_cfg(mode), seed=3)
+    ds = small_data(5, seed=4)
+    with ad.no_grad():
+        batch = net.prefix(Tensor(ds.features), ds.labels)
+        singles = [net.prefix(Tensor(ds.features[i:i + 1]), ds.labels[i:i + 1])
+                   for i in range(len(ds))]
+
+    def parts(pre):
+        return [pre.feats.data, pre.logits.data, pre.probs.data, pre.loss.logp,
+                pre.summary.data]
+
+    for whole, *per_image in zip(parts(batch), *map(parts, singles)):
+        assert np.concatenate(per_image).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])   # 1e6: stage 1 clamps log 0
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+def test_refine_on_cached_prefixes_matches_the_loss_pass_bitwise(mode, scale):
+    ds = small_data(7, seed=4)
+    idx = np.array([5, 0, 3])
+    labels = ds.labels[idx]
+    results = []
+    for cached in (False, True):
+        net = Network(small_cfg(mode), seed=3)
+        net.params["base.cls.w"].data *= scale
+        net.set_trainable(phase1_params(net))
+        net.zero_grads()
+        if cached:  # filled in chunks of 2, which split the batch differently
+            pre = networks.PrefixCache(net, ds, batch_size=2).take(idx, labels)
+            loss, out = net.refine(pre, labels)
+        else:
+            loss, out = net.loss(Tensor(ds.features[idx], with_grad=False), labels)
+        ad.backward(loss)
+        results.append((loss.data.tobytes(), out.final_probs.data.tobytes(), out.clamped,
+                        [p.grad.tobytes() for p in phase1_params(net)]))
+    assert results[0] == results[1]
+    assert (results[0][2] > 0) == (scale > 1.0)
+
+
+def test_phase1_computes_each_prefix_once(monkeypatch):
+    """Phase 1 runs the prefix once per image, in batch-size chunks before
+    its first step, and not again in its steps or its val passes."""
+    calls = []
+    real_prefix, real_phase = Network.prefix, networks.train_phase
+
+    def prefix(self, features, labels):
+        calls.append(("prefix", features.shape[0]))
+        return real_prefix(self, features, labels)
+
+    def train_phase(*args, **kwargs):
+        calls.append(("phase", kwargs["phase"]))
+        return real_phase(*args, **kwargs)
+
+    monkeypatch.setattr(Network, "prefix", prefix)
+    monkeypatch.setattr(networks, "train_phase", train_phase)
+    ds, val = small_data(10, seed=3), small_data(6, seed=4)
+    net = Network(small_cfg(), seed=0)
+    two_phase_train(net, Network(small_cfg("base_only"), seed=0).state(), ds, val,
+                    schedule(2))
+    phase2 = calls.index(("phase", 2))
+    assert calls[:phase2] == [("prefix", 4)] * 2 + [("prefix", 2), ("prefix", 4),
+                                                   ("prefix", 2), ("phase", 1)]
+    assert len(calls) > phase2 + 1   # phase 2 computes its prefixes per batch
+
+
 def test_frozen_parameters_hold_no_buffer_until_phase_two():
     ds, val = small_data(8, seed=3), small_data(4, seed=4)
     net = Network(small_cfg(), seed=0)
