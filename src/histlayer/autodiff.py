@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over dense rank-4 float64 tensors.
 
 Only the primitives needed by the histogram networks are provided: 1x1
-convolution, elementwise abs/relu, global average pooling, channel
-concatenation with spatial broadcast, fully connected layers, a softmax
-cross-entropy head and SGD with momentum and per-entry update locks.
+convolution, also of features concatenated with a per-image context,
+elementwise abs/relu, global average pooling, fully connected layers, a
+softmax cross-entropy head and SGD with momentum and per-entry update
+locks.
 
 All tensors are (N, C, H, W) float64 arrays. Ops are recorded on a global
 tape in forward order; `backward` replays the tape in exact reverse order,
@@ -273,25 +274,46 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return node
 
 
-def broadcast_concat(features: Tensor, context: Tensor) -> Tensor:
-    """Tile a (N,D,1,1) context to every position of (N,C,H,W) and concat channels."""
+def concat_conv1x1(features: Tensor, context: Tensor, weight: Parameter,
+                   bias: Parameter) -> Tensor:
+    """`conv1x1` of the channel concat of (N,C,H,W) features with a (N,D,1,1)
+    context tiled to every position, without building the tile:
+    out[n,o,i,j] = sum_c w[o,c] f[n,c,i,j] + sum_d w[o,C+d] ctx[n,d] + b[o].
+    The backward sums the output gradient over the positions once, for the
+    context, the bias and the context columns of the weight."""
     n, c, h, w = features.shape
-    n2, d = context.shape[0], context.shape[1]
-    if n2 != n:
-        raise ShapeError(f"batch mismatch: features {features.shape} vs context {context.shape}")
-    if context.shape[2] != 1 or context.shape[3] != 1:
-        raise ShapeError(f"context must be (N,D,1,1), got {context.shape}")
-    tiled = np.broadcast_to(context.data, (n, d, h, w))
-    out = np.concatenate([features.data, tiled], axis=1)
+    d = context.shape[1]
+    cout = weight.shape[0]
+    if context.shape != (n, d, 1, 1):
+        raise ShapeError(f"context must be (N,D,1,1) with the features' batch N={n}, "
+                         f"got {context.shape} for features {features.shape}")
+    if weight.shape[1] != c + d:
+        raise ShapeError(f"concat_conv1x1 weight expects {weight.shape[1]} input channels, "
+                         f"features and context have {c} + {d} (weight {weight.shape})")
+    if bias.shape[0] != cout:
+        raise ShapeError(f"concat_conv1x1 bias has {bias.shape[0]} entries, weight has "
+                         f"{cout} outputs")
+    w_feat = weight.data[:, :c, 0, 0]
+    w_ctx = weight.data[:, c:, 0, 0]
+    ctx = context.data.reshape(n, d)
+    fv = features.data.reshape(n, c, h * w)
+    out = np.matmul(w_feat, fv).reshape(n, cout, h, w)
+    out += (ctx @ w_ctx.T + bias.data.reshape(1, cout)).reshape(n, cout, 1, 1)
 
     def _bw():
-        g = node.grad
+        gv = node.grad.reshape(n, cout, h * w)
+        g_sum = gv.sum(axis=2)   # (n, cout): what every per-image term receives
         if features.requires_grad:
-            _accumulate(features, g[:, :c].copy())
+            _accumulate(features, np.matmul(w_feat.T, gv).reshape(features.shape))
         if context.requires_grad:
-            _accumulate(context, g[:, c:].sum(axis=(2, 3), keepdims=True))
+            _accumulate(context, (g_sum @ w_ctx).reshape(context.shape))
+        if weight.grad is not None:
+            weight.grad[:, :c, 0, 0] += np.matmul(gv, fv.transpose(0, 2, 1)).sum(axis=0)
+            weight.grad[:, c:, 0, 0] += g_sum.T @ ctx
+        if bias.grad is not None:
+            bias.grad += g_sum.sum(axis=0).reshape(bias.shape)
 
-    node = _node(out, _bw, features, context)
+    node = _node(out, _bw, features, context, weight, bias)
     return node
 
 

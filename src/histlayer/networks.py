@@ -1,8 +1,8 @@
 """Desk-scale context-refinement networks and their ablation baselines.
 
 Stage 1 is a pixelwise classifier (1x1 convolutions on per-pixel features).
-Stage 2 summarizes stage 1's likelihood map into a global context vector,
-tiles it back over the grid and reclassifies. The context branch is
+Stage 2 summarizes stage 1's likelihood map into a global context vector
+and reclassifies every position from its features and that vector. The context branch is
 selected by `baseline_mode`:
 
 * histnet    — trainable histogram of the likelihood map (direct form)
@@ -148,7 +148,7 @@ class Network:
         logits, probs, losses = [pre.logits], [pre.probs], [pre.loss]
         if self.fc is not None:
             ctx = ad.fully_connected(pre.summary, *self.fc)
-            logits.append(ad.conv1x1(ad.broadcast_concat(pre.feats, ctx), *self.head))
+            logits.append(ad.concat_conv1x1(pre.feats, ctx, *self.head))
             loss2, probs2 = ad.softmax_xent(logits[1], labels)
             losses.append(loss2)
             probs.append(probs2)

@@ -28,7 +28,7 @@ KINK_MARGIN = 1e-3
 
 # the autodiff primitives, each with one finite-difference report
 PRIMITIVES = ("conv1x1", "fully_connected", "abs_elem", "relu", "global_avg_pool",
-              "broadcast_concat", "softmax", "softmax_xent", "mean_tensors")
+              "concat_conv1x1", "softmax", "softmax_xent", "mean_tensors")
 
 
 @dataclass
@@ -68,6 +68,7 @@ def primitive_reports(seed: int) -> list[PropertyReport]:
     fc_w = Parameter(rng.standard_normal((cout, cin, 1, 1)), name="fc.w")
     labels = rng.integers(0, cin, size=(n, h, w))
     y = Parameter(rng.standard_normal((n, cin, h, w)), name="y")
+    cat_w = Parameter(rng.standard_normal((cout, 2 * cin, 1, 1)), name="cat.w")
 
     def quadratic(t):
         # smooth scalar readout sum(t^2)/2 so every op's output is exercised
@@ -83,7 +84,8 @@ def primitive_reports(seed: int) -> list[PropertyReport]:
         "abs_elem": (lambda: quadratic(ad.abs_elem(x)), [x]),
         "relu": (lambda: quadratic(ad.relu(x)), [x]),
         "global_avg_pool": (lambda: quadratic(ad.global_avg_pool(x)), [x]),
-        "broadcast_concat": (lambda: quadratic(ad.broadcast_concat(x, vec)), [x, vec]),
+        "concat_conv1x1": (lambda: quadratic(ad.concat_conv1x1(x, vec, cat_w, b)),
+                           [x, vec, cat_w, b]),
         "softmax": (lambda: quadratic(ad.softmax(x)), [x]),
         "softmax_xent": (lambda: ad.softmax_xent(ad.conv1x1(x, wgt, b), labels)[0],
                          [x, wgt, b]),

@@ -68,8 +68,9 @@ def test_conv1x1_shape_mismatch_reports_dimensions():
         ad.conv1x1(x, w, b)
 
 
-# the network's conv shapes (n, cin, h, w, cout): feature layers, classifier,
-# stage head, free_all's composed kernels, an evaluation batch
+# conv shapes (n, cin, h, w, cout): the network's feature layers and
+# classifier, the stage head as a plain conv, free_all's composed kernels,
+# an evaluation batch
 CONV_SHAPES = [(10, 8, 16, 16, 16), (10, 16, 16, 16, 6), (10, 52, 16, 16, 6),
                (10, 6, 16, 16, 36), (10, 36, 16, 16, 36), (50, 52, 16, 16, 6)]
 FC_SHAPE = (10, 36, 1, 1, 36)
@@ -196,41 +197,113 @@ def test_global_avg_pool_rejects_empty_spatial():
         ad.global_avg_pool(Tensor(np.zeros((1, 2, 0, 3))))
 
 
-def test_broadcast_concat_degenerate_features():
+# --------------------------------------------------------------------------
+# concat_conv1x1
+
+def concat_reference(f, ctx, weight, bias, upstream, frozen):
+    """Output and (features, context, weight, bias) gradients of conv1x1 on
+    the numpy-built concat of f with ctx tiled over every position; None
+    for the frozen input."""
+    n, c, h, w = f.shape
+    tiled = np.broadcast_to(ctx, (n, ctx.shape[1], h, w))
+    cat = Tensor(np.concatenate([f, tiled], axis=1))
+    wp, bp = Parameter(weight), Parameter(bias)
+    if frozen == "weight":
+        wp.grad = None
+    ad.reset_tape()
+    out = ad.conv1x1(cat, wp, bp)
+    ad.backward(out, upstream)
+    g_ctx = cat.grad[:, c:].sum(axis=(2, 3), keepdims=True)
+    g_f = None if frozen == "features" else cat.grad[:, :c]
+    return out.data, g_f, g_ctx, wp.grad, bp.grad
+
+
+# (n, c, h, w, d, cout): the network's stage-2 head, an evaluation batch, a
+# single position and tiny odd sizes
+CONCAT_SHAPES = [(10, 16, 16, 16, 36, 6), (50, 16, 16, 16, 36, 6), (3, 4, 1, 1, 5, 2),
+                 (2, 3, 3, 2, 1, 4)]
+
+
+@pytest.mark.parametrize("frozen", [None, "features", "weight"])
+@pytest.mark.parametrize("shape", CONCAT_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_concat_conv1x1_matches_numpy_concat_then_conv1x1(shape, frozen, rng):
+    n, c, h, w, d, cout = shape
+    fdata = rng.standard_normal((n, c, h, w))
+    cdata = rng.standard_normal((n, d, 1, 1))
+    wdata = rng.standard_normal((cout, c + d, 1, 1))
+    bdata = rng.standard_normal((cout, 1, 1, 1))
+    upstream = rng.standard_normal((n, cout, h, w))
+    f = Tensor(fdata, with_grad=frozen != "features")
+    ctx = Tensor(cdata)
+    weight, bias = Parameter(wdata), Parameter(bdata)
+    if frozen == "weight":
+        weight.grad = None
+    ad.reset_tape()
+    out = ad.concat_conv1x1(f, ctx, weight, bias)
+    ad.backward(out, upstream)
+    got = (out.data, f.grad, ctx.grad, weight.grad, bias.grad)
+    want = concat_reference(fdata, cdata, wdata, bdata, upstream, frozen)
+    for name, a, b in zip(("out", "features", "context", "weight", "bias"), got, want):
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= 1e-12, name
+
+
+def test_concat_conv1x1_degenerate_features():
+    """Without feature channels every position gets the context term."""
     feats = Tensor(np.zeros((2, 0, 3, 3)))
     ctx = Tensor(np.arange(4, dtype=float).reshape(2, 2, 1, 1))
+    weight = Parameter(np.array([[1.0, 10.0]]).reshape(1, 2, 1, 1))
+    bias = Parameter(np.full((1, 1, 1, 1), 0.5))
     ad.reset_tape()
-    out = ad.broadcast_concat(feats, ctx)
-    assert out.shape == (2, 2, 3, 3)
+    out = ad.concat_conv1x1(feats, ctx, weight, bias)
+    assert out.shape == (2, 1, 3, 3)
     for n in range(2):
-        for d in range(2):
-            np.testing.assert_array_equal(out.data[n, d], ctx.data[n, d, 0, 0])
+        np.testing.assert_array_equal(out.data[n, 0], ctx.data[n, 0, 0, 0]
+                                      + 10.0 * ctx.data[n, 1, 0, 0] + 0.5)
 
 
-def test_broadcast_concat_context_gradient_is_spatial_sum(rng):
+def test_concat_conv1x1_context_gradient_is_spatial_sum(rng):
     feats = Tensor(rng.standard_normal((2, 3, 4, 4)))
     ctx = Tensor(rng.standard_normal((2, 2, 1, 1)))
+    weight = Parameter(rng.standard_normal((5, 5, 1, 1)))
+    bias = Parameter(np.zeros((5, 1, 1, 1)))
     ad.reset_tape()
-    out = ad.broadcast_concat(feats, ctx)
+    out = ad.concat_conv1x1(feats, ctx, weight, bias)
     upstream = rng.standard_normal(out.shape)
     run_backward(out, upstream)
-    np.testing.assert_allclose(ctx.grad,
-                               upstream[:, 3:].sum(axis=(2, 3), keepdims=True))
-    np.testing.assert_array_equal(feats.grad, upstream[:, :3])
+    g_sum = upstream.sum(axis=(2, 3))
+    np.testing.assert_allclose(ctx.grad[:, :, 0, 0], g_sum @ weight.data[:, 3:, 0, 0],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bias.grad[:, 0, 0, 0], g_sum.sum(axis=0), rtol=0, atol=1e-12)
 
 
-def test_broadcast_concat_roundtrip_recovers_features(rng):
+def test_concat_conv1x1_with_zero_context_weights_is_the_feature_conv(rng):
     feats = Tensor(rng.standard_normal((2, 5, 3, 2)))
     ctx = Tensor(rng.standard_normal((2, 4, 1, 1)))
+    weight = Parameter(np.concatenate([rng.standard_normal((3, 5, 1, 1)),
+                                       np.zeros((3, 4, 1, 1))], axis=1))
+    bias = Parameter(rng.standard_normal((3, 1, 1, 1)))
     ad.reset_tape()
-    out = ad.broadcast_concat(feats, ctx)
-    np.testing.assert_array_equal(out.data[:, :5], feats.data)
+    out = ad.concat_conv1x1(feats, ctx, weight, bias)
+    ref = ad.conv1x1(feats, Parameter(weight.data[:, :5].copy()), bias)
+    ad.reset_tape()
+    np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
 
 
-def test_broadcast_concat_batch_mismatch():
-    with pytest.raises(ShapeError, match="batch"):
-        ad.broadcast_concat(Tensor(np.zeros((2, 1, 2, 2))),
-                            Tensor(np.zeros((3, 1, 1, 1))))
+@pytest.mark.parametrize("ctx_shape, weight_shape, bias_len, match", [
+    ((3, 1, 1, 1), (2, 2, 1, 1), 2, "batch"),
+    ((2, 1, 2, 2), (2, 2, 1, 1), 2, r"\(N,D,1,1\)"),
+    ((2, 1, 1, 1), (2, 3, 1, 1), 2, "3 input channels"),
+    ((2, 1, 1, 1), (2, 2, 1, 1), 3, "bias has 3 entries"),
+])
+def test_concat_conv1x1_shape_mismatch(ctx_shape, weight_shape, bias_len, match):
+    with pytest.raises(ShapeError, match=match):
+        ad.concat_conv1x1(Tensor(np.zeros((2, 1, 2, 2))), Tensor(np.zeros(ctx_shape)),
+                          Parameter(np.zeros(weight_shape)),
+                          Parameter(np.zeros((bias_len, 1, 1, 1))))
 
 
 def test_fully_connected_identity_and_bias(rng):
@@ -456,14 +529,16 @@ def test_frozen_conv_parameters_take_no_gradient_and_the_rest_match(rng):
     assert w.grad is None and b.grad is None
 
 
-@pytest.mark.parametrize("op", ["broadcast_concat", "mean_tensors"])
+@pytest.mark.parametrize("op", ["concat_conv1x1", "mean_tensors"])
 def test_multi_input_ops_skip_inputs_without_gradient(op, rng):
     frozen = Tensor(rng.standard_normal((2, 3, 2, 2)), with_grad=False)
-    live = Parameter(rng.standard_normal((2, 3, 1, 1) if op == "broadcast_concat"
+    live = Parameter(rng.standard_normal((2, 3, 1, 1) if op == "concat_conv1x1"
                                          else (2, 3, 2, 2)), name="live")
     ad.reset_tape()
-    if op == "broadcast_concat":
-        out = scalar_sum(ad.broadcast_concat(frozen, live))
+    if op == "concat_conv1x1":
+        weight = Tensor(rng.uniform(0.5, 1.5, size=(2, 6, 1, 1)), with_grad=False)
+        bias = Tensor(np.zeros((2, 1, 1, 1)), with_grad=False)
+        out = scalar_sum(ad.concat_conv1x1(frozen, live, weight, bias))
     else:
         out = scalar_sum(ad.mean_tensors([frozen, live]))
     ad.backward(out)
@@ -474,7 +549,7 @@ def test_multi_input_ops_skip_inputs_without_gradient(op, rng):
 # --------------------------------------------------------------------------
 # engine-level properties
 
-LINEAR_OPS = ["conv1x1", "fully_connected", "global_avg_pool", "broadcast_concat"]
+LINEAR_OPS = ["conv1x1", "fully_connected", "global_avg_pool", "concat_conv1x1"]
 
 
 @pytest.mark.parametrize("op", LINEAR_OPS)
@@ -495,7 +570,9 @@ def test_linearity(op, rng):
         shape = (2, 3, 3, 3)
     else:
         ctx = Tensor(np.zeros((2, 2, 1, 1)))
-        f = lambda t: ad.broadcast_concat(t, ctx).data
+        w = Parameter(rng.standard_normal((4, 5, 1, 1)))
+        bias = Parameter(np.zeros((4, 1, 1, 1)))
+        f = lambda t: ad.concat_conv1x1(t, ctx, w, bias).data
         shape = (2, 3, 3, 3)
     x = rng.standard_normal(shape)
     y = rng.standard_normal(shape)
@@ -592,7 +669,8 @@ def test_nodes_consumed_twice_get_summed_gradients_in_their_own_buffers(rng):
     a = ad.abs_elem(x)
     ctx = ad.global_avg_pool(h)
     m = ad.mean_tensors([h, h, a, a])
-    cat = ad.broadcast_concat(m, ctx)
+    ones = Tensor(np.ones((1, 6, 1, 1)), with_grad=False)  # one output channel
+    cat = ad.concat_conv1x1(m, ctx, ones, Tensor(np.zeros((1, 1, 1, 1)), with_grad=False))
     s = scalar_sum(cat)
     s2 = scalar_sum(ctx)
     loss = ad.mean_tensors([s, s, s2, s2])

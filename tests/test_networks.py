@@ -332,12 +332,12 @@ def test_phase1_tape_holds_no_base_or_histogram_node(mode):
     ds = small_data(3, seed=4)
     loss, out = net.loss(Tensor(ds.features, with_grad=False), ds.labels)
     tape = ad._STATE.tape
-    # fc, concat, stage-2 head conv, its softmax and loss, the mean of the
-    # stage probabilities and the mean of the stage losses
-    assert len(tape) == 7
+    # fc, stage-2 head, its softmax and loss, the mean of the stage
+    # probabilities and the mean of the stage losses
+    assert len(tape) == 6
     assert tape[0].shape == (3, net.fc[0].shape[0], 1, 1)
-    assert tape[2:4] == [out.stage_logits[1], out.stage_probs[1]]
-    assert tape[5:] == [out.final_probs, loss]
+    assert tape[1:3] == [out.stage_logits[1], out.stage_probs[1]]
+    assert tape[4:] == [out.final_probs, loss]
     assert not out.stage_logits[0].requires_grad
     assert not out.stage_probs[0].requires_grad
     ad.reset_tape()
