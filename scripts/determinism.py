@@ -4,8 +4,13 @@
 Generates a small dataset (seed 7, 100 train / 60 val / 50 test images at
 16x16, n_mc 2000), pretrains a 4-epoch base_only network at lr 0.05 without
 decay, then trains every mode from that base with 3 epochs per phase,
-decay_epoch 2. Prints one JSON object holding 17 sha256 values: each run's
-`log.csv` and `final.hprm`, and the three `data/*.hctx` dataset files.
+decay_epoch 2. Prints one JSON object holding the environment fingerprint
+(python, numpy, machine and BLAS), 17 sha256 values (each run's `log.csv`
+and `final.hprm`, and the three `data/*.hctx` dataset files) and the sha256
+of `histlayer gradcheck --seed 0` standard output. That object, run without
+`--against`, is `tests/golden/determinism.json`, which a tier-1 test
+compares with a fresh run wherever the fingerprint matches; a change that
+moves bits on purpose regenerates it.
 
 With `--against DIR` (the `--out` directory of an earlier run, e.g. made
 from another commit), it also prints, per run, the largest absolute
@@ -15,6 +20,7 @@ accuracy columns of `log.csv` are identical.
 Example:
     PYTHONPATH=src python scripts/determinism.py --out runs/det
     PYTHONPATH=src python scripts/determinism.py --out runs/det2 --against runs/det
+    PYTHONPATH=src python scripts/determinism.py --out runs/det > tests/golden/determinism.json
 """
 
 import argparse
@@ -24,11 +30,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from histlayer.checkpoint import load_checkpoint
-from histlayer.cli import cmd_gen_data, train_run
+from histlayer.cli import cmd_gen_data, cmd_gradcheck, train_run
 from histlayer.config import RunConfig
 from histlayer.networks import BASELINE_MODES
 
@@ -54,6 +63,33 @@ def run_recipe(out: Path) -> None:
 def hashes(out: Path) -> dict:
     names = [f"{run}/{name}" for run in RUNS for name in FILES] + list(DATASETS)
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def fingerprint() -> dict:
+    """What the bits may depend on besides the code: the interpreter, numpy
+    and the BLAS build that runs every matrix product."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine(),
+            "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+            "blas_configuration": blas.get("openblas configuration", "")}
+
+
+def gradcheck_sha256() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cmd_gradcheck(0, None)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def report(out: Path) -> dict:
+    """Run the recipe into `out`; the object `tests/golden/determinism.json` holds."""
+    run_recipe(out)
+    return {"fingerprint": fingerprint(), "sha256": hashes(out),
+            "gradcheck_sha256": gradcheck_sha256()}
 
 
 def _log(path: Path) -> list[list[str]]:
@@ -88,12 +124,11 @@ def main() -> int:
                         help="--out directory of an earlier run to compare with")
     args = parser.parse_args()
 
-    run_recipe(args.out)
-    report = {"sha256": hashes(args.out)}
+    result = report(args.out)
     if args.against is not None:
-        report["against"] = str(args.against)
-        report["deviation"] = deviation(args.out, args.against)
-    print(json.dumps(report, indent=2))
+        result["against"] = str(args.against)
+        result["deviation"] = deviation(args.out, args.against)
+    print(json.dumps(result, indent=2))
     return 0
 
 

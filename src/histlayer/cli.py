@@ -106,12 +106,12 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
     seed = cfg.seed if seed is None else seed
     mode = mode or cfg.mode
     splits = _load_splits(cfg, data_dir)
+    if base_ckpt is not None and not base_ckpt.exists():
+        raise FileNotFoundError(f"base checkpoint not found: {base_ckpt}")
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds = splits["train"], splits["val"]
     rows = []
 
-    if base_ckpt is not None and not base_ckpt.exists():
-        raise FileNotFoundError(f"base checkpoint not found: {base_ckpt}")
     if base_ckpt is None:
         base_net = Network(net_config(cfg, "base_only"), seed=seed)
         rows += train_base(base_net, train_ds, val_ds, schedule(cfg, seed))
@@ -237,9 +237,9 @@ def compare_runs(cfg: RunConfig, out_dir: Path, data_dir: Path,
     """Train every requested mode over cfg.compare_seeds seeds.
 
     Each seed shares one pretrained base checkpoint across modes. Returns
-    (per-mode summaries, local Bayes ceiling) and writes compare.csv.
+    (per-mode summaries, local Bayes ceiling) and writes compare.csv. The
+    first `train_run` creates `out_dir`, after its input checks.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [cfg.seed + i for i in range(cfg.compare_seeds)]
     results = {m: [] for m in modes}
     for seed in seeds:

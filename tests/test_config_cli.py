@@ -201,6 +201,20 @@ def test_dataset_disagreeing_with_config_exits_2_before_training(trained, tmp_pa
     assert list(tmp_path.rglob("*.hprm")) == []
 
 
+@pytest.mark.parametrize("command,args,rc", [
+    ("compare", ["--set", "D=9"], 2),
+    ("compare", ["--data", "absent"], 3),
+    ("train", ["--base-checkpoint", "absent.hprm"], 3)],
+    ids=["compare-mismatched-dataset", "compare-missing-data", "train-missing-base"])
+def test_failed_input_check_leaves_no_output_directory(trained, tmp_path, capsys,
+                                                       command, args, rc):
+    args = [str(tmp_path / a) if a.startswith("absent") else a for a in args]
+    if "--data" not in args:
+        args += ["--data", str(trained["data"])]
+    assert main([command, "--out", str(tmp_path / "run")] + args + SMALL) == rc
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_reproduces_final_log_metrics(trained, capsys):
     run = trained["run"]
     out = trained["root"] / "eval_out"
