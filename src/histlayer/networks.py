@@ -2,8 +2,8 @@
 
 Stage 1 is a pixelwise classifier (1x1 convolutions on per-pixel features).
 Stage 2 summarizes stage 1's likelihood map into a global context vector
-and reclassifies every position from its features and that vector. The context branch is
-selected by `baseline_mode`:
+and reclassifies every position from its features and that vector. The
+context branch is selected by `baseline_mode`:
 
 * histnet    — trainable histogram of the likelihood map (direct form)
 * fix_hist   — same histogram but with centers/slopes frozen
@@ -185,17 +185,18 @@ class Network:
 
 
 class PrefixCache:
-    """Every image's `Prefix` under the network's current parameters, for a
-    phase that cannot change them. Stage 1 and the summaries work per image,
-    and the stage-1 loss of a batch is rebuilt from the gathered log
-    probabilities by `ad.xent_from_logp`, so a gathered batch holds the bits
-    its own `prefix` pass would give."""
+    """Every image's `Prefix` under a context-mode network's current
+    parameters, for a phase that cannot change them. Stage 1 and the
+    summaries work per image, and the stage-1 loss of a batch is rebuilt
+    from the gathered log probabilities by `ad.xent_from_logp`, so a
+    gathered batch holds the bits its own `prefix` pass would give."""
 
     TENSORS = ("feats", "logits", "probs", "summary")
 
     def __init__(self, net: Network, dataset, batch_size: int):
         n = len(dataset)
-        self.arrays: dict[str, np.ndarray] = {}
+        self.tensors: dict[str, np.ndarray] = {}
+        self.logp: np.ndarray | None = None
         # filled in place: gathering per-batch parts first would hold the
         # cache twice at its peak
         with ad.no_grad():
@@ -203,19 +204,20 @@ class PrefixCache:
                 stop = min(start + batch_size, n)
                 pre = net.prefix(Tensor(dataset.features[start:stop], with_grad=False),
                                  dataset.labels[start:stop])
-                parts = {name: getattr(pre, name) for name in self.TENSORS}
-                parts = {name: t.data for name, t in parts.items() if t is not None}
-                parts["logp"] = pre.loss.logp
-                for name, part in parts.items():
-                    if name not in self.arrays:
-                        self.arrays[name] = np.empty((n, *part.shape[1:]))
-                    self.arrays[name][start:stop] = part
+                if self.logp is None:
+                    self.logp = np.empty((n, *pre.loss.logp.shape[1:]))
+                    for name in self.TENSORS:
+                        part = getattr(pre, name).data
+                        self.tensors[name] = np.empty((n, *part.shape[1:]))
+                self.logp[start:stop] = pre.loss.logp
+                for name, arr in self.tensors.items():
+                    arr[start:stop] = getattr(pre, name).data
 
     def take(self, idx, labels: np.ndarray) -> Prefix:
         """The prefix of the images at `idx` (indices or a slice) with their labels."""
-        tensors = {name: Tensor(self.arrays[name][idx], with_grad=False)
-                   if name in self.arrays else None for name in self.TENSORS}
-        return Prefix(loss=ad.xent_from_logp(self.arrays["logp"][idx], labels), **tensors)
+        return Prefix(loss=ad.xent_from_logp(self.logp[idx], labels),
+                      **{name: Tensor(arr[idx], with_grad=False)
+                         for name, arr in self.tensors.items()})
 
 
 def parameter_census(net: Network) -> dict:

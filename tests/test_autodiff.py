@@ -298,7 +298,7 @@ def test_concat_conv1x1_with_zero_context_weights_is_the_feature_conv(rng):
     ((2, 1, 2, 2), (2, 2, 1, 1), 2, r"\(N,D,1,1\)"),
     ((2, 1, 1, 1), (2, 3, 1, 1), 2, "3 input channels"),
     ((2, 1, 1, 1), (2, 2, 1, 1), 3, "bias has 3 entries"),
-])
+], ids=["batch", "spatial_context", "weight_width", "bias"])
 def test_concat_conv1x1_shape_mismatch(ctx_shape, weight_shape, bias_len, match):
     with pytest.raises(ShapeError, match=match):
         ad.concat_conv1x1(Tensor(np.zeros((2, 1, 2, 2))), Tensor(np.zeros(ctx_shape)),
