@@ -173,11 +173,21 @@ class Parameter(Tensor):
         return f"Parameter(name={self.name!r}, shape={self.shape})"
 
 
+def _records(*inputs: Tensor) -> bool:
+    """Whether an op on `inputs` is recorded: gradients are on and an input
+    takes one."""
+    if _STATE.grad_enabled:
+        for t in inputs:   # a plain loop: `any` over a generator costs more per op
+            if t.requires_grad:
+                return True
+    return False
+
+
 def _node(data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
     """The output of an op on `inputs`. It is recorded, with `backward_fn`
-    as its closure, only when gradients are on and an input takes one."""
+    as its closure, only when `_records(*inputs)`."""
     out = Tensor(data, with_grad=False)
-    if _STATE.grad_enabled and any(t.requires_grad for t in inputs):
+    if _records(*inputs):
         out._backward = backward_fn
         _record(out)
     return out
@@ -318,9 +328,11 @@ def concat_conv1x1(features: Tensor, context: Tensor, weight: Parameter,
 
 
 def _softmax_channels(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # one fresh array: exp and the division run in place on the shifted logits
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def softmax(logits: Tensor) -> Tensor:

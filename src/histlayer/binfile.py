@@ -2,7 +2,11 @@
 u32 version, then the format's fields in order and nothing after them, all
 little-endian. A field is a struct, a blob (u32 byte count, then the bytes) or
 a raw C-order array. A read past the end of the file raises before reading, so
-a hostile length cannot make the reader allocate."""
+a hostile length cannot make the reader allocate, and a read that returns
+fewer bytes than asked, from a file that shrank while open, raises the same
+truncation error. The writer writes the fields one by one and the reader reads
+an array straight into its buffer, so neither holds a second copy of a
+file."""
 
 from __future__ import annotations
 
@@ -20,9 +24,14 @@ def blob(data: bytes) -> bytes:
 
 
 def write(path, magic: bytes, version: int, parts) -> None:
-    """Write `magic`, `version` and the encoded fields `parts` to `path`."""
+    """Write `magic`, `version` and the encoded fields `parts` (bytes, or
+    C-contiguous arrays of the field's dtype) to `path`, one at a time, so no
+    joined copy of the file is made."""
     with open(path, "wb") as f:
-        f.write(b"".join([magic, struct.pack("<I", version), *parts]))
+        f.write(magic)
+        f.write(struct.pack("<I", version))
+        for part in parts:
+            f.write(part)
 
 
 class Reader:
@@ -33,12 +42,23 @@ class Reader:
         self._truncated = truncated
         self.left = os.fstat(f.fileno()).st_size
 
-    def read(self, n: int, what: str) -> bytes:
+    def _claim(self, n: int, what: str) -> None:
         if n > self.left:
             raise self._truncated(f"file truncated while reading {what}: "
                                   f"wanted {n} bytes, {self.left} left")
         self.left -= n
-        return self._f.read(n)
+
+    def _check(self, got: int, n: int, what: str) -> None:
+        # the file may have shrunk since its size was taken
+        if got != n:
+            raise self._truncated(f"file truncated while reading {what}: "
+                                  f"wanted {n} bytes, read {got}")
+
+    def read(self, n: int, what: str) -> bytes:
+        self._claim(n, what)
+        data = self._f.read(n)
+        self._check(len(data), n, what)
+        return data
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
@@ -48,8 +68,11 @@ class Reader:
         return self.read(n, what)
 
     def array(self, dtype, shape, what: str) -> np.ndarray:
-        data = self.read(math.prod(shape) * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        n = math.prod(shape) * np.dtype(dtype).itemsize
+        self._claim(n, what)
+        out = np.empty(shape, dtype=dtype)
+        self._check(self._f.readinto(out), n, what)   # read once, into place
+        return out
 
 
 @contextlib.contextmanager

@@ -33,8 +33,8 @@ def save_checkpoint(params: dict[str, Parameter], path) -> None:
     parts = [struct.pack("<I", len(params))]
     for name, p in params.items():
         parts += [binfile.blob(name.encode("utf-8")), struct.pack("<4I", *p.shape),
-                  np.ascontiguousarray(p.data, dtype="<f8").tobytes(),
-                  np.ascontiguousarray(p.momentum_buf, dtype="<f8").tobytes(),
+                  np.ascontiguousarray(p.data, dtype="<f8"),
+                  np.ascontiguousarray(p.momentum_buf, dtype="<f8"),
                   p.lock_mask.astype(np.uint8).tobytes()]
     binfile.write(path, HPRM_MAGIC, HPRM_VERSION, parts)
 

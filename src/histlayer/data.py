@@ -202,7 +202,7 @@ def local_bayes_ceiling(spec: SceneSpec, n_mc: int, seed: int) -> float:
 def write_dataset(dataset: ContextDataset, path) -> None:
     binfile.write(path, HCTX_MAGIC, HCTX_VERSION, [
         struct.pack("<6I", *dataset.features.shape, dataset.spec.K, dataset.spec.S),
-        np.ascontiguousarray(dataset.features, dtype="<f8").tobytes(),
+        np.ascontiguousarray(dataset.features, dtype="<f8"),
         dataset.labels.astype(np.uint8).tobytes(),
         dataset.scene_ids.astype(np.uint8).tobytes(),
         binfile.blob(dataset.spec.to_json().encode("utf-8")),

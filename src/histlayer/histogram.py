@@ -27,6 +27,7 @@ from .autodiff import (
     _accumulate,
     _node,
     _record_hinge,
+    _records,
     abs_elem,
     conv1x1,
     global_avg_pool,
@@ -34,6 +35,7 @@ from .autodiff import (
 )
 
 S_MIN = 1e-3
+_WORK = 1 << 16   # elements (512 KiB) of the forward's per-chunk work arrays
 
 
 @dataclass
@@ -100,15 +102,28 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     mu = params.centers.data.reshape(1, K, B, 1, 1)
     s = params.slopes.data.reshape(1, K, B, 1, 1)
     x = likelihood.data.reshape(n, K, 1, h, w)
-    d = x - mu
-    _record_hinge(d)
-    # t = 1 - s*|d| computed in place, so the pass holds d and one work array
-    t = np.abs(d)
-    t *= -s
-    t += 1.0
-    _record_hinge(t)
-    np.maximum(t, 0.0, out=t)
-    out = t.mean(axis=(3, 4)).reshape(n, K * B, 1, 1)
+    # Work runs in chunks of `step` images through one work array, each image
+    # alike, so every output bit is the whole-batch one. The offsets d = x - mu
+    # are kept, as (n,K,B,h,w), only for a recorded pass, whose backward reads
+    # them; an unrecorded pass turns each chunk of them into t = 1 - s*|d| in
+    # place.
+    recorded = _records(likelihood, params.centers, params.slopes)
+    step = max(1, _WORK // (K * B * h * w))
+    d = np.empty((n, K, B, h, w)) if recorded else None
+    work = np.empty((min(n, step), K, B, h, w))
+    feats = np.empty((n, K, B))
+    for i in range(0, n, step):
+        t = work[:n - i]
+        di = np.subtract(x[i:i + step], mu, out=d[i:i + step] if recorded else t)
+        _record_hinge(di)
+        np.abs(di, out=t)
+        t *= s
+        np.subtract(1.0, t, out=t)    # rounds as |d|*(-s) + 1, with no -s array
+        _record_hinge(t)
+        np.maximum(t, 0.0, out=t)
+        np.add.reduce(t, axis=(3, 4), out=feats[i:i + step])
+    feats /= h * w                    # the division `mean` makes after its sum
+    out = feats.reshape(n, K * B, 1, 1)
 
     def _bw():
         gg = node.grad.reshape(n, K, B, 1, 1) / (h * w)

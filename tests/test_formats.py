@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from histlayer import binfile
 from histlayer.autodiff import Parameter
 from histlayer.checkpoint import (CheckpointFormatError, CheckpointTruncationError,
                                   CheckpointVersionError, load_checkpoint, load_into,
@@ -178,6 +180,29 @@ def test_non_finite_parameter_rejected(tmp_path, rng, field, value):
     save_checkpoint(params, path)
     with pytest.raises(CheckpointFormatError, match="a holds non-finite values"):
         load_checkpoint(path)
+
+
+# --------------------------------------------------------------------------
+# a file that shrinks while it is read
+
+FILLER = 4 * 8192   # bytes read before the shrink, more than a read buffer holds
+
+
+@pytest.mark.parametrize("read", [
+    lambda r: r.read(4, "the field"),
+    lambda r: r.unpack("<I", "the field"),
+    lambda r: r.blob("the field"),
+    lambda r: r.array("<f8", (64,), "the field")], ids=["read", "unpack", "blob", "array"])
+def test_file_that_shrinks_while_read_raises_truncation(tmp_path, read):
+    path = tmp_path / "f.bin"
+    binfile.write(path, b"TEST", 1, [np.zeros(FILLER // 8), binfile.blob(bytes(512)),
+                                     np.zeros(64)])
+    with pytest.raises(CheckpointTruncationError, match="the field.*read 0"):
+        with binfile.reader(path, b"TEST", 1, "test file", CheckpointFormatError,
+                            CheckpointVersionError, CheckpointTruncationError) as r:
+            r.array("<f8", (FILLER // 8,), "filler")
+            os.truncate(path, 8 + FILLER)
+            read(r)
 
 
 # --------------------------------------------------------------------------

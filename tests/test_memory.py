@@ -1,0 +1,74 @@
+"""Peak memory of forward-only passes and of dataset files, as byte counts of
+the allocations tracemalloc sees (numpy reports its array buffers to it), so
+each bound holds on any machine."""
+
+import tracemalloc
+
+import numpy as np
+
+import histlayer.autodiff as ad
+from histlayer.autodiff import Tensor
+from histlayer.data import ContextDataset, default_spec, read_dataset, write_dataset
+from histlayer.histogram import hist_forward_direct, init_params
+
+
+def peak_bytes(fn):
+    """(peak bytes allocated while `fn` runs, above what was held before; its result)"""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+# an evaluation batch of the network's histogram: K classes, B bins, 16x16 maps
+N, K, B, H, W = 50, 6, 6, 16, 16
+OFFSETS = N * K * B * H * W * 8   # bytes of one (N,K,B,H,W) float64 array
+
+
+def test_unrecorded_histogram_forward_peaks_below_one_offsets_array():
+    p = init_params(K, B)
+    x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)), with_grad=False)
+    ad.reset_tape()
+    with ad.no_grad():
+        peak, out = peak_bytes(lambda: hist_forward_direct(x, p))
+    assert out.shape == (N, K * B, 1, 1)
+    assert peak < OFFSETS
+
+
+def test_recorded_histogram_forward_holds_the_offsets_and_one_chunk():
+    p = init_params(K, B)
+    x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)), with_grad=False)
+    ad.reset_tape()
+    peak, out = peak_bytes(lambda: hist_forward_direct(x, p))
+    assert ad._STATE.tape == [out]
+    ad.reset_tape()
+    assert peak < 1.25 * OFFSETS
+
+
+def _dataset(n=1000, d=8, h=16, w=16):
+    spec = default_spec(D=d)
+    rng = np.random.default_rng(0)
+    return ContextDataset(rng.standard_normal((n, d, h, w)),
+                          rng.integers(0, spec.K, size=(n, h, w)).astype(np.uint8),
+                          rng.integers(0, spec.S, size=n).astype(np.uint8), spec, 0)
+
+
+def test_write_dataset_makes_no_copy_of_the_features(tmp_path):
+    ds = _dataset()
+    peak, _ = peak_bytes(lambda: write_dataset(ds, tmp_path / "d.hctx"))
+    assert peak < 0.25 * ds.features.nbytes
+
+
+def test_read_dataset_peaks_below_one_and_a_quarter_feature_arrays(tmp_path):
+    ds = _dataset()
+    write_dataset(ds, tmp_path / "d.hctx")
+    peak, back = peak_bytes(lambda: read_dataset(tmp_path / "d.hctx"))
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert peak < 1.25 * ds.features.nbytes
