@@ -35,7 +35,7 @@ from .autodiff import (
 )
 
 S_MIN = 1e-3
-_WORK = 1 << 16   # elements (512 KiB) of the forward's per-chunk work arrays
+_WORK = 1 << 16   # elements (512 KiB) in the forward's chunk work array
 
 
 @dataclass
