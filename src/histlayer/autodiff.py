@@ -23,7 +23,6 @@ nothing, for forward-only passes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +38,8 @@ class ShapeError(ValueError):
 # --------------------------------------------------------------------------
 # tape
 
-class _TapeState(threading.local):
-    """Per-thread op tape, so independent graphs may run on separate threads."""
+class _TapeState:
+    """The op tape and the switches that govern what ops record."""
 
     def __init__(self):
         self.tape: list["Tensor"] = []
@@ -59,10 +58,6 @@ def reset_tape() -> None:
     for t in _STATE.tape:
         t._backward = None
     _STATE.tape.clear()
-
-
-def _record(t: "Tensor") -> None:
-    _STATE.tape.append(t)
 
 
 def _record_hinge(pre: np.ndarray) -> None:
@@ -173,23 +168,16 @@ class Parameter(Tensor):
         return f"Parameter(name={self.name!r}, shape={self.shape})"
 
 
-def _records(*inputs: Tensor) -> bool:
-    """Whether an op on `inputs` is recorded: gradients are on and an input
-    takes one."""
+def _node(data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
+    """The output of an op on `inputs`. It is recorded, with `backward_fn`
+    as its closure, only when gradients are on and an input takes one."""
+    out = Tensor(data, with_grad=False)
     if _STATE.grad_enabled:
         for t in inputs:   # a plain loop: `any` over a generator costs more per op
             if t.requires_grad:
-                return True
-    return False
-
-
-def _node(data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
-    """The output of an op on `inputs`. It is recorded, with `backward_fn`
-    as its closure, only when `_records(*inputs)`."""
-    out = Tensor(data, with_grad=False)
-    if _records(*inputs):
-        out._backward = backward_fn
-        _record(out)
+                out._backward = backward_fn
+                _STATE.tape.append(out)
+                break
     return out
 
 

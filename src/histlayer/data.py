@@ -232,6 +232,7 @@ def read_dataset(path) -> ContextDataset:
     if labels.max() >= k or scene_ids.max() >= s:
         raise DatasetFormatError(f"labels must be < K={k} and scene ids < S={s}, got "
                                  f"{labels.max()} and {scene_ids.max()}")
-    if not np.isfinite(features).all():
+    # min and max propagate NaN and reach any inf, with no features-sized mask
+    if not (np.isfinite(features.min()) and np.isfinite(features.max())):
         raise DatasetFormatError("features hold non-finite values")
     return ContextDataset(features, labels, scene_ids, spec, seed)

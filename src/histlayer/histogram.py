@@ -27,7 +27,6 @@ from .autodiff import (
     _accumulate,
     _node,
     _record_hinge,
-    _records,
     abs_elem,
     conv1x1,
     global_avg_pool,
@@ -35,7 +34,7 @@ from .autodiff import (
 )
 
 S_MIN = 1e-3
-_WORK = 1 << 16   # elements (512 KiB) in the forward's chunk work array
+_WORK = 1 << 16   # elements (512 KiB) in each chunk work array
 
 
 @dataclass
@@ -102,21 +101,17 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     mu = params.centers.data.reshape(1, K, B, 1, 1)
     s = params.slopes.data.reshape(1, K, B, 1, 1)
     x = likelihood.data.reshape(n, K, 1, h, w)
-    # Work runs in chunks of `step` images through one work array, each image
-    # alike, so every output bit is the whole-batch one. The offsets d = x - mu
-    # are kept, as (n,K,B,h,w), only for a recorded pass, whose backward reads
-    # them; an unrecorded pass turns each chunk of them into t = 1 - s*|d| in
-    # place.
-    recorded = _records(likelihood, params.centers, params.slopes)
+    # Both passes work in chunks of `step` images, each image alike, so every
+    # bit is the whole-batch one. The forward turns each chunk's offsets
+    # d = x - mu into t = 1 - s*|d| in one work array; the backward computes
+    # the offsets again, chunk by chunk, rather than keeping them.
     step = max(1, _WORK // (K * B * h * w))
-    d = np.empty((n, K, B, h, w)) if recorded else None
     work = np.empty((min(n, step), K, B, h, w))
     feats = np.empty((n, K, B))
     for i in range(0, n, step):
-        t = work[:n - i]
-        di = np.subtract(x[i:i + step], mu, out=d[i:i + step] if recorded else t)
-        _record_hinge(di)
-        np.abs(di, out=t)
+        t = np.subtract(x[i:i + step], mu, out=work[:n - i])
+        _record_hinge(t)
+        np.abs(t, out=t)
         t *= s
         np.subtract(1.0, t, out=t)    # rounds as |d|*(-s) + 1, with no -s array
         _record_hinge(t)
@@ -127,24 +122,36 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
 
     def _bw():
         gg = node.grad.reshape(n, K, B, 1, 1) / (h * w)
-        a = np.abs(d)
-        t = a * -s
-        t += 1.0
-        active = t > 0                # the forward's support, same arithmetic
-        # on the support d(out)/d(mu) = s*sign(d) = -d(out)/d(x) and
-        # d(out)/d(s) = -|d|; negating a sum is exact, so one product serves
-        # both the centers and the likelihood
-        v = np.sign(d)
-        v *= active
-        v *= gg * s
-        if params.slopes.grad is not None:  # frozen parameters take none
-            a *= active
-            a *= gg
-            params.slopes.grad -= a.sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
+        ggs = gg * s
+        # per-image sums over (h,w) for the slopes [0] and the centers [1]
+        # (left 0 for a frozen one), then one sum over the images: the order
+        # of a whole-batch sum over axes (0,3,4), so the bits are its bits
+        sums = np.zeros((2, n, K, B))
+        gx = np.empty((n, K, h, w)) if likelihood.requires_grad else None
+        for i in range(0, n, step):
+            v = x[i:i + step] - mu
+            a = np.abs(v)
+            active = a * s < 1.0      # the forward's support 1 - s*|d| > 0
+            # on the support d(out)/d(mu) = s*sign(d) = -d(out)/d(x) and
+            # d(out)/d(s) = -|d|; negating a sum is exact, so one product
+            # serves both the centers and the likelihood
+            np.sign(v, out=v)
+            v *= active
+            v *= ggs[i:i + step]
+            if params.slopes.grad is not None:  # frozen parameters take none
+                a *= active
+                a *= gg[i:i + step]
+                np.add.reduce(a, axis=(3, 4), out=sums[0, i:i + step])
+            if params.centers.grad is not None:
+                np.add.reduce(v, axis=(3, 4), out=sums[1, i:i + step])
+            if gx is not None:
+                np.add.reduce(v, axis=2, out=gx[i:i + step])
+        slopes, centers = np.add.reduce(sums, axis=1).reshape(2, K, B, 1, 1)
+        if params.slopes.grad is not None:
+            params.slopes.grad -= slopes
         if params.centers.grad is not None:
-            params.centers.grad += v.sum(axis=(0, 3, 4)).reshape(K, B, 1, 1)
-        if likelihood.requires_grad:
-            gx = v.sum(axis=2).reshape(n, K, h, w)
+            params.centers.grad += centers
+        if gx is not None:
             np.negative(gx, out=gx)     # a - b and a + (-b) round alike
             _accumulate(likelihood, gx)
 

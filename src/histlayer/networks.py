@@ -60,7 +60,6 @@ class Prefix:
     and the context summary. Phase 1 of `two_phase_train` cannot change any
     of it, so `PrefixCache` keeps it per image."""
     feats: Tensor
-    logits: Tensor          # stage-1 logits
     probs: Tensor           # stage-1 probabilities
     loss: Tensor            # stage-1 loss, with its `clamped` and `logp`
     summary: Tensor | None  # the context fc layer's input; None for base_only
@@ -68,7 +67,6 @@ class Prefix:
 
 @dataclass
 class StageOutputs:
-    stage_logits: list
     stage_probs: list
     final_probs: Tensor
     clamped: int    # positions whose loss clamped log 0 (see ad.softmax_xent)
@@ -138,21 +136,21 @@ class Network:
             summary = ad.global_avg_pool(probs)
         elif mode == "feat_global":
             summary = ad.global_avg_pool(feats)
-        return Prefix(feats, logits, probs, loss, summary)
+        return Prefix(feats, probs, loss, summary)
 
     def refine(self, pre: Prefix, labels: np.ndarray):
         """The rest of the pass on a batch's prefix, whether `prefix` computed
         it or `PrefixCache.take` gathered it: the context fc layer, the
         stage-2 head and loss, and the means. Returns (mean of the stage
         losses, StageOutputs)."""
-        logits, probs, losses = [pre.logits], [pre.probs], [pre.loss]
+        probs, losses = [pre.probs], [pre.loss]
         if self.fc is not None:
             ctx = ad.fully_connected(pre.summary, *self.fc)
-            logits.append(ad.concat_conv1x1(pre.feats, ctx, *self.head))
-            loss2, probs2 = ad.softmax_xent(logits[1], labels)
+            logits = ad.concat_conv1x1(pre.feats, ctx, *self.head)
+            loss2, probs2 = ad.softmax_xent(logits, labels)
             losses.append(loss2)
             probs.append(probs2)
-        outputs = StageOutputs(logits, probs, ad.mean_tensors(probs),
+        outputs = StageOutputs(probs, ad.mean_tensors(probs),
                                sum(t.clamped for t in losses))
         return ad.mean_tensors(losses), outputs
 
@@ -191,7 +189,7 @@ class PrefixCache:
     from the gathered log probabilities by `ad.xent_from_logp`, so a
     gathered batch holds the bits its own `prefix` pass would give."""
 
-    TENSORS = ("feats", "logits", "probs", "summary")
+    TENSORS = ("feats", "probs", "summary")
 
     def __init__(self, net: Network, dataset, batch_size: int):
         n = len(dataset)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import histlayer.autodiff as ad
+import histlayer.histogram as hist
 from histlayer.autodiff import Parameter, ShapeError, Tensor
 from histlayer.histogram import (S_MIN, ComposedHistogram, HistogramParams, basis_eval,
                                  hist_forward_direct, init_params)
@@ -192,18 +193,23 @@ def reference_hist_grads(x, mu, s, upstream):
 
 
 def test_backward_bit_equal_to_reference_formula(rng):
+    # random small shapes, each one chunk, then the network's K = B = 6 on
+    # 16x16 maps at batch sizes that span two and several chunks
+    step = max(1, hist._WORK // (6 * 6 * 16 * 16))
     kinks = 0
-    for trial in range(60):
-        K, B = int(rng.integers(1, 4)), int(rng.integers(2, 7))
-        n, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    for trial, n_net in enumerate([None] * 60 + [step + 1, 50]):
+        if n_net is None:
+            K, B = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+            n, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        else:
+            n, K, B, h, w = n_net, 6, 6, 16, 16
         p = init_params(K, B) if trial % 3 == 0 else random_params(rng, K, B)
         x = rng.uniform(-0.2, 1.2, size=(n, K, h, w))
         # half the pixels sit exactly on a bin center or a support edge
         mu, s = p.centers.data[:, :, 0, 0], p.slopes.data[:, :, 0, 0]
-        for idx in np.ndindex(x.shape):
-            if rng.random() < 0.5:
-                b = rng.integers(B)
-                x[idx] = mu[idx[1], b] + rng.choice([0.0, 1.0, -1.0]) / s[idx[1], b]
+        k, b = np.arange(K).reshape(1, K, 1, 1), rng.integers(B, size=x.shape)
+        edge = rng.choice([0.0, 1.0, -1.0], size=x.shape)
+        x = np.where(rng.random(x.shape) < 0.5, mu[k, b] + edge / s[k, b], x)
         upstream = rng.standard_normal((n, K * B, 1, 1))
         ref = reference_hist_grads(x, p.centers.data, p.slopes.data, upstream)
         kinks += int((np.abs(x.reshape(n, K, 1, h, w) - mu.reshape(1, K, B, 1, 1)) == 0).sum())

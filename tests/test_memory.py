@@ -1,10 +1,12 @@
-"""Peak memory of forward-only passes and of dataset files, as byte counts of
+"""Peak memory of histogram passes and of dataset files, as byte counts of
 the allocations tracemalloc sees (numpy reports its array buffers to it), so
 each bound holds on any machine."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import histlayer.autodiff as ad
 from histlayer.autodiff import Tensor
@@ -32,24 +34,28 @@ N, K, B, H, W = 50, 6, 6, 16, 16
 OFFSETS = N * K * B * H * W * 8   # bytes of one (N,K,B,H,W) float64 array
 
 
-def test_unrecorded_histogram_forward_peaks_below_one_offsets_array():
+@pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
+def test_histogram_forward_peaks_below_one_offsets_array(recorded):
     p = init_params(K, B)
     x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)), with_grad=False)
     ad.reset_tape()
-    with ad.no_grad():
+    with contextlib.nullcontext() if recorded else ad.no_grad():
         peak, out = peak_bytes(lambda: hist_forward_direct(x, p))
+    assert ad._STATE.tape == ([out] if recorded else [])
+    ad.reset_tape()
     assert out.shape == (N, K * B, 1, 1)
     assert peak < OFFSETS
 
 
-def test_recorded_histogram_forward_holds_the_offsets_and_one_chunk():
+def test_histogram_forward_and_backward_peak_below_one_offsets_array():
+    rng = np.random.default_rng(0)
     p = init_params(K, B)
-    x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)), with_grad=False)
+    x = Tensor(rng.uniform(size=(N, K, H, W)))
+    upstream = rng.standard_normal((N, K * B, 1, 1))
     ad.reset_tape()
-    peak, out = peak_bytes(lambda: hist_forward_direct(x, p))
-    assert ad._STATE.tape == [out]
-    ad.reset_tape()
-    assert peak < 1.25 * OFFSETS
+    peak, _ = peak_bytes(lambda: ad.backward(hist_forward_direct(x, p), upstream))
+    assert np.any(x.grad != 0) and np.any(p.centers.grad != 0) and np.any(p.slopes.grad != 0)
+    assert peak < OFFSETS
 
 
 def _dataset(n=1000, d=8, h=16, w=16):
@@ -66,9 +72,9 @@ def test_write_dataset_makes_no_copy_of_the_features(tmp_path):
     assert peak < 0.25 * ds.features.nbytes
 
 
-def test_read_dataset_peaks_below_one_and_a_quarter_feature_arrays(tmp_path):
+def test_read_dataset_peaks_below_one_and_a_twentieth_feature_arrays(tmp_path):
     ds = _dataset()
     write_dataset(ds, tmp_path / "d.hctx")
     peak, back = peak_bytes(lambda: read_dataset(tmp_path / "d.hctx"))
     assert back.features.tobytes() == ds.features.tobytes()
-    assert peak < 1.25 * ds.features.nbytes
+    assert peak < 1.05 * ds.features.nbytes

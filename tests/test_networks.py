@@ -262,11 +262,11 @@ def test_no_grad_loss_records_nothing_and_matches_recorded(mode):
     with ad.no_grad():
         loss_ng, out_ng = net.loss(feats, ds.labels)
     assert ad._STATE.tape == []
-    nodes = [loss_ng, out_ng.final_probs, *out_ng.stage_logits, *out_ng.stage_probs]
+    nodes = [loss_ng, out_ng.final_probs, *out_ng.stage_probs]
     assert all(t.grad is None for t in nodes)
     assert loss_ng.item() == loss.item()
     np.testing.assert_array_equal(out_ng.final_probs.data, out.final_probs.data)
-    for a, b in zip(out_ng.stage_logits, out.stage_logits):
+    for a, b in zip(out_ng.stage_probs, out.stage_probs):
         np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -286,7 +286,9 @@ def test_training_backward_skips_the_unused_probability_branch(mode):
     assert ran == []
     assert all(t.grad is None for t in pruned)
     assert feats.grad is None
-    assert out.stage_logits[-1].grad is not None
+    # the last stage's loss reached its logits, so its classifier has a gradient
+    last = net.head[0] if net.head is not None else net.cls_w
+    assert np.any(last.grad != 0)
 
 
 @pytest.mark.parametrize("mode", BASELINE_MODES)
@@ -336,9 +338,12 @@ def test_phase1_tape_holds_no_base_or_histogram_node(mode):
     # probabilities and the mean of the stage losses
     assert len(tape) == 6
     assert tape[0].shape == (3, net.fc[0].shape[0], 1, 1)
-    assert tape[1:3] == [out.stage_logits[1], out.stage_probs[1]]
+    # the stage-2 logits, then their probabilities
+    assert tape[1].shape == out.stage_probs[1].shape
+    assert ad._softmax_channels(tape[1].data).tobytes() == out.stage_probs[1].data.tobytes()
+    assert tape[2] is out.stage_probs[1]
     assert tape[4:] == [out.final_probs, loss]
-    assert not out.stage_logits[0].requires_grad
+    # stage 1 is not recorded: its probabilities, and so its logits, take no gradient
     assert not out.stage_probs[0].requires_grad
     ad.reset_tape()
 
@@ -353,8 +358,7 @@ def test_prefix_of_a_batch_equals_the_per_image_prefixes(mode):
                    for i in range(len(ds))]
 
     def parts(pre):
-        return [pre.feats.data, pre.logits.data, pre.probs.data, pre.loss.logp,
-                pre.summary.data]
+        return [pre.feats.data, pre.probs.data, pre.loss.logp, pre.summary.data]
 
     for whole, *per_image in zip(parts(batch), *map(parts, singles)):
         assert np.concatenate(per_image).tobytes() == whole.tobytes()
