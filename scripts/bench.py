@@ -5,11 +5,13 @@ Runs `perfbench/run.py` on every workload of `BENCHMARK.json` at seed
 104729 with `--trace 0`, one after another, for the declared run length,
 then one `--trace 1` run of `train_histnet` for the per-layer table, then
 one run of the tier-1 suite with `--durations`. Writes the git commit, the
-environment line of the first run, per workload the median, q1, q3 and
-sample count of each end-to-end metric with the failed-op ratio, and the
-tier-1 wall time, test counts and the set-up time of the acceptance
-`comparison` fixture (the slowest set-up in `tests/test_acceptance.py`,
-where the session fixture is built).
+environment line of the first run, the number of cores this process may run
+on (`usable_cores`; evaluation runs its batches on that many threads, while
+the environment line's `cores` counts every core of the machine), per
+workload the median, q1, q3 and sample count of each end-to-end metric with
+the failed-op ratio, and the tier-1 wall time, test counts and the set-up
+time of the acceptance `comparison` fixture (the slowest set-up in
+`tests/test_acceptance.py`, where the session fixture is built).
 
 Example:
     python scripts/bench.py --out BENCH_7.json
@@ -27,6 +29,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 104729
 TRACED_WORKLOAD = "train_histnet"
+
+
+def usable_cores() -> int:
+    """The number of cores this process may run on: its CPU affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_perfbench(workload: str, seconds: float, trace: int) -> list[dict]:
@@ -99,7 +108,7 @@ def main() -> int:
                                 cwd=ROOT, capture_output=True, text=True,
                                 check=True).stdout.strip())
     report = {"git_sha": sha, "git_dirty": dirty, "seed": SEED, "seconds": seconds,
-              "environment": None, "workloads": {}}
+              "environment": None, "usable_cores": usable_cores(), "workloads": {}}
     for wl in spec["workloads"]:
         lines = run_perfbench(wl["name"], seconds, trace=0)
         report["environment"] = report["environment"] or lines[0]["environment"]

@@ -285,3 +285,11 @@ def test_non_finite_features_rejected(tmp_path, value):
     write_dataset(ds, path)
     with pytest.raises(DatasetFormatError, match="non-finite"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+def test_generate_rejects_non_finite_features(value):
+    spec = default_spec()
+    spec.class_means[:, 3] = value   # every class, so ambiguous pairs stay equal
+    with pytest.raises(DatasetFormatError, match="non-finite"):
+        generate(spec, 2, 3, 3, seed=1)

@@ -1,6 +1,6 @@
-"""Peak memory of histogram passes and of dataset files, as byte counts of
-the allocations tracemalloc sees (numpy reports its array buffers to it), so
-each bound holds on any machine."""
+"""Peak memory of histogram and evaluation passes and of dataset files, as
+byte counts of the allocations tracemalloc sees (numpy reports its array
+buffers to it), so each bound holds on any machine."""
 
 import contextlib
 import tracemalloc
@@ -10,8 +10,10 @@ import pytest
 
 import histlayer.autodiff as ad
 from histlayer.autodiff import Tensor
-from histlayer.data import ContextDataset, default_spec, read_dataset, write_dataset
+from histlayer import networks
+from histlayer.data import ContextDataset, default_spec, generate, read_dataset, write_dataset
 from histlayer.histogram import hist_forward_direct, init_params
+from histlayer.networks import HistNetConfig, Network
 
 
 def peak_bytes(fn):
@@ -56,6 +58,27 @@ def test_histogram_forward_and_backward_peak_below_one_offsets_array():
     peak, _ = peak_bytes(lambda: ad.backward(hist_forward_direct(x, p), upstream))
     assert np.any(x.grad != 0) and np.any(p.centers.grad != 0) and np.any(p.slopes.grad != 0)
     assert peak < OFFSETS
+
+
+def test_evaluation_batch_peaks_below_three_feature_maps():
+    """A forward-only pass of one evaluation batch of the default network
+    drops each activation once the next layer has read it."""
+    cfg = HistNetConfig()
+    ds = generate(default_spec(K=cfg.K, D=cfg.D_in), N, H, W, seed=3)
+    net = Network(cfg, seed=1)
+    feature_map = N * cfg.C_feat * H * W * 8   # bytes of one (N,C_feat,H,W) float64 array
+    ad.reset_tape()
+    with ad.no_grad():
+        peak, (loss, _) = peak_bytes(lambda: networks._batch_pass(
+            net, ds, slice(0, N), ds.labels, None))
+    assert ad._STATE.tape == []
+    assert np.isfinite(loss.item())
+    assert peak < 3 * feature_map
+
+
+def test_generate_peaks_below_one_and_a_tenth_feature_arrays():
+    peak, ds = peak_bytes(lambda: generate(default_spec(), 200, 16, 16, seed=0))
+    assert peak < 1.1 * ds.features.nbytes
 
 
 def _dataset(n=1000, d=8, h=16, w=16):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -430,17 +433,30 @@ def test_frozen_parameters_hold_no_buffer_until_phase_two():
             np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
 
 
-def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch):
+def use_workers(monkeypatch, workers):
+    """Make `evaluate` see `workers` usable cores."""
+    monkeypatch.setattr(networks, "_usable_cores", lambda: workers)
+
+
+def eval_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(networks.EVAL_THREAD_NAME)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch, workers):
     """The merged pass gives the loss of the former separate loss pass: recorded
     batch losses weighted by batch length, summed in batch order, over N; and
-    the confusion counts of the per-batch final and stage-1 predictions."""
+    the confusion counts of the per-batch final and stage-1 predictions. The
+    bits do not depend on how many batches run at once."""
     net = Network(small_cfg(), seed=6)
     ds = small_data(12, seed=8)
     monkeypatch.setattr(networks, "EVAL_BATCH", 5)  # batches of 5, 5 and 2
+    use_workers(monkeypatch, workers)
     K = net.cfg.K
     total = 0.0
     conf = np.zeros((K, K), dtype=np.int64)
     conf1 = np.zeros_like(conf)
+    clamped = 0
     for start in range(0, len(ds), 5):
         stop = min(start + 5, len(ds))
         labels = ds.labels[start:stop]
@@ -448,15 +464,83 @@ def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch):
         total += loss.item() * (stop - start)
         conf += networks._confusion(labels, out.final_probs, K)
         conf1 += networks._confusion(labels, out.stage_probs[0], K)
+        clamped += out.clamped
     ad.reset_tape()
     m = evaluate(net, ds)
     assert m["loss"] == total / len(ds)
     np.testing.assert_array_equal(m["confusion"], conf)
     assert m["stage1_per_pixel"] == metrics_from_confusion(conf1)["per_pixel"]
+    assert m["clamped"] == clamped
     assert ad._STATE.tape == []
 
 
-def test_evaluate_batches_take_no_gradient(monkeypatch):
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_evaluate_on_more_workers_than_cores_matches_one(monkeypatch, cached):
+    """Four workers on six batches of two, switching threads every
+    microsecond, give the one-worker bits, on a dataset whose summed batch
+    losses change bits when summed in reverse."""
+    net = Network(small_cfg(), seed=6)
+    ds = small_data(12, seed=8)
+    cache = networks.PrefixCache(net, ds, 5) if cached else None
+    monkeypatch.setattr(networks, "EVAL_BATCH", 2)
+    with ad.no_grad():
+        losses = [networks._batch_result(net, ds, i, i + 2, cache)[0] for i in range(0, 12, 2)]
+    assert sum(losses) != sum(reversed(losses))
+    use_workers(monkeypatch, 1)
+    serial = evaluate(net, ds, cache)
+    use_workers(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = evaluate(net, ds, cache)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled["loss"] == serial["loss"] == sum(losses) / 12
+    assert pooled["clamped"] == serial["clamped"]
+    assert pooled["stage1_per_pixel"] == serial["stage1_per_pixel"]
+    np.testing.assert_array_equal(pooled["confusion"], serial["confusion"])
+    assert eval_threads() == []
+
+
+def test_evaluate_raises_a_batch_error_and_leaves_no_thread(monkeypatch):
+    real = networks._batch_pass
+
+    def failing(net, dataset, idx, labels, cache):
+        if idx.start == 5:
+            raise RuntimeError("batch at 5 failed")
+        return real(net, dataset, idx, labels, cache)
+
+    monkeypatch.setattr(networks, "_batch_pass", failing)
+    monkeypatch.setattr(networks, "EVAL_BATCH", 5)
+    use_workers(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="batch at 5 failed"):
+        evaluate(Network(small_cfg(), seed=6), small_data(12, seed=8))
+    assert eval_threads() == []
+    assert ad._STATE.grad_enabled
+
+
+def test_evaluate_batches_run_under_the_callers_errstate(monkeypatch):
+    real = networks._batch_pass
+    seen = []
+
+    def recording(*args):
+        seen.append((threading.current_thread().name, np.geterr()))
+        return real(*args)
+
+    monkeypatch.setattr(networks, "_batch_pass", recording)
+    monkeypatch.setattr(networks, "EVAL_BATCH", 5)
+    use_workers(monkeypatch, 2)
+    with np.errstate(divide="ignore", over="raise", under="ignore", invalid="ignore"):
+        caller = np.geterr()
+        evaluate(Network(small_cfg(), seed=6), small_data(12, seed=8))
+    assert caller != np.geterr()
+    assert len(seen) == 3
+    assert all(name.startswith(networks.EVAL_THREAD_NAME) for name, _ in seen)
+    assert all(state == caller for _, state in seen)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_evaluate_batches_take_no_gradient(monkeypatch, workers):
     built = []
 
     def recording(*args, **kwargs):
@@ -466,9 +550,14 @@ def test_evaluate_batches_take_no_gradient(monkeypatch):
 
     monkeypatch.setattr(networks, "Tensor", recording)
     monkeypatch.setattr(networks, "EVAL_BATCH", 5)
+    use_workers(monkeypatch, workers)
     ds = small_data(12, seed=8)
     evaluate(Network(small_cfg(), seed=6), ds)
-    assert [t.shape[0] for t in built] == [5, 5, 2]
+    sizes = [t.shape[0] for t in built]
+    if workers == 1:   # in batch order on the caller's thread
+        assert sizes == [5, 5, 2]
+    else:              # built in whatever order the workers reach them
+        assert sorted(sizes) == [2, 5, 5]
     assert all(t.grad is None for t in built)
 
 
