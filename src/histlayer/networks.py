@@ -127,9 +127,9 @@ class Network:
         """Stage 1 and the context summary of a batch; starts a new graph."""
         mode = self.cfg.baseline_mode
         ad.reset_tape()
-        # an activation is dropped once the next layer has read it, so an
-        # unrecorded pass holds at most two (N,C_feat,H,W) arrays at a time;
-        # a recorded one keeps them all through its graph
+        # the first activation is dropped once the second layer has read it,
+        # so an unrecorded pass holds at most two (N,C_feat,H,W) arrays; a
+        # recorded one keeps it through its graph
         x = ad.relu(ad.conv1x1(features, self.f1_w, self.f1_b))
         x = ad.conv1x1(x, self.f2_w, self.f2_b)
         feats = ad.relu(x)
