@@ -8,17 +8,16 @@ locks.
 
 All tensors are (N, C, H, W) float64 arrays. Ops are recorded on a global
 tape in forward order; `backward` replays the tape in exact reverse order,
-so gradient accumulation order is deterministic. An op records a node only
-when at least one of its inputs takes a gradient, and its closure writes
-only into the inputs that take one, so a frozen prefix of the graph is
-never recorded. A recorded node gets its gradient buffer on the first
-write into it (`_accumulate`), and `backward` skips the closure of a node
-whose gradient was never written, since the output it was called on does
-not depend on that node. Leaf tensors built with `with_grad=True`
-(`Parameter`s among them) keep an eager zero-filled buffer; data built with
-`with_grad=False`, and a parameter whose buffer was set to None (frozen
-for a training phase), take no gradient. Under `no_grad` ops record
-nothing, for forward-only passes.
+so gradient accumulation order is deterministic. Every `Parameter` holds
+a zero-filled gradient buffer for its whole life, as does any leaf built
+with `with_grad=True`; data built with `with_grad=False` takes none. An
+op records a node only when at least one of its inputs takes a gradient,
+and its closure writes every parameter and each data input that takes
+one. A recorded node gets its buffer on the first write into it
+(`_accumulate`), and `backward` skips the closure of a node whose
+gradient was never written, since the output it was called on does not
+depend on that node. Under `no_grad` ops record nothing, for forward-only
+passes.
 """
 
 from __future__ import annotations
@@ -219,10 +218,8 @@ def conv1x1(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
         gv = node.grad.reshape(n, cout, h * w)
         if x.requires_grad:  # data inputs take no gradient
             _accumulate(x, np.matmul(w2.T, gv).reshape(x.shape))
-        if weight.grad is not None:  # nor do frozen parameters
-            weight.grad[:, :, 0, 0] += np.matmul(gv, xv.transpose(0, 2, 1)).sum(axis=0)
-        if bias.grad is not None:
-            bias.grad += node.grad.sum(axis=(0, 2, 3)).reshape(bias.shape)
+        weight.grad[:, :, 0, 0] += np.matmul(gv, xv.transpose(0, 2, 1)).sum(axis=0)
+        bias.grad += node.grad.sum(axis=(0, 2, 3)).reshape(bias.shape)
 
     node = _node(out, _bw, x, weight, bias)
     return node
@@ -305,11 +302,9 @@ def concat_conv1x1(features: Tensor, context: Tensor, weight: Parameter,
             _accumulate(features, np.matmul(w_feat.T, gv).reshape(features.shape))
         if context.requires_grad:
             _accumulate(context, (g_sum @ w_ctx).reshape(context.shape))
-        if weight.grad is not None:
-            weight.grad[:, :c, 0, 0] += np.matmul(gv, fv.transpose(0, 2, 1)).sum(axis=0)
-            weight.grad[:, c:, 0, 0] += g_sum.T @ ctx
-        if bias.grad is not None:
-            bias.grad += g_sum.sum(axis=0).reshape(bias.shape)
+        weight.grad[:, :c, 0, 0] += np.matmul(gv, fv.transpose(0, 2, 1)).sum(axis=0)
+        weight.grad[:, c:, 0, 0] += g_sum.T @ ctx
+        bias.grad += g_sum.sum(axis=0).reshape(bias.shape)
 
     node = _node(out, _bw, features, context, weight, bias)
     return node

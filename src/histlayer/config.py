@@ -8,8 +8,11 @@ writes the fully resolved configuration next to its outputs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -50,7 +53,7 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise ConfigError for a value no command can run with."""
-        from .data import default_spec
+        from .data import check_class_count, default_spec
         from .networks import HistNetConfig  # networks imports this module
         bounds = {
             "seed >= 0": self.seed >= 0,
@@ -71,10 +74,28 @@ class RunConfig:
         try:
             HistNetConfig(K=self.K, B=self.B, D_in=self.D, C_feat=self.C_feat,
                           baseline_mode=self.mode).validate()
+            check_class_count(self.K)   # before default_spec allocates (K, D)
+            self._check_array_sizes()
             default_spec(K=self.K, D=self.D, noise_sigma=self.noise_sigma,
                          ambiguous_occupancy=self.ambiguous_occupancy)
         except ValueError as e:
             raise ConfigError(str(e)) from e
+
+    def _check_array_sizes(self) -> None:
+        """Raise ValueError when the largest array of a split, or of the
+        Monte-Carlo ceiling, would need more bytes than an intp can count,
+        so numpy could never make it."""
+        n = max(self.n_train, self.n_val, self.n_test)
+        arrays = {
+            "a split's (N, max(D, C_feat, K*B), H, W)":
+                (n, max(self.D, self.C_feat, self.K * self.B), self.H, self.W),
+            "the n_mc draws' (n_mc, K, D)": (self.n_mc, self.K, self.D),
+        }
+        for name, shape in arrays.items():
+            nbytes = 8 * math.prod(shape)
+            if nbytes > np.iinfo(np.intp).max:
+                raise ValueError(f"sizes too large: {name} float64 array {shape} would "
+                                 f"take {nbytes} bytes, more than any array can hold")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -114,7 +135,11 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
-        cfg = parse_config_text(p.read_text())
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {p} is not UTF-8 text: {e}") from e
+        cfg = parse_config_text(text)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")

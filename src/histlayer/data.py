@@ -34,6 +34,11 @@ class DatasetTruncationError(DatasetFormatError):
     """Dataset file ended before the declared payload."""
 
 
+def check_class_count(K: int) -> None:
+    if K > 255:  # labels are stored as u8, and 255 is IGNORE_LABEL
+        raise ValueError(f"K must be at most 255, got {K}")
+
+
 @dataclass
 class SceneSpec:
     S: int
@@ -50,8 +55,7 @@ class SceneSpec:
         self.ambiguous_pairs = [tuple(p) for p in self.ambiguous_pairs]
 
     def validate(self) -> None:
-        if self.K > 255:  # labels are stored as u8, and 255 is IGNORE_LABEL
-            raise ValueError(f"K must be at most 255, got {self.K}")
+        check_class_count(self.K)
         if self.class_priors.shape != (self.S, self.K):
             raise ValueError(f"class_priors must be (S,K)=({self.S},{self.K}), "
                              f"got {self.class_priors.shape}")

@@ -88,8 +88,8 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     """Soft histogram of a likelihood map, normalized by pixel count.
 
     Input (N,K,H,W) -> output (N, K*B, 1, 1) with layout index k*B + b.
-    A likelihood vector is simply the H=W=1 case. Gradients flow to those
-    of the input, the centers and the slopes that take one.
+    A likelihood vector is simply the H=W=1 case. Gradients flow to the
+    centers, the slopes and, when it takes one, the input.
     """
     n, k, h, w = likelihood.shape
     K, B = params.K, params.B
@@ -123,10 +123,10 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     def _bw():
         gg = node.grad.reshape(n, K, B, 1, 1) / (h * w)
         ggs = gg * s
-        # per-image sums over (h,w) for the slopes [0] and the centers [1]
-        # (left 0 for a frozen one), then one sum over the images: the order
-        # of a whole-batch sum over axes (0,3,4), so the bits are its bits
-        sums = np.zeros((2, n, K, B))
+        # per-image sums over (h,w) for the slopes [0] and the centers [1],
+        # then one sum over the images: the order of a whole-batch sum over
+        # axes (0,3,4), so the bits are its bits
+        sums = np.empty((2, n, K, B))
         gx = np.empty((n, K, h, w)) if likelihood.requires_grad else None
         for i in range(0, n, step):
             v = x[i:i + step] - mu
@@ -138,19 +138,15 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
             np.sign(v, out=v)
             v *= active
             v *= ggs[i:i + step]
-            if params.slopes.grad is not None:  # frozen parameters take none
-                a *= active
-                a *= gg[i:i + step]
-                np.add.reduce(a, axis=(3, 4), out=sums[0, i:i + step])
-            if params.centers.grad is not None:
-                np.add.reduce(v, axis=(3, 4), out=sums[1, i:i + step])
+            a *= active
+            a *= gg[i:i + step]
+            np.add.reduce(a, axis=(3, 4), out=sums[0, i:i + step])
+            np.add.reduce(v, axis=(3, 4), out=sums[1, i:i + step])
             if gx is not None:
                 np.add.reduce(v, axis=2, out=gx[i:i + step])
         slopes, centers = np.add.reduce(sums, axis=1).reshape(2, K, B, 1, 1)
-        if params.slopes.grad is not None:
-            params.slopes.grad -= slopes
-        if params.centers.grad is not None:
-            params.centers.grad += centers
+        params.slopes.grad -= slopes
+        params.centers.grad += centers
         if gx is not None:
             np.negative(gx, out=gx)     # a - b and a + (-b) round alike
             _accumulate(likelihood, gx)

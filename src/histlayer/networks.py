@@ -169,22 +169,6 @@ class Network:
         if self.hist is not None:
             self.hist.clamp_slopes()
 
-    def zero_grads(self) -> None:
-        ad.zero_grads(p for p in self.params.values() if p.grad is not None)
-
-    def set_trainable(self, trainable: list[Parameter]) -> None:
-        """Take the gradient buffer of every parameter outside `trainable`
-        and give each trainable one a zero-filled buffer where it holds none.
-        An op whose inputs are all frozen is then not recorded, so the
-        backward stops at the first trainable layer."""
-        keep = {id(p) for p in trainable}
-        for p in self.params.values():
-            if id(p) not in keep:
-                p.grad = None
-        for p in trainable:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-
     def state(self) -> dict[str, Parameter]:
         return self.params
 
@@ -391,11 +375,11 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
     TrainingDivergedError after an epoch that leaves a parameter non-finite
     or whose train steps or val pass clamped log 0 in the loss: a picked
     probability underflowed to 0, so the logits are diverging even where
-    every value stays finite. See `Network.set_trainable` for the gradient
-    buffers the phase leaves behind. `caches` holds the train and val
-    prefixes when no trainable parameter feeds them.
+    every value stays finite. Each step zeroes and steps `trainable` alone.
+    `caches` holds the train and val prefixes when no trainable parameter
+    feeds them, so the passes run `refine` alone; without them the
+    backward runs through the whole network whatever `trainable` holds.
     """
-    net.set_trainable(trainable)
     train_cache, val_cache = caches or (None, None)
     rows = []
     rng = np.random.default_rng(schedule.seed * 1000003 + phase)
@@ -409,10 +393,9 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
         for start in range(0, n, schedule.batch_size):
             idx = perm[start:start + schedule.batch_size]
             labels = train_ds.labels[idx]
-            net.zero_grads()
+            ad.zero_grads(trainable)
             loss, out = _batch_pass(net, train_ds, idx, labels, train_cache)
-            if loss.requires_grad:  # unrecorded when no trainable parameter feeds it
-                ad.backward(loss)
+            ad.backward(loss)
             ad.sgd_step(trainable, lr, schedule.momentum)
             net.clamp()
             loss_sum += loss.item() * len(idx)
@@ -453,12 +436,12 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
     """Incremental training: new layers first, then everything jointly.
 
     Phase 1 updates only the context FC layer and the stage-2 head; the
-    base and the histogram bins stay fixed and hold no gradient buffer. So
-    phase 1 computes each train and val image's prefix once, before its
-    first step, and every batch gathers it from that cache; its backward
-    stops at the context FC layer. Phase 2 drops the caches, gives every
-    parameter a buffer again and updates all parameters whose lock masks
-    allow it (fix_hist keeps its bins frozen).
+    base and the histogram bins stay fixed. So phase 1 computes each train
+    and val image's prefix once, before its first step, and every batch
+    gathers it from that cache; its graph is `refine` alone, so its
+    backward stops at the context FC layer and never writes the base or
+    histogram gradients. Phase 2 drops the caches and updates all
+    parameters whose lock masks allow it (fix_hist keeps its bins frozen).
     """
     if net.cfg.baseline_mode == "base_only":
         raise ValueError("two_phase_train needs a context-refinement mode")

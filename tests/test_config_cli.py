@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import histlayer
 import histlayer.autodiff as ad
 from histlayer import cli, networks, verify
 from histlayer.checkpoint import load_checkpoint, load_into, save_checkpoint
@@ -114,6 +119,56 @@ def test_gen_data_accepts_255_classes(tmp_path, capsys):
     assert main(["gen-data", "--out", str(tmp_path), "--set", "K=255",
                  "--set", "D=254"] + TINY) == 0
     assert read_dataset(tmp_path / "train.hctx").spec.K == 255
+
+
+# The CLI in a child process whose address space is capped, so a command
+# that tries to allocate gigabytes fails there and not in the test process.
+CAPPED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({0}, {0})); "
+              "from histlayer.cli import main; sys.exit(main(sys.argv[1:]))")
+SRC = str(Path(histlayer.__file__).resolve().parents[1])
+
+
+def run_capped(args, cwd, limit=2 << 30):
+    """Run the CLI on `args` in a child limited to `limit` bytes of address space."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", CAPPED_CLI.format(limit), *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_class_count_is_checked_before_the_spec_allocates(tmp_path):
+    """K=20000 with D=20000 would make default_spec allocate a 3 GB (K, D) array."""
+    proc = run_capped(["gradcheck", "--set", "K=20000", "--set", "D=20000"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: K must be at most 255, got 20000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_split_no_array_can_hold_exits_2_before_any_work(tmp_path):
+    proc = run_capped(["gen-data", "--out", "out", "--set", "H=100000000000",
+                       "--set", "W=100000000000"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: sizes too large: a split's" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, per_entry", [("n_mc", 6 * 8 * 8), ("H", 2000 * 36 * 16 * 8)],
+                         ids=["n_mc-draws", "split"])
+def test_largest_array_size_bound_is_exact(key, per_entry):
+    """Sizes pass while the largest array's byte count fits an intp."""
+    most = np.iinfo(np.intp).max // per_entry
+    RunConfig(**{key: most}).validate()
+    with pytest.raises(ConfigError, match="sizes too large"):
+        RunConfig(**{key: most + 1}).validate()
+
+
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    rc = main(["gen-data", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert rc == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_data_deterministic(tmp_path):

@@ -206,9 +206,7 @@ def test_direct_histogram_matches_composed_reference_in_network(mode):
     feats, labels = Tensor(ds.features), ds.labels
 
     losses = []
-    for net, hist_params in ((direct, hp.parameters()), (ref, layer.parameters())):
-        net.zero_grads()
-        ad.zero_grads(hist_params)
+    for net in (direct, ref):   # fresh parameters: every buffer starts at zero
         loss, _ = net.loss(feats, labels)
         ad.backward(loss)
         losses.append(loss.item())
@@ -300,7 +298,6 @@ def test_data_batch_without_gradient_gives_identical_parameter_gradients(mode):
     grads = []
     for with_grad in (True, False):
         net = Network(small_cfg(mode), seed=3)
-        net.zero_grads()
         loss, _ = net.loss(Tensor(ds.features, with_grad=with_grad), ds.labels)
         ad.backward(loss)
         grads.append({n: p.grad.tobytes() for n, p in net.params.items()})
@@ -317,25 +314,25 @@ def phase1_params(net):
 
 @pytest.mark.parametrize("mode", CONTEXT_MODES)
 def test_phase1_step_gives_the_full_graph_gradients_bitwise(mode):
-    ds = small_data(3, seed=4)
-    grads = []
-    for frozen in (False, True):
+    """A phase-1 step on cached prefixes moves the fc layer and the head as
+    a step whose backward runs through the whole network does."""
+    ds, val = small_data(6, seed=4), small_data(3, seed=5)
+    results = []
+    for cached in (False, True):
         net = Network(small_cfg(mode), seed=3)
-        net.zero_grads()
-        if frozen:
-            net.set_trainable(phase1_params(net))
-        loss, _ = net.loss(Tensor(ds.features, with_grad=False), ds.labels)
-        ad.backward(loss)
-        grads.append({p.name: p.grad.tobytes() for p in phase1_params(net)})
-    assert grads[0] == grads[1]
+        caches = tuple(networks.PrefixCache(net, d, 4) for d in (ds, val)) if cached else None
+        rows = train_phase(net, ds, val, phase1_params(net), schedule(1), phase=1,
+                           caches=caches)
+        results.append((rows, {n: p.data.tobytes() for n, p in net.params.items()}))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("mode", CONTEXT_MODES)
 def test_phase1_tape_holds_no_base_or_histogram_node(mode):
     net = Network(small_cfg(mode), seed=3)
-    net.set_trainable(phase1_params(net))
     ds = small_data(3, seed=4)
-    loss, out = net.loss(Tensor(ds.features, with_grad=False), ds.labels)
+    pre = networks.PrefixCache(net, ds, 3).take(slice(0, 3), ds.labels)
+    loss, out = net.refine(pre, ds.labels)
     tape = ad._STATE.tape
     # fc, stage-2 head, its softmax and loss, the mean of the stage
     # probabilities and the mean of the stage losses
@@ -346,7 +343,7 @@ def test_phase1_tape_holds_no_base_or_histogram_node(mode):
     assert ad._softmax_channels(tape[1].data).tobytes() == out.stage_probs[1].data.tobytes()
     assert tape[2] is out.stage_probs[1]
     assert tape[4:] == [out.final_probs, loss]
-    # stage 1 is not recorded: its probabilities, and so its logits, take no gradient
+    # stage 1 is cached data: its probabilities take no gradient
     assert not out.stage_probs[0].requires_grad
     ad.reset_tape()
 
@@ -377,8 +374,6 @@ def test_refine_on_cached_prefixes_matches_the_loss_pass_bitwise(mode, scale):
     for cached in (False, True):
         net = Network(small_cfg(mode), seed=3)
         net.params["base.cls.w"].data *= scale
-        net.set_trainable(phase1_params(net))
-        net.zero_grads()
         if cached:  # filled in chunks of 2, which split the batch differently
             pre = networks.PrefixCache(net, ds, batch_size=2).take(idx, labels)
             loss, out = net.refine(pre, labels)
@@ -417,20 +412,26 @@ def test_phase1_computes_each_prefix_once(monkeypatch):
     assert len(calls) > phase2 + 1   # phase 2 computes its prefixes per batch
 
 
-def test_frozen_parameters_hold_no_buffer_until_phase_two():
+def test_phase1_leaves_every_base_and_histogram_gradient_zero(monkeypatch):
+    """Phase 1's graph is `refine` alone, so its backward writes no base or
+    histogram gradient buffer."""
+    seen = {}
+    real_phase = networks.train_phase
+
+    def train_phase(net, *args, **kwargs):
+        if kwargs["phase"] == 2:   # phase 1 has ended
+            seen.update({n: net.params[n].grad.copy() for n in fixed})
+        return real_phase(net, *args, **kwargs)
+
+    monkeypatch.setattr(networks, "train_phase", train_phase)
     ds, val = small_data(8, seed=3), small_data(4, seed=4)
     net = Network(small_cfg(), seed=0)
-    phase1 = phase1_params(net)
-    train_phase(net, ds, val, phase1, schedule(1), phase=1)
-    trained = {p.name for p in phase1}
-    assert all((p.grad is None) == (n not in trained) for n, p in net.params.items())
-    kept = {n: net.params[n].grad for n in trained}
-    train_phase(net, ds, val, list(net.params.values()), schedule(0), phase=2)
-    for n, p in net.params.items():
-        if n in trained:
-            assert p.grad is kept[n]
-        else:
-            np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
+    fixed = [*net.base_param_names, "hist.centers", "hist.slopes"]
+    two_phase_train(net, Network(small_cfg("base_only"), seed=0).state(), ds, val,
+                    schedule(2))
+    assert list(seen) == fixed
+    for name, grad in seen.items():
+        assert not grad.any(), name
 
 
 def use_workers(monkeypatch, workers):
