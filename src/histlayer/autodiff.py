@@ -167,16 +167,23 @@ class Parameter(Tensor):
         return f"Parameter(name={self.name!r}, shape={self.shape})"
 
 
-def _node(data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
-    """The output of an op on `inputs`. It is recorded, with `backward_fn`
-    as its closure, only when gradients are on and an input takes one."""
-    out = Tensor(data, with_grad=False)
+def _records(*inputs: Tensor) -> bool:
+    """True when an op on `inputs` is recorded: gradients are on and an
+    input takes one."""
     if _STATE.grad_enabled:
         for t in inputs:   # a plain loop: `any` over a generator costs more per op
             if t.requires_grad:
-                out._backward = backward_fn
-                _STATE.tape.append(out)
-                break
+                return True
+    return False
+
+
+def _node(data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
+    """The output of an op on `inputs`. It is recorded, with `backward_fn`
+    as its closure, when `_records(*inputs)`."""
+    out = Tensor(data, with_grad=False)
+    if _records(*inputs):
+        out._backward = backward_fn
+        _STATE.tape.append(out)
     return out
 
 

@@ -3,12 +3,14 @@
 Subcommands: gen-data, train, eval, gradcheck, inspect-histogram, compare.
 Exit codes: 0 success, 2 config error, 3 I/O or format error,
 4 verification failure, 5 training diverged (a parameter became non-finite
-or the loss clamped log 0; no final.hprm or log.csv is written).
+or the loss clamped log 0; no final.hprm or log.csv is written), 6 out of
+memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from dataclasses import asdict
@@ -31,6 +33,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 EXIT_DIVERGED = 5
+EXIT_MEMORY = 6
 
 _SPLIT_SALT = 0x9E3779B97F4A7C15
 _U64 = (1 << 64) - 1
@@ -69,14 +72,29 @@ def _write_log(rows, path) -> None:
 # commands
 
 def cmd_gen_data(cfg: RunConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write the three splits and the resolved config to `out_dir`. On any
+    failure the files written so far and the directories made are removed,
+    so no partial data set is left."""
     spec = scene_spec(cfg)
     sizes = {"train": cfg.n_train, "val": cfg.n_val, "test": cfg.n_test}
-    for i, (split, n) in enumerate(sizes.items()):
-        ds = generate(spec, n, cfg.H, cfg.W, _split_seed(cfg.seed, i))
-        write_dataset(ds, out_dir / f"{split}.hctx")
-        print(f"wrote {out_dir / (split + '.hctx')} ({n} images)")
-    write_resolved(cfg, out_dir)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    written = []
+    try:
+        for i, (split, n) in enumerate(sizes.items()):
+            ds = generate(spec, n, cfg.H, cfg.W, _split_seed(cfg.seed, i))
+            out_dir.mkdir(parents=True, exist_ok=True)
+            written.append(out_dir / f"{split}.hctx")
+            write_dataset(ds, written[-1])
+            print(f"wrote {written[-1]} ({n} images)")
+        written.append(out_dir / "resolved_config.txt")
+        write_resolved(cfg, out_dir)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for d in made:   # deepest first; one that is not empty stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     return 0
 
 
@@ -364,6 +382,12 @@ def main(argv=None) -> int:
     except TrainingDivergedError as e:
         print(f"diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError as e:
+        print(f"out of memory: {e}. The largest arrays are a split's (N, max(D, C_feat, "
+              "K*B), H, W) features, N the largest of n_train, n_val and n_test, and the "
+              "(n_mc, K, D) draws of the Monte-Carlo ceiling; lower those keys",
+              file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

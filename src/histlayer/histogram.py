@@ -27,6 +27,7 @@ from .autodiff import (
     _accumulate,
     _node,
     _record_hinge,
+    _records,
     abs_elem,
     conv1x1,
     global_avg_pool,
@@ -103,18 +104,30 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     x = likelihood.data.reshape(n, K, 1, h, w)
     # Both passes work in chunks of `step` images, each image alike, so every
     # bit is the whole-batch one. The forward turns each chunk's offsets
-    # d = x - mu into t = 1 - s*|d| in one work array; the backward computes
-    # the offsets again, chunk by chunk, rather than keeping them.
+    # d = x - mu into t = 1 - s*|d| in one work array. A recorded forward
+    # also keeps, as int8, sign(d) where t > 0 (the support) and 0 elsewhere;
+    # the backward reads that state instead of testing |d| again.
     step = max(1, _WORK // (K * B * h * w))
     work = np.empty((min(n, step), K, B, h, w))
     feats = np.empty((n, K, B))
+    state = None
+    if _records(likelihood, params.centers, params.slopes):
+        state = np.empty((n, K, B, h, w), dtype=np.int8)
+        mask = np.empty(work.shape, dtype=bool)
     for i in range(0, n, step):
         t = np.subtract(x[i:i + step], mu, out=work[:n - i])
         _record_hinge(t)
+        if state is not None:
+            # (d > 0) - (d < 0) through bool views of int8: np.sign costs more
+            st, m = state[i:i + step], mask[:n - i]
+            np.greater(t, 0.0, out=st.view(bool))
+            st -= np.less(t, 0.0, out=m).view(np.int8)
         np.abs(t, out=t)
         t *= s
         np.subtract(1.0, t, out=t)    # rounds as |d|*(-s) + 1, with no -s array
         _record_hinge(t)
+        if state is not None:
+            st *= np.greater(t, 0.0, out=m).view(np.int8)   # t > 0 is |d|*s < 1
         np.maximum(t, 0.0, out=t)
         np.add.reduce(t, axis=(3, 4), out=feats[i:i + step])
     feats /= h * w                    # the division `mean` makes after its sum
@@ -128,22 +141,22 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
         # axes (0,3,4), so the bits are its bits
         sums = np.empty((2, n, K, B))
         gx = np.empty((n, K, h, w)) if likelihood.requires_grad else None
+        q = np.empty(work.shape)
         for i in range(0, n, step):
-            v = x[i:i + step] - mu
-            a = np.abs(v)
-            active = a * s < 1.0      # the forward's support 1 - s*|d| > 0
             # on the support d(out)/d(mu) = s*sign(d) = -d(out)/d(x) and
             # d(out)/d(s) = -|d|; negating a sum is exact, so one product
             # serves both the centers and the likelihood
-            np.sign(v, out=v)
-            v *= active
-            v *= ggs[i:i + step]
-            a *= active
-            a *= gg[i:i + step]
-            np.add.reduce(a, axis=(3, 4), out=sums[0, i:i + step])
+            qi = q[:n - i]
+            qi[...] = state[i:i + step]
+            v = np.multiply(qi, ggs[i:i + step], out=work[:n - i])
             np.add.reduce(v, axis=(3, 4), out=sums[1, i:i + step])
             if gx is not None:
                 np.add.reduce(v, axis=2, out=gx[i:i + step])
+            # d*sign(d) is |d| exactly, so d*q is |d| on the support, 0 off it
+            np.subtract(x[i:i + step], mu, out=v)
+            v *= qi
+            v *= gg[i:i + step]
+            np.add.reduce(v, axis=(3, 4), out=sums[0, i:i + step])
         slopes, centers = np.add.reduce(sums, axis=1).reshape(2, K, B, 1, 1)
         params.slopes.grad -= slopes
         params.centers.grad += centers

@@ -152,6 +152,44 @@ def test_split_no_array_can_hold_exits_2_before_any_work(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def assert_out_of_memory(proc):
+    assert proc.returncode == cli.EXIT_MEMORY, proc.stderr
+    assert "out of memory: " in proc.stderr
+    assert "n_train, n_val and n_test" in proc.stderr and "C_feat" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("split", ["n_train", "n_val", "n_test"])
+def test_gen_data_out_of_memory_exits_6_and_leaves_no_split(tmp_path, split):
+    """A 1.6 TB split is refused at once; the splits written before it and
+    the directories gen-data made are removed."""
+    proc = run_capped(["gen-data", "--out", "runs/out"] + TINY
+                      + ["--set", f"{split}=100000000"], tmp_path)
+    assert_out_of_memory(proc)
+    assert "Unable to allocate" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_data_failure_keeps_an_existing_directory_and_its_other_files(tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "notes.txt").write_text("kept")
+    proc = run_capped(["gen-data", "--out", "out"] + TINY + ["--set", "n_test=100000000"],
+                      tmp_path)
+    assert_out_of_memory(proc)
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["notes.txt"]
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_train_and_compare_out_of_memory_exit_6(tmp_path, command):
+    """C_feat=1e8 makes the first base weight a 6.4 GB array."""
+    assert main(["gen-data", "--out", str(tmp_path / "data")] + TINY) == 0
+    proc = run_capped([command, "--out", "run", "--data", "data"] + TINY
+                      + ["--set", "C_feat=100000000"], tmp_path)
+    assert_out_of_memory(proc)
+    assert not list(tmp_path.glob("run/**/final.hprm"))
+    assert not list(tmp_path.glob("run/**/log.csv"))
+
+
 @pytest.mark.parametrize("key, per_entry", [("n_mc", 6 * 8 * 8), ("H", 2000 * 36 * 16 * 8)],
                          ids=["n_mc-draws", "split"])
 def test_largest_array_size_bound_is_exact(key, per_entry):

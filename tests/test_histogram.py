@@ -221,6 +221,91 @@ def test_backward_bit_equal_to_reference_formula(rng):
     assert kinks > 0
 
 
+def outside_every_support(rng, p, size):
+    """Pixels beyond the support of every bin of their class, on either side."""
+    mu, s = p.centers.data[:, :, 0, 0], p.slopes.data[:, :, 0, 0]
+    lo = (mu - 1.0 / s).min(axis=1).reshape(1, -1, 1, 1)
+    hi = (mu + 1.0 / s).max(axis=1).reshape(1, -1, 1, 1)
+    gap = rng.uniform(1e-6, 1.0, size=size)
+    return np.where(rng.random(size) < 0.5, lo - gap, hi + gap)
+
+
+def histogram_trials(rng, outside_share):
+    """(x, params, upstream) at random small shapes and the network's shapes;
+    `outside_share` of the pixels lie outside every support and a tenth sit
+    on a bin center or a support edge."""
+    step = max(1, hist._WORK // (6 * 6 * 16 * 16))
+    for trial, n_net in enumerate([None] * 24 + [step + 1, 50]):
+        if n_net is None:
+            K, B = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+            n, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        else:
+            n, K, B, h, w = n_net, 6, 6, 16, 16
+        p = init_params(K, B) if trial % 3 == 0 else random_params(rng, K, B)
+        mu, s = p.centers.data[:, :, 0, 0], p.slopes.data[:, :, 0, 0]
+        shape = (n, K, h, w)
+        k, b = np.arange(K).reshape(1, K, 1, 1), rng.integers(B, size=shape)
+        on_grid = mu[k, b] + rng.choice([0.0, 1.0, -1.0], size=shape) / s[k, b]
+        x = np.where(rng.random(shape) < 0.1, on_grid, rng.uniform(-0.2, 1.2, size=shape))
+        x = np.where(rng.random(shape) < outside_share, outside_every_support(rng, p, shape), x)
+        yield x, p, rng.standard_normal((n, K * B, 1, 1))
+
+
+def layer_likelihood_gradient(x, mu, s, upstream):
+    """The likelihood gradient as the layer computes it when it writes the
+    first buffer: the centers' product summed over the bins, then negated,
+    so a pixel with no support in any bin gets -0.0."""
+    n, K, h, w = x.shape
+    B = mu.shape[1]
+    mu, s = mu.reshape(1, K, B, 1, 1), s.reshape(1, K, B, 1, 1)
+    d = x.reshape(n, K, 1, h, w) - mu
+    t = np.abs(d)
+    t *= -s
+    t += 1.0
+    gg = upstream.reshape(n, K, B, 1, 1) / (h * w)
+    return np.negative((np.where(t > 0, gg * s, 0.0) * np.sign(d)).sum(axis=2))
+
+
+@pytest.mark.parametrize("outside_share", [0.5, 1.0])
+def test_backward_bit_equal_where_pixels_lie_outside_every_support(rng, outside_share):
+    outside = 0
+    for x, p, upstream in histogram_trials(rng, outside_share):
+        mu, s = p.centers.data, p.slopes.data
+        d = x[:, :, None] - mu[None, :, :, 0, 0][..., None, None]
+        outside += int((np.abs(d) * s[None, :, :, 0, 0][..., None, None] >= 1.0)
+                       .all(axis=2).sum())
+        lik = Tensor(x)
+        ad.reset_tape()
+        ad.backward(hist_forward_direct(lik, p), upstream)
+        want = reference_hist_grads(x, mu, s, upstream)
+        for got, ref in zip((lik.grad, p.centers.grad, p.slopes.grad), want):
+            assert got.tobytes() == ref.tobytes()
+    assert outside > 0
+
+
+@pytest.mark.parametrize("outside_share", [0.0, 0.5, 1.0])
+def test_recorded_likelihood_takes_the_layers_gradient_bit_for_bit(rng, outside_share):
+    """The histogram writes the first gradient of a recorded likelihood node,
+    so that node holds the layer's own array: every bit of it, the sign of
+    each zero included, is pinned, and so is what flows on to the leaf."""
+    negative_zeros = 0
+    for x, p, upstream in histogram_trials(rng, outside_share):
+        leaf = Tensor(x)
+        ad.reset_tape()
+        lik = ad.mean_tensors([leaf])   # a recorded node with leaf's values
+        assert lik.data.tobytes() == x.tobytes()
+        ad.backward(hist_forward_direct(lik, p), upstream)
+        mu, s = p.centers.data, p.slopes.data
+        want = layer_likelihood_gradient(x, mu, s, upstream)
+        assert lik.grad.tobytes() == want.tobytes()
+        assert leaf.grad.tobytes() == (np.zeros_like(x) + want / 1).tobytes()
+        ref = reference_hist_grads(x, mu, s, upstream)
+        assert p.centers.grad.tobytes() == ref[1].tobytes()
+        assert p.slopes.grad.tobytes() == ref[2].tobytes()
+        negative_zeros += int(np.signbit(want[want == 0]).sum())
+    assert negative_zeros > 0
+
+
 # --------------------------------------------------------------------------
 # brute-force oracle
 

@@ -49,7 +49,51 @@ def test_histogram_forward_peaks_below_one_offsets_array(recorded):
     assert peak < OFFSETS
 
 
+def kept_bytes(fn):
+    """(bytes still allocated after `fn` returns, above what was held before;
+    its result)"""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_recorded_histogram_forward_keeps_its_state_until_backward_or_reset():
+    """A recorded forward keeps its int8 support state (an eighth of an
+    offsets array) and its chunk work array for the backward, and nothing
+    once the tape is reset."""
+    p = init_params(K, B)
+    x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)), with_grad=False)
+    ad.reset_tape()
+    tracemalloc.start()
+    try:
+        kept, out = kept_bytes(lambda: hist_forward_direct(x, p))
+        assert ad._STATE.tape == [out]
+        assert OFFSETS / 8 < kept <= 0.3 * OFFSETS
+        freed, _ = kept_bytes(ad.reset_tape)
+        assert kept + freed <= out.data.nbytes + 4096
+    finally:
+        tracemalloc.stop()
+
+
+def test_unrecorded_histogram_forward_keeps_only_its_output():
+    p = init_params(K, B)
+    x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)))
+    ad.reset_tape()
+    with ad.no_grad():
+        kept, out = kept_bytes(lambda: hist_forward_direct(x, p))
+    assert ad._STATE.tape == []
+    assert kept <= out.data.nbytes + 4096
+
+
 def test_histogram_forward_and_backward_peak_below_one_offsets_array():
+    """Measured at 0.63 of one with the kept support state, 0.66 without it."""
     rng = np.random.default_rng(0)
     p = init_params(K, B)
     x = Tensor(rng.uniform(size=(N, K, H, W)))
@@ -57,7 +101,7 @@ def test_histogram_forward_and_backward_peak_below_one_offsets_array():
     ad.reset_tape()
     peak, _ = peak_bytes(lambda: ad.backward(hist_forward_direct(x, p), upstream))
     assert np.any(x.grad != 0) and np.any(p.centers.grad != 0) and np.any(p.slopes.grad != 0)
-    assert peak < OFFSETS
+    assert peak < 0.7 * OFFSETS
 
 
 def test_evaluation_batch_peaks_below_three_feature_maps():
