@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from histlayer.checkpoint import load_checkpoint
+from histlayer import verify
 from histlayer.cli import cmd_gen_data, cmd_gradcheck, train_run
 from histlayer.config import RunConfig
 from histlayer.networks import BASELINE_MODES
@@ -85,11 +86,21 @@ def gradcheck_sha256() -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def gate_sha256() -> str:
+    """sha256 of the release gate's reports, one JSON line each, at the
+    acceptance seeds and trial counts."""
+    reports = [verify.check_histogram_gradients(0, 100),
+               verify.check_equivalence(1, 1000),
+               verify.check_oracle_agreement(2, 1000)]
+    text = "\n".join(r.to_json() for r in reports)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def report(out: Path) -> dict:
     """Run the recipe into `out`; the object `tests/golden/determinism.json` holds."""
     run_recipe(out)
     return {"fingerprint": fingerprint(), "sha256": hashes(out),
-            "gradcheck_sha256": gradcheck_sha256()}
+            "gradcheck_sha256": gradcheck_sha256(), "gate_sha256": gate_sha256()}
 
 
 def _log(path: Path) -> list[list[str]]:

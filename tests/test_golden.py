@@ -1,8 +1,10 @@
 """Bit-identity gate: the seed-7 determinism recipe of `scripts/determinism.py`
 against `tests/golden/determinism.json`.
 
-Every log.csv, final.hprm and dataset byte of the recipe, and the
-`gradcheck --seed 0` output, must equal the recorded ones. The bits depend
+Every log.csv, final.hprm and dataset byte of the recipe, the
+`gradcheck --seed 0` output and the release gate's reports (histogram finite
+differences, direct vs composed equivalence and oracle agreement at the
+acceptance seeds and trial counts) must equal the recorded ones. The bits depend
 on the interpreter, numpy and the BLAS build, so the test runs only where
 the environment fingerprint equals the recorded one and skips, saying why,
 elsewhere. A change that moves bits on purpose regenerates the file with
@@ -41,3 +43,4 @@ def test_determinism_recipe_matches_the_golden_file(tmp_path):
     assert changed == []
     assert result["sha256"].keys() == golden["sha256"].keys()
     assert result["gradcheck_sha256"] == golden["gradcheck_sha256"]
+    assert result["gate_sha256"] == golden["gate_sha256"]
