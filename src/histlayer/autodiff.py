@@ -61,7 +61,7 @@ def reset_tape() -> None:
 
 def _record_hinge(pre: np.ndarray) -> None:
     if _STATE.hinges is not None:
-        _STATE.hinges.append(pre.ravel().copy())
+        _STATE.hinges.append(pre.flatten())
 
 
 class hinge_trace:
@@ -105,7 +105,8 @@ def backward(out: "Tensor", grad: np.ndarray | None = None) -> None:
     elif np.shape(grad) != out.shape:
         raise ShapeError(f"upstream gradient shape {np.shape(grad)} does not match "
                          f"output {out.shape}")
-    out.grad = np.full(out.shape, grad, dtype=np.float64)
+    out.grad = np.empty(out.shape)
+    out.grad[...] = grad
     for t in reversed(_STATE.tape):
         if t.grad is not None:
             t._backward()
@@ -124,7 +125,9 @@ class Tensor:
         if arr.ndim != 4:
             raise ShapeError(f"tensors are rank-4 (N,C,H,W), got shape {arr.shape}")
         self.data = arr
-        self.grad = np.zeros_like(arr) if with_grad else None
+        # np.zeros(shape) rather than zeros_like, which dispatches through
+        # __array_function__ at several times the cost on tiny tensors
+        self.grad = np.zeros(arr.shape) if with_grad else None
         self._backward = None
 
     @property
@@ -138,7 +141,7 @@ class Tensor:
         return self.grad is not None or self._backward is not None
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
+        return float(self.data.item(0))
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -156,11 +159,12 @@ class Parameter(Tensor):
 
     def __init__(self, value, lock_mask=None, name: str = ""):
         super().__init__(value)
+        shape = self.data.shape
         if lock_mask is None:
-            self.lock_mask = np.ones_like(self.data)
+            self.lock_mask = np.ones(shape)
         else:
-            self.lock_mask = np.asarray(lock_mask, dtype=np.float64).reshape(self.data.shape)
-        self.momentum_buf = np.zeros_like(self.data)
+            self.lock_mask = np.array(lock_mask, dtype=np.float64, order="C").reshape(shape)
+        self.momentum_buf = np.zeros(shape)
         self.name = name
 
     def __repr__(self) -> str:
@@ -270,7 +274,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = x.data.mean(axis=(2, 3), keepdims=True)
 
     def _bw():
-        _accumulate(x, np.broadcast_to(node.grad / (h * w), x.shape).copy())
+        g = np.empty(x.shape)   # broadcast by assignment: broadcast_to costs more
+        g[...] = node.grad / (h * w)
+        _accumulate(x, g)
 
     node = _node(out, _bw, x)
     return node
@@ -367,7 +373,7 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
     safe = np.where(valid, labels, 0).astype(np.intp)
     flat = (np.arange(n).reshape(n, 1, 1) * k + safe) * (h * w) + np.arange(h * w).reshape(h, w)
     picked = p.reshape(-1)[flat]
-    logp = np.log(picked, where=picked > 0, out=np.full_like(picked, LOG_ZERO))
+    logp = np.log(picked, where=picked > 0, out=np.full(picked.shape, LOG_ZERO))
 
     def _bw():
         g = loss_node.grad.reshape(-1)[0]
@@ -459,14 +465,24 @@ class GradCheckResult:
 def _hinge_crossed(trace_a, trace_b, margin: float) -> bool:
     """True if the +-eps passes straddle a hinge anywhere the wiggled entry
     actually influences: a side flip, or a moving pre-hinge value inside the
-    margin. Hinge inputs identical in both passes are unaffected and safe."""
-    for pa, pb in zip(trace_a, trace_b):
-        if np.any((pa > 0) != (pb > 0)):
-            return True
-        moved = pa != pb
-        if np.any(moved & ((np.abs(pa) < margin) | (np.abs(pb) < margin))):
-            return True
-    return False
+    margin. Hinge inputs identical in both passes are unaffected and safe.
+
+    The test is elementwise, so it runs once over each pass's traces laid
+    end to end; that needs both passes to have recorded the same traces.
+    `fmin` takes the other value where one is NaN, as the `|` of two `<`
+    tests did.
+    """
+    if [p.size for p in trace_a] != [p.size for p in trace_b]:
+        raise ValueError("the +-eps passes recorded different hinge traces: "
+                         f"{len(trace_a)} and {len(trace_b)} traces")
+    if not trace_a:
+        return False
+    a, b = np.concatenate(trace_a), np.concatenate(trace_b)
+    crossed = (a > 0) != (b > 0)
+    near = np.fmin(np.abs(a), np.abs(b)) < margin
+    near &= a != b
+    crossed |= near
+    return bool(crossed.any())
 
 
 def grad_check(loss_fn, wiggle: Parameter, eps: float = 1e-4,

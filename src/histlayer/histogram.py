@@ -182,29 +182,25 @@ class ComposedHistogram:
         self.K, self.B = K, B
         self.unlocked = unlocked
 
+        diag = np.arange(K * B)
         w1 = np.zeros((K * B, K, 1, 1))
-        for k in range(K):
-            w1[k * B:(k + 1) * B, k] = 1.0
+        w1[diag, diag // B] = 1.0     # row k*B + b selects class k
         b1 = -params.centers.data.reshape(K * B, 1, 1, 1)
 
         w2 = np.zeros((K * B, K * B, 1, 1))
-        diag = np.arange(K * B)
         w2[diag, diag, 0, 0] = -params.slopes.data.reshape(K * B)
         b2 = np.ones((K * B, 1, 1, 1))
 
         # the centers (b1) and slopes (w2 diagonal) always train; the
         # structural entries train only when unlocked
         structural = float(unlocked)
-        w1_lock = np.full_like(w1, structural)
-        b1_lock = np.ones_like(b1)
-        w2_lock = np.full_like(w2, structural)
+        w2_lock = np.full(w2.shape, structural)
         w2_lock[diag, diag] = 1.0
-        b2_lock = np.full_like(b2, structural)
 
-        self.w1 = Parameter(w1, w1_lock, name=f"{name}.w1")
-        self.b1 = Parameter(b1, b1_lock, name=f"{name}.b1")
+        self.w1 = Parameter(w1, np.full(w1.shape, structural), name=f"{name}.w1")
+        self.b1 = Parameter(b1, name=f"{name}.b1")
         self.w2 = Parameter(w2, w2_lock, name=f"{name}.w2")
-        self.b2 = Parameter(b2, b2_lock, name=f"{name}.b2")
+        self.b2 = Parameter(b2, np.full(b2.shape, structural), name=f"{name}.b2")
 
     def forward(self, likelihood: Tensor) -> Tensor:
         shifted = conv1x1(likelihood, self.w1, self.b1)

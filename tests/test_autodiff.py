@@ -494,6 +494,86 @@ def test_grad_check_names_a_frozen_parameter(rng):
         ad.grad_check(lambda: scalar_sum(ad.conv1x1(x, w, b)), w)
 
 
+def hinge_crossed_per_trace(trace_a, trace_b, margin):
+    """The per-trace loop `_hinge_crossed` replaced, kept as its reference."""
+    for pa, pb in zip(trace_a, trace_b):
+        if np.any((pa > 0) != (pb > 0)):
+            return True
+        moved = pa != pb
+        if np.any(moved & ((np.abs(pa) < margin) | (np.abs(pb) < margin))):
+            return True
+    return False
+
+
+MARGIN = 1e-3
+# side flips, signed zeros, values at and just inside the margin, and NaN
+HINGE_VALUES = st.sampled_from([0.0, -0.0, MARGIN, -MARGIN, np.nextafter(MARGIN, 0.0),
+                                -np.nextafter(MARGIN, 0.0), 2 * MARGIN, -2 * MARGIN, 0.5,
+                                -0.5, 1e-300, -1e-300, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def hinge_trace_pairs(draw):
+    """Two passes' traces of equal count and sizes; the second pass mostly
+    repeats the first, as the entries a wiggle does not reach do."""
+    sizes = draw(st.lists(st.integers(0, 5), max_size=4))
+    trace_a, trace_b = [], []
+    for size in sizes:
+        a = draw(st.lists(HINGE_VALUES, min_size=size, max_size=size))
+        b = [draw(st.one_of(st.just(v), HINGE_VALUES)) for v in a]
+        trace_a.append(np.array(a, dtype=np.float64))
+        trace_b.append(np.array(b, dtype=np.float64))
+    return trace_a, trace_b
+
+
+@settings(max_examples=300, deadline=None)
+@given(hinge_trace_pairs())
+def test_hinge_crossed_decides_as_the_per_trace_loop(traces):
+    trace_a, trace_b = traces
+    assert (ad._hinge_crossed(trace_a, trace_b, MARGIN)
+            == hinge_crossed_per_trace(trace_a, trace_b, MARGIN))
+
+
+@pytest.mark.parametrize("trace_b", [[np.zeros(3)], [np.zeros(2), np.zeros(2)],
+                                     [np.zeros(2), np.zeros(1), np.zeros(1)]],
+                         ids=["fewer-traces", "other-sizes", "more-traces"])
+def test_hinge_crossed_rejects_passes_with_different_traces(trace_b):
+    with pytest.raises(ValueError, match="different hinge traces"):
+        ad._hinge_crossed([np.zeros(2), np.zeros(1)], trace_b, MARGIN)
+
+
+# --------------------------------------------------------------------------
+# tensor buffers
+
+def test_every_buffer_is_a_fresh_c_contiguous_float64_array_of_the_data_shape():
+    base = np.arange(24.0).reshape(2, 3, 4, 1)
+    inputs = [base, base[:, ::2], np.asfortranarray(base), base.astype(np.float32),
+              np.arange(24).reshape(2, 3, 4, 1)]
+    buffers = []
+    for data in inputs:
+        t = Tensor(data)
+        p = Parameter(data)
+        locked = Parameter(data, lock_mask=np.asfortranarray(np.ones(data.shape)))
+        own = [t.grad, p.grad, p.lock_mask, p.momentum_buf, locked.grad,
+               locked.lock_mask, locked.momentum_buf]
+        for buf in own:
+            assert buf.dtype == np.float64
+            assert buf.flags.c_contiguous and buf.flags.writeable
+            assert buf.shape == data.shape
+            for other in (data, t.data, p.data, locked.data):
+                assert not np.shares_memory(buf, other)
+        buffers += own
+    for i, buf in enumerate(buffers):
+        assert not any(np.shares_memory(buf, other) for other in buffers[i + 1:])
+
+
+def test_a_given_lock_mask_is_copied():
+    mask = np.zeros((1, 2, 1, 1))
+    p = Parameter(np.ones((1, 2, 1, 1)), lock_mask=mask)
+    mask[...] = 1.0
+    np.testing.assert_array_equal(p.lock_mask, 0.0)
+
+
 # --------------------------------------------------------------------------
 # data inputs: nodes recorded only toward inputs that take a gradient
 

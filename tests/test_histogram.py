@@ -321,6 +321,58 @@ def test_oracle_single_bin_at_zero():
     np.testing.assert_array_equal(out, [[1.0]])
 
 
+def oracle_by_index(likelihood, centers, slopes):
+    """`hist_oracle` as it was before it walked lists: numpy scalars indexed
+    one at a time, kept as its reference."""
+    likelihood = np.asarray(likelihood, dtype=np.float64)
+    n, k_classes, h, w = likelihood.shape
+    b_bins = centers.shape[1]
+    out = np.zeros((n, k_classes * b_bins))
+    for sample in range(n):
+        for k in range(k_classes):
+            for b in range(b_bins):
+                mu = float(centers[k, b])
+                s = float(slopes[k, b])
+                total = 0.0
+                for i in range(h):
+                    for j in range(w):
+                        x = float(likelihood[sample, k, i, j])
+                        vote = 1.0 - s * abs(x - mu)
+                        if vote > 0.0:
+                            total += vote
+                out[sample, k * b_bins + b] = total / (h * w)
+    return out
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (4, 1), (3, 4)])
+def test_oracle_bit_equal_to_indexed_reference(h, w, rng):
+    for _ in range(20):
+        K = int(rng.integers(1, 4))
+        B = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 3))
+        centers = rng.uniform(-0.5, 1.5, size=(K, B))
+        slopes = rng.uniform(0.5, 8.0, size=(K, B))
+        x = rng.uniform(-1.0, 2.0, size=(n, K, h, w))   # also outside [0, 1]
+        x.flat[0] = centers[0, 0]                        # a vote of exactly 1
+        np.testing.assert_array_equal(hist_oracle(x, centers, slopes),
+                                      oracle_by_index(x, centers, slopes))
+
+
+def test_oracle_reads_float32_and_integer_inputs_as_float64(rng):
+    x = rng.uniform(-0.2, 1.2, size=(2, 2, 3, 3)).astype(np.float32)
+    centers = np.array([[0, 1], [1, 2]])
+    slopes = rng.uniform(0.5, 8.0, size=(2, 2)).astype(np.float32)
+    np.testing.assert_array_equal(hist_oracle(x, centers, slopes),
+                                  oracle_by_index(x, centers, slopes))
+
+
+@pytest.mark.parametrize("centers, slopes", [((3, 4), (3, 4)), ((2, 4), (2, 5))],
+                         ids=["classes", "slopes-shape"])
+def test_oracle_rejects_parameters_that_disagree_with_the_input(centers, slopes):
+    with pytest.raises(ValueError, match="must both be"):
+        hist_oracle(np.zeros((1, 2, 2, 2)), np.zeros(centers), np.ones(slopes))
+
+
 def test_oracle_agreement_many_random_instances(rng):
     for _ in range(100):
         K = int(rng.integers(1, 4))
