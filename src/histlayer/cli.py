@@ -120,13 +120,15 @@ def _load_splits(cfg: RunConfig, data_dir: Path):
 def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
               base_ckpt: Path | None = None, seed: int | None = None,
               mode: str | None = None) -> dict:
-    """Train one model (base pretrain included if needed); returns a summary."""
+    """Train one model (base pretrain included if needed); returns a summary.
+
+    `out_dir` is made when the first file is written into it, so a run that
+    fails before that leaves no directory behind."""
     seed = cfg.seed if seed is None else seed
     mode = mode or cfg.mode
     splits = _load_splits(cfg, data_dir)
     if base_ckpt is not None and not base_ckpt.exists():
         raise FileNotFoundError(f"base checkpoint not found: {base_ckpt}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_ds, val_ds = splits["train"], splits["val"]
     rows = []
 
@@ -134,6 +136,7 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
         base_net = Network(net_config(cfg, "base_only"), seed=seed)
         rows += train_base(base_net, train_ds, val_ds, schedule(cfg, seed))
         base_ckpt = out_dir / "base.hprm"
+        out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(base_net.state(), base_ckpt)
     base_params = load_checkpoint(base_ckpt)
 
@@ -146,6 +149,7 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
                                             schedule(cfg, seed))
         rows += rows2
         summary.update(phase_info)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(net.state(), out_dir / "final.hprm")
     _write_log(rows, out_dir / "log.csv")
     write_resolved(cfg, out_dir)
@@ -255,8 +259,9 @@ def compare_runs(cfg: RunConfig, out_dir: Path, data_dir: Path,
     """Train every requested mode over cfg.compare_seeds seeds.
 
     Each seed shares one pretrained base checkpoint across modes. Returns
-    (per-mode summaries, local Bayes ceiling) and writes compare.csv. The
-    first `train_run` creates `out_dir`, after its input checks.
+    (per-mode summaries, local Bayes ceiling) and writes compare.csv. Each
+    `train_run` makes its directory when it writes its first file, so a
+    failed run leaves no empty directory tree.
     """
     seeds = [cfg.seed + i for i in range(cfg.compare_seeds)]
     results = {m: [] for m in modes}

@@ -188,6 +188,18 @@ def test_train_and_compare_out_of_memory_exit_6(tmp_path, command):
     assert_out_of_memory(proc)
     assert not list(tmp_path.glob("run/**/final.hprm"))
     assert not list(tmp_path.glob("run/**/log.csv"))
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_out_of_memory_keeps_an_existing_out(tmp_path):
+    """With no --data, --out is the data directory: it keeps its files and
+    gains none."""
+    assert main(["gen-data", "--out", str(tmp_path / "data")] + TINY) == 0
+    before = sorted(p.name for p in (tmp_path / "data").iterdir())
+    proc = run_capped(["train", "--out", "data"] + TINY + ["--set", "C_feat=100000000"],
+                      tmp_path)
+    assert_out_of_memory(proc)
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == before
 
 
 @pytest.mark.parametrize("key, per_entry", [("n_mc", 6 * 8 * 8), ("H", 2000 * 36 * 16 * 8)],
