@@ -271,7 +271,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h * w < 1:
         raise ShapeError(f"global_avg_pool needs a nonempty spatial extent, got {x.shape}")
-    out = x.data.mean(axis=(2, 3), keepdims=True)
+    out = np.add.reduce(x.data, axis=(2, 3), keepdims=True)
+    out /= h * w   # the division `mean` makes after its sum, without mean's wrapper
 
     def _bw():
         g = np.empty(x.shape)   # broadcast by assignment: broadcast_to costs more
@@ -469,8 +470,8 @@ def _hinge_crossed(trace_a, trace_b, margin: float) -> bool:
 
     The test is elementwise, so it runs once over each pass's traces laid
     end to end; that needs both passes to have recorded the same traces.
-    `fmin` takes the other value where one is NaN, as the `|` of two `<`
-    tests did.
+    Where one side is NaN, `fmin` takes the other, so that side alone
+    decides whether the value is within the margin.
     """
     if [p.size for p in trace_a] != [p.size for p in trace_b]:
         raise ValueError("the +-eps passes recorded different hinge traces: "
@@ -518,22 +519,23 @@ def grad_check(loss_fn, wiggle: Parameter, eps: float = 1e-4,
     max_rel = 0.0
     skipped = []
     checked = 0
-    for idx in indices:
-        orig = wiggle.data[idx]
-        wiggle.data[idx] = orig + eps
-        with no_grad(), hinge_trace() as tr_plus:
-            f_plus = loss_fn().item()
-        wiggle.data[idx] = orig - eps
-        with no_grad(), hinge_trace() as tr_minus:
-            f_minus = loss_fn().item()
-        wiggle.data[idx] = orig
+    with no_grad():
+        for idx in indices:
+            orig = wiggle.data[idx]
+            wiggle.data[idx] = orig + eps
+            with hinge_trace() as tr_plus:
+                f_plus = loss_fn().item()
+            wiggle.data[idx] = orig - eps
+            with hinge_trace() as tr_minus:
+                f_minus = loss_fn().item()
+            wiggle.data[idx] = orig
 
-        if _hinge_crossed(tr_plus, tr_minus, kink_margin):
-            skipped.append(idx)
-            continue
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        a = analytic[idx]
-        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-        max_rel = max(max_rel, rel)
-        checked += 1
+            if _hinge_crossed(tr_plus, tr_minus, kink_margin):
+                skipped.append(idx)
+                continue
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            a = analytic[idx]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
+            max_rel = max(max_rel, rel)
+            checked += 1
     return GradCheckResult(wiggle.name or "param", max_rel, checked, skipped)

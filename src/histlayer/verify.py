@@ -74,7 +74,7 @@ def primitive_reports(seed: int) -> list[PropertyReport]:
         # smooth scalar readout sum(t^2)/2 so every op's output is exercised
         def _bw():
             ad._accumulate(t, t.data * out.grad.reshape(-1)[0])
-        out = ad._node(np.full((1, 1, 1, 1), 0.5 * (t.data ** 2).sum()), _bw, t)
+        out = ad._node(0.5 * (t.data ** 2).sum(keepdims=True), _bw, t)
         return out
 
     cases = {
@@ -117,12 +117,12 @@ def check_histogram_gradients(seed: int, trials: int) -> PropertyReport:
         def loss_fn():
             # scalar projection <feature, upstream> as the loss
             feat = hist_forward_direct(x, hp)
-            s = (feat.data * upstream).sum()
+            s = (feat.data * upstream).sum(keepdims=True)
 
             def _bw():
                 ad._accumulate(feat, upstream * out.grad.reshape(-1)[0])
 
-            out = ad._node(np.full((1, 1, 1, 1), s), _bw, feat)
+            out = ad._node(s, _bw, feat)
             return out
 
         for p in (x, hp.centers, hp.slopes):
