@@ -11,7 +11,8 @@ the pairs the change won and whether the bar is met: the change better in
 at least 9 of 10 pairs, and the gap between the medians larger than the
 base's interquartile range. A pair ties, and counts as not won, when both
 sides read the same. The export is removed afterwards, and `perfbench/run.py`
-removes its own work directory.
+removes its own work directory, also when the comparison is interrupted
+(Ctrl-C or SIGTERM).
 
 Exit status: 0 when every op on both sides passed its checks, 1 otherwise
 (whatever the verdict), 2 for a bad argument.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -83,10 +85,26 @@ def run_once(tree: Path, args) -> dict:
     """One `perfbench/run.py` run in `tree`; its last output line."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    # In its own session a Ctrl-C does not reach the run; it is interrupted
+    # here instead, once, so that it removes its work directory. SIGINT is
+    # reset for it, since a shell's background job inherits it ignored.
+    with subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True,
+                          preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)
+                          ) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            proc.send_signal(signal.SIGINT)
+            proc.communicate()
+            raise
     if proc.returncode != 0:
-        raise SystemExit(f"ab: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        raise SystemExit(f"ab: {' '.join(cmd)} exited {proc.returncode}:\n{err}")
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)   # unwinds, so the export and the run are cleaned up
 
 
 def main(argv=None) -> int:
@@ -100,6 +118,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
+    signal.signal(signal.SIGTERM, _terminate)
     metrics = end_to_end_metrics()
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
