@@ -473,9 +473,10 @@ def _hinge_crossed(trace_a, trace_b, margin: float) -> bool:
     Where one side is NaN, `fmin` takes the other, so that side alone
     decides whether the value is within the margin.
     """
-    if [p.size for p in trace_a] != [p.size for p in trace_b]:
-        raise ValueError("the +-eps passes recorded different hinge traces: "
-                         f"{len(trace_a)} and {len(trace_b)} traces")
+    sizes_a, sizes_b = [p.size for p in trace_a], [p.size for p in trace_b]
+    if sizes_a != sizes_b:
+        raise ValueError("the +-eps passes recorded different hinge traces, of sizes "
+                         f"{sizes_a} and {sizes_b}")
     if not trace_a:
         return False
     a, b = np.concatenate(trace_a), np.concatenate(trace_b)
