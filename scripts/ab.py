@@ -35,9 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9   # the change must win at least this share of the pairs
 
 
-def end_to_end_metrics(root: Path = ROOT) -> dict[str, str]:
+def end_to_end_metrics() -> dict[str, str]:
     """Whether lower or higher is better, by end-to-end metric name."""
-    spec = json.loads((root / "BENCHMARK.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
