@@ -1,7 +1,7 @@
 """Trainable histogram context features on a minimal rank-4 autodiff engine."""
 
-from .autodiff import (IGNORE_LABEL, GradCheckResult, Parameter, ShapeError, Tensor,
-                       backward, grad_check, sgd_step)
+from .autodiff import (GradCheckResult, Parameter, ShapeError, Tensor, backward, grad_check,
+                       sgd_step)
 from .config import ConfigError, RunConfig
 from .data import ContextDataset, SceneSpec, default_spec, generate, local_bayes_ceiling
 from .histogram import (ComposedHistogram, HistogramParams, basis_eval,
@@ -10,8 +10,8 @@ from .networks import (HistNetConfig, Network, StageOutputs, TrainSchedule, eval
                        parameter_census, train_base, two_phase_train)
 
 __all__ = [
-    "IGNORE_LABEL", "GradCheckResult", "Parameter", "ShapeError", "Tensor",
-    "backward", "grad_check", "sgd_step",
+    "GradCheckResult", "Parameter", "ShapeError", "Tensor", "backward", "grad_check",
+    "sgd_step",
     "ConfigError", "RunConfig",
     "ContextDataset", "SceneSpec", "default_spec", "generate", "local_bayes_ceiling",
     "ComposedHistogram", "HistogramParams", "basis_eval", "hist_forward_direct",

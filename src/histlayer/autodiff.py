@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-IGNORE_LABEL = 255
 LOG_ZERO = -745.0   # softmax_xent's clamped log 0
 
 
@@ -347,65 +346,61 @@ def softmax(logits: Tensor) -> Tensor:
 def softmax_xent(logits: Tensor, labels: np.ndarray):
     """Per-position softmax cross-entropy.
 
-    labels is an integer (N,H,W) map; IGNORE_LABEL positions are excluded
-    from the loss. Returns (scalar loss, probability tensor); both are graph
-    nodes, so gradients flow into the logits from either. The loss tensor's
-    `clamped` attribute counts the valid positions whose picked probability
-    underflowed to 0, where log 0 is clamped to LOG_ZERO: a logit gap above
-    745, which only a diverging network reaches. Its `logp` attribute holds
-    the (N,H,W) log probability of each position's label.
+    labels is an integer (N,H,W) map, every label in [0, K), the contract
+    `data.read_dataset` holds its files to. Returns (scalar loss,
+    probability tensor); both are graph nodes, so gradients flow into the
+    logits from either. The loss tensor's `clamped` attribute counts the
+    positions whose picked probability underflowed to 0, where log 0 is
+    clamped to LOG_ZERO: a logit gap above 745, which only a diverging
+    network reaches. Its `logp` attribute holds the (N,H,W) log probability
+    of each position's label.
     """
     n, k, h, w = logits.shape
     labels = np.asarray(labels)
     if labels.shape != (n, h, w):
         raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    valid = labels != IGNORE_LABEL
-    if np.any((labels < 0) | ((labels >= k) & valid)):
-        bad = labels[(labels < 0) | ((labels >= k) & valid)]
+    if labels.size == 0:
+        raise ValueError("empty label map")
+    if labels.min() < 0 or labels.max() >= k:
+        bad = labels[(labels < 0) | (labels >= k)]
         raise ValueError(f"labels out of range [0,{k}): {np.unique(bad)}")
-    count = int(valid.sum())
-    if count == 0:
-        raise ValueError("all positions carry the ignore label")
 
     probs = softmax(logits)
     p = probs.data
     # flat index of (image, label, row, col) in p; uint8 labels would
     # overflow the products, so widen them first
-    safe = np.where(valid, labels, 0).astype(np.intp)
-    flat = (np.arange(n).reshape(n, 1, 1) * k + safe) * (h * w) + np.arange(h * w).reshape(h, w)
+    flat = ((np.arange(n).reshape(n, 1, 1) * k + labels.astype(np.intp)) * (h * w)
+            + np.arange(h * w).reshape(h, w))
     picked = p.reshape(-1)[flat]
     logp = np.log(picked, where=picked > 0, out=np.full(picked.shape, LOG_ZERO))
 
     def _bw():
         g = loss_node.grad.reshape(-1)[0]
-        d = p * valid[:, None]
-        d.reshape(-1)[flat] -= valid
-        d *= g / count
+        d = p.copy()
+        d.reshape(-1)[flat] -= 1.0
+        d *= g / logp.size
         _accumulate(logits, d)
 
     loss_node = _node(np.zeros((1, 1, 1, 1)), _bw, logits)
-    _set_xent_value(loss_node, logp, valid)
+    _set_xent_value(loss_node, logp)
     return loss_node, probs
 
 
-def _set_xent_value(loss: Tensor, logp: np.ndarray, valid: np.ndarray) -> None:
-    """Give a (1,1,1,1) loss tensor the mean of -logp over the valid
-    positions, its `clamped` count and `logp` itself. A positive double's
-    log is at least -744.5, so LOG_ZERO marks exactly the clamped positions."""
-    loss.data[...] = -(logp * valid).sum() / int(valid.sum())
-    loss.clamped = int(np.count_nonzero(valid & (logp == LOG_ZERO)))
+def _set_xent_value(loss: Tensor, logp: np.ndarray) -> None:
+    """Give a (1,1,1,1) loss tensor the mean of -logp, its `clamped` count
+    and `logp` itself. A positive double's log is at least -744.5, so
+    LOG_ZERO marks exactly the clamped positions."""
+    loss.data[...] = -logp.sum() / logp.size
+    loss.clamped = int(np.count_nonzero(logp == LOG_ZERO))
     loss.logp = logp
 
 
-def xent_from_logp(logp: np.ndarray, labels: np.ndarray) -> Tensor:
-    """The loss `softmax_xent` gives for the per-position log probabilities
-    `logp` of `labels`, unrecorded: the same expression on the same values,
-    so the same bits."""
-    valid = np.asarray(labels) != IGNORE_LABEL
-    if not valid.any():
-        raise ValueError("all positions carry the ignore label")
+def xent_from_logp(logp: np.ndarray) -> Tensor:
+    """The loss `softmax_xent` gives for the per-position label log
+    probabilities `logp`, unrecorded: the same expression on the same
+    values, so the same bits."""
     loss = Tensor(np.zeros((1, 1, 1, 1)), with_grad=False)
-    _set_xent_value(loss, logp, valid)
+    _set_xent_value(loss, logp)
     return loss
 
 

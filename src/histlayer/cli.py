@@ -4,7 +4,7 @@ Subcommands: gen-data, train, eval, gradcheck, inspect-histogram, compare.
 Exit codes: 0 success, 2 config error, 3 I/O or format error,
 4 verification failure, 5 training diverged (a parameter became non-finite
 or the loss clamped log 0; no final.hprm or log.csv is written), 6 out of
-memory.
+memory, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 EXIT_DIVERGED = 5
 EXIT_MEMORY = 6
+EXIT_INTERRUPTED = 130   # 128 + SIGINT, as a shell reports it
 
 _SPLIT_SALT = 0x9E3779B97F4A7C15
 _U64 = (1 << 64) - 1
@@ -137,7 +138,7 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
         rows += train_base(base_net, train_ds, val_ds, schedule(cfg, seed))
         base_ckpt = out_dir / "base.hprm"
         out_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(base_net.state(), base_ckpt)
+        save_checkpoint(base_net.params, base_ckpt)
     base_params = load_checkpoint(base_ckpt)
 
     summary = {"mode": mode, "seed": seed}
@@ -150,7 +151,7 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
         rows += rows2
         summary.update(phase_info)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(net.state(), out_dir / "final.hprm")
+    save_checkpoint(net.params, out_dir / "final.hprm")
     _write_log(rows, out_dir / "log.csv")
     write_resolved(cfg, out_dir)
 
@@ -176,7 +177,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, data_dir: Path,
 def cmd_eval(cfg: RunConfig, ckpt: Path, data_path: Path, out_dir: Path) -> int:
     ds = _read_matching(cfg, data_path)
     net = Network(net_config(cfg), seed=cfg.seed)
-    load_into(net.state(), ckpt)
+    load_into(net.params, ckpt)
     m = evaluate(net, ds)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"per_pixel: {m['per_pixel']!r}")
@@ -393,6 +394,9 @@ def main(argv=None) -> int:
               "(n_mc, K, D) draws of the Monte-Carlo ceiling; lower those keys",
               file=sys.stderr)
         return EXIT_MEMORY
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

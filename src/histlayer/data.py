@@ -35,7 +35,7 @@ class DatasetTruncationError(DatasetFormatError):
 
 
 def check_class_count(K: int) -> None:
-    if K > 255:  # labels are stored as u8, and 255 is IGNORE_LABEL
+    if K > 255:  # labels are stored as u8; the bound is one class below what u8 holds
         raise ValueError(f"K must be at most 255, got {K}")
 
 

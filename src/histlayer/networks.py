@@ -169,9 +169,6 @@ class Network:
         if self.hist is not None:
             self.hist.clamp_slopes()
 
-    def state(self) -> dict[str, Parameter]:
-        return self.params
-
 
 class PrefixCache:
     """Every image's `Prefix` under a context-mode network's current
@@ -202,9 +199,9 @@ class PrefixCache:
                 for name, arr in self.tensors.items():
                     arr[start:stop] = getattr(pre, name).data
 
-    def take(self, idx, labels: np.ndarray) -> Prefix:
-        """The prefix of the images at `idx` (indices or a slice) with their labels."""
-        return Prefix(loss=ad.xent_from_logp(self.logp[idx], labels),
+    def take(self, idx) -> Prefix:
+        """The prefix of the images at `idx` (indices or a slice)."""
+        return Prefix(loss=ad.xent_from_logp(self.logp[idx]),
                       **{name: Tensor(arr[idx], with_grad=False)
                          for name, arr in self.tensors.items()})
 
@@ -245,7 +242,7 @@ def _batch_pass(net: Network, dataset, idx, labels: np.ndarray,
     a cache is given."""
     if cache is None:
         return net.loss(Tensor(dataset.features[idx], with_grad=False), labels)
-    return net.refine(cache.take(idx, labels), labels)
+    return net.refine(cache.take(idx), labels)
 
 
 def _usable_cores() -> int:

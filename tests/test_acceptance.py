@@ -106,7 +106,7 @@ def test_criterion_5_lock_semantics():
     net = Network(HistNetConfig(baseline_mode="fix_hist"), seed=0)
     centers_before = net.hist.centers.data.copy()
     slopes_before = net.hist.slopes.data.copy()
-    two_phase_train(net, base.state(), train, val, sched)
+    two_phase_train(net, base.params, train, val, sched)
     frozen = (np.array_equal(net.hist.centers.data, centers_before)
               and np.array_equal(net.hist.slopes.data, slopes_before))
     ok = lock.passed and frozen

@@ -380,15 +380,18 @@ def test_softmax_xent_rejects_out_of_range_label():
         ad.softmax_xent(logits, np.full((1, 1, 1), 7))
 
 
-def test_softmax_xent_ignore_label_excluded(rng):
-    logits_arr = rng.standard_normal((1, 3, 1, 2))
-    labels = np.array([[[0, ad.IGNORE_LABEL]]])
-    ad.reset_tape()
-    loss, _ = ad.softmax_xent(Tensor(logits_arr), labels)
-    only = np.array([[[0]]])
-    ad.reset_tape()
-    loss_only, _ = ad.softmax_xent(Tensor(logits_arr[:, :, :, :1]), only)
-    assert loss.item() == pytest.approx(loss_only.item(), rel=1e-12)
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_softmax_xent_rejects_label_255(dtype):
+    # no label value is ignored: every label must lie in [0, K)
+    labels = np.zeros((1, 2, 2), dtype=dtype)
+    labels[0, 1, 0] = 255
+    with pytest.raises(ValueError, match=r"out of range \[0,6\): \[255\]"):
+        ad.softmax_xent(Tensor(np.zeros((1, 6, 2, 2))), labels)
+
+
+def test_softmax_xent_rejects_an_empty_label_map():
+    with pytest.raises(ValueError):
+        ad.softmax_xent(Tensor(np.zeros((0, 6, 2, 2))), np.zeros((0, 2, 2), dtype=np.uint8))
 
 
 def test_softmax_xent_bit_equal_to_take_along_axis_reference(rng):
@@ -396,25 +399,20 @@ def test_softmax_xent_bit_equal_to_take_along_axis_reference(rng):
     n, k, h, w = 3, 6, 5, 7
     logits_arr = rng.standard_normal((n, k, h, w))
     labels = rng.integers(0, k, size=(n, h, w)).astype(np.uint8)
-    labels[0, 0, :3] = ad.IGNORE_LABEL
     labels[2, 4, 6] = 1
     logits_arr[2, 0, 4, 6] = 800.0      # label 1 there underflows to p = 0
-    logits_arr[0, 0, 0, 0] = 900.0      # at an ignored position: not counted
     logits = Tensor(logits_arr)
     ad.reset_tape()
     loss, probs = ad.softmax_xent(logits, labels)
     ad.backward(loss)
 
     p = probs.data
-    valid = labels != ad.IGNORE_LABEL
-    safe = np.where(valid, labels, 0)
-    picked = np.take_along_axis(p, safe[:, None], axis=1)[:, 0]
+    picked = np.take_along_axis(p, labels[:, None], axis=1)[:, 0]
     logp = np.log(picked, where=picked > 0, out=np.full_like(picked, -745.0))
-    count = int(valid.sum())
-    want_loss = -(logp * valid).sum() / count
+    want_loss = -logp.sum() / labels.size
     onehot = np.zeros_like(p)
-    np.put_along_axis(onehot, safe[:, None], 1.0, axis=1)
-    want_grad = np.zeros_like(p) + (p - onehot) * valid[:, None] * (1.0 / count)
+    np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
+    want_grad = np.zeros_like(p) + (p - onehot) * (1.0 / labels.size)
     assert loss.data.tobytes() == np.full((1, 1, 1, 1), want_loss).tobytes()
     assert logits.grad.tobytes() == want_grad.tobytes()
     assert loss.clamped == 1

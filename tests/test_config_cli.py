@@ -107,7 +107,7 @@ for kv in ("n_train=2", "n_val=2", "n_test=2", "H=2", "W=2", "n_mc=10"):
 
 
 def test_gen_data_with_256_classes_exits_2(tmp_path, capsys):
-    """Labels are u8 and 255 is the ignore label, so K tops out at 255."""
+    """Labels are u8, and K tops out at 255, one class below what u8 holds."""
     rc = main(["gen-data", "--out", str(tmp_path / "out"), "--set", "K=256",
                "--set", "D=255"] + TINY)
     assert rc == 2
@@ -189,6 +189,17 @@ def test_train_and_compare_out_of_memory_exit_6(tmp_path, command):
     assert not list(tmp_path.glob("run/**/final.hprm"))
     assert not list(tmp_path.glob("run/**/log.csv"))
     assert not (tmp_path / "run").exists()
+
+
+def test_interrupt_exits_130_with_one_line(tmp_path, monkeypatch, capsys):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "train_run", interrupted)
+    assert main(["train", "--out", str(tmp_path / "run")] + TINY) == cli.EXIT_INTERRUPTED == 130
+    err = capsys.readouterr().err
+    assert err == "interrupted\n"
+    assert "Traceback" not in err
 
 
 def test_train_out_of_memory_keeps_an_existing_out(tmp_path):
@@ -283,7 +294,7 @@ def test_train_missing_base_checkpoint_exits_3(trained, capsys):
 @pytest.mark.parametrize("defect", ["shape", "missing"])
 def test_train_mismatched_base_checkpoint_exits_3(trained, tmp_path, capsys, mode, defect):
     base = Network(cli.net_config(RunConfig(C_feat=8 if defect == "shape" else 16),
-                                  "base_only"), seed=0).state()
+                                  "base_only"), seed=0).params
     if defect == "missing":
         del base["base.f1.w"]
     save_checkpoint(base, tmp_path / "base.hprm")
@@ -356,7 +367,7 @@ def test_train_run_evaluates_val_once_per_parameter_state(trained, monkeypatch, 
 
     # the same values as separate passes over the final parameters
     net = Network(cli.net_config(cfg, mode), seed=cfg.seed)
-    load_into(net.state(), tmp_path / "final.hprm")
+    load_into(net.params, tmp_path / "final.hprm")
     for split in ("val", "test"):
         m = real(net, read_dataset(trained["data"] / f"{split}.hctx"))
         assert summary[f"{split}_per_pixel"] == m["per_pixel"]
@@ -458,7 +469,7 @@ def test_eval_dimension_mismatch_exits_2(trained, capsys):
 def test_inspect_histogram_fresh_init(tmp_path, capsys):
     net = Network(HistNetConfig(K=2, B=6, D_in=3, C_feat=4), seed=0)
     ckpt = tmp_path / "fresh.hprm"
-    save_checkpoint(net.state(), ckpt)
+    save_checkpoint(net.params, ckpt)
     assert main(["inspect-histogram", str(ckpt),
                  "--csv", str(tmp_path / "hist.csv")]) == 0
     out = capsys.readouterr().out
@@ -488,7 +499,7 @@ def test_inspect_histogram_without_histogram_exits_3(tmp_path, capsys):
     net = Network(HistNetConfig(K=2, B=3, D_in=3, C_feat=4,
                                 baseline_mode="score_global"), seed=0)
     ckpt = tmp_path / "plain.hprm"
-    save_checkpoint(net.state(), ckpt)
+    save_checkpoint(net.params, ckpt)
     assert main(["inspect-histogram", str(ckpt)]) == 3
     assert "no histogram parameters" in capsys.readouterr().err
 
@@ -497,7 +508,7 @@ def test_inspect_histogram_free_all_exits_3(tmp_path, capsys):
     net = Network(HistNetConfig(K=2, B=3, D_in=3, C_feat=4, baseline_mode="free_all"),
                   seed=0)
     ckpt = tmp_path / "free_all.hprm"
-    save_checkpoint(net.state(), ckpt)
+    save_checkpoint(net.params, ckpt)
     assert main(["inspect-histogram", str(ckpt)]) == 3
     assert "no histogram parameters" in capsys.readouterr().err
 
@@ -507,7 +518,7 @@ def test_eval_composed_histogram_checkpoint_exits_3(trained, tmp_path, capsys, m
     """A checkpoint holding the composed kernels hist.w1/b1/w2/b2 does not load
     into a histnet or fix_hist network, whose histogram is hist.centers/slopes."""
     net = Network(HistNetConfig(baseline_mode=mode), seed=0)
-    params = {n: p for n, p in net.state().items() if not n.startswith("hist.")}
+    params = {n: p for n, p in net.params.items() if not n.startswith("hist.")}
     for p in ComposedHistogram(net.hist).parameters():
         params[p.name] = p
     ckpt = tmp_path / "composed.hprm"
@@ -524,7 +535,7 @@ def test_eval_unlocked_fix_hist_checkpoint_exits_3(trained, tmp_path, capsys):
     net = Network(HistNetConfig(baseline_mode="fix_hist"), seed=0)
     net.params["hist.centers"].lock_mask[...] = 1.0
     ckpt = tmp_path / "unlocked.hprm"
-    save_checkpoint(net.state(), ckpt)
+    save_checkpoint(net.params, ckpt)
     rc = main(["eval", str(ckpt), str(trained["data"] / "val.hctx"),
                "--mode", "fix_hist", "--out", str(tmp_path / "out")] + SMALL)
     assert rc == 3
@@ -574,6 +585,6 @@ def test_gradcheck_corrupt_leaves_unrecorded_outputs_alone(monkeypatch, capsys):
     assert seen == [False, True]
 
 
-@pytest.mark.parametrize("op", ["frobnicate", "backward", "IGNORE_LABEL"])
+@pytest.mark.parametrize("op", ["frobnicate", "backward", "LOG_ZERO"])
 def test_gradcheck_corrupt_unknown_op_exits_2(capsys, op):
     assert main(["gradcheck", "--corrupt", op]) == 2

@@ -253,6 +253,15 @@ def test_confusion_counts_every_pixel():
     assert conf.sum() == 5 * 6 * 6
 
 
+@pytest.mark.parametrize("label", [5, 255])
+def test_evaluate_rejects_a_label_outside_the_class_range(label):
+    # the loss holds labels to [0, K) before a confusion matrix counts them
+    ds = small_data(3)
+    ds.labels[1, 2, 3] = label
+    with pytest.raises(ValueError, match="out of range"):
+        evaluate(Network(small_cfg(), seed=0), ds)
+
+
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 def test_no_grad_loss_records_nothing_and_matches_recorded(mode):
     net = Network(small_cfg(mode), seed=3)
@@ -331,7 +340,7 @@ def test_phase1_step_gives_the_full_graph_gradients_bitwise(mode):
 def test_phase1_tape_holds_no_base_or_histogram_node(mode):
     net = Network(small_cfg(mode), seed=3)
     ds = small_data(3, seed=4)
-    pre = networks.PrefixCache(net, ds, 3).take(slice(0, 3), ds.labels)
+    pre = networks.PrefixCache(net, ds, 3).take(slice(0, 3))
     loss, out = net.refine(pre, ds.labels)
     tape = ad._STATE.tape
     # fc, stage-2 head, its softmax and loss, the mean of the stage
@@ -375,7 +384,7 @@ def test_refine_on_cached_prefixes_matches_the_loss_pass_bitwise(mode, scale):
         net = Network(small_cfg(mode), seed=3)
         net.params["base.cls.w"].data *= scale
         if cached:  # filled in chunks of 2, which split the batch differently
-            pre = networks.PrefixCache(net, ds, batch_size=2).take(idx, labels)
+            pre = networks.PrefixCache(net, ds, batch_size=2).take(idx)
             loss, out = net.refine(pre, labels)
         else:
             loss, out = net.loss(Tensor(ds.features[idx], with_grad=False), labels)
@@ -404,7 +413,7 @@ def test_phase1_computes_each_prefix_once(monkeypatch):
     monkeypatch.setattr(networks, "train_phase", train_phase)
     ds, val = small_data(10, seed=3), small_data(6, seed=4)
     net = Network(small_cfg(), seed=0)
-    two_phase_train(net, Network(small_cfg("base_only"), seed=0).state(), ds, val,
+    two_phase_train(net, Network(small_cfg("base_only"), seed=0).params, ds, val,
                     schedule(2))
     phase2 = calls.index(("phase", 2))
     assert calls[:phase2] == [("prefix", 4)] * 2 + [("prefix", 2), ("prefix", 4),
@@ -427,7 +436,7 @@ def test_phase1_leaves_every_base_and_histogram_gradient_zero(monkeypatch):
     ds, val = small_data(8, seed=3), small_data(4, seed=4)
     net = Network(small_cfg(), seed=0)
     fixed = [*net.base_param_names, "hist.centers", "hist.slopes"]
-    two_phase_train(net, Network(small_cfg("base_only"), seed=0).state(), ds, val,
+    two_phase_train(net, Network(small_cfg("base_only"), seed=0).params, ds, val,
                     schedule(2))
     assert list(seen) == fixed
     for name, grad in seen.items():
@@ -585,7 +594,7 @@ def test_phase1_leaves_base_and_bins_bit_identical():
     base = Network(small_cfg("base_only"), seed=0)
     train_base(base, ds, val, schedule())
     net = Network(small_cfg(), seed=0)
-    load_base(net, base.state())
+    load_base(net, base.params)
     before = {n: net.params[n].data.copy() for n in net.base_param_names}
     bins_before = (net.hist.centers.data.copy(), net.hist.slopes.data.copy())
     train_phase(net, ds, val, phase1_params(net), schedule(), phase=1)
@@ -602,7 +611,7 @@ def test_two_phase_train_moves_bins_in_phase_two():
     train_base(base, ds, val, schedule())
     net = Network(small_cfg(), seed=0)
     bins_before = net.hist.centers.data.copy()
-    rows, stage1 = two_phase_train(net, base.state(), ds, val, schedule())
+    rows, stage1 = two_phase_train(net, base.params, ds, val, schedule())
     assert any(r.phase == 1 for r in rows) and any(r.phase == 2 for r in rows)
     assert not np.array_equal(net.hist.centers.data, bins_before)
     assert 0.0 <= stage1["stage1_before_phase2"] <= 1.0
@@ -623,7 +632,7 @@ def test_two_phase_train_takes_stage1_from_the_epoch_end_passes(monkeypatch, epo
     train_base(base, ds, val, schedule())
     # reference: a separate stage-1 pass after each phase
     ref = Network(small_cfg(), seed=0)
-    load_base(ref, base.state())
+    load_base(ref, base.params)
     train_phase(ref, ds, val, phase1_params(ref), schedule(epochs), phase=1)
     before = stage1_per_pixel(ref, val)
     train_phase(ref, ds, val, list(ref.params.values()), schedule(epochs), phase=2)
@@ -633,7 +642,7 @@ def test_two_phase_train_takes_stage1_from_the_epoch_end_passes(monkeypatch, epo
     real = networks.evaluate
     monkeypatch.setattr(networks, "evaluate", lambda *a: calls.append(a) or real(*a))
     net = Network(small_cfg(), seed=0)
-    _, stage1 = two_phase_train(net, base.state(), ds, val, schedule(epochs))
+    _, stage1 = two_phase_train(net, base.params, ds, val, schedule(epochs))
     assert stage1 == {"stage1_before_phase2": before, "stage1_after_phase2": after}
     assert len(calls) == max(2 * epochs, 1)
 
@@ -664,14 +673,14 @@ def test_train_phase_stops_when_the_loss_clamps_with_finite_parameters():
 def test_two_phase_train_rejects_base_only():
     net = Network(small_cfg("base_only"), seed=0)
     with pytest.raises(ValueError, match="context-refinement"):
-        two_phase_train(net, net.state(), small_data(4), small_data(4), schedule())
+        two_phase_train(net, net.params, small_data(4), small_data(4), schedule())
 
 
 def test_load_base_shape_mismatch_named():
     base = Network(small_cfg("base_only", C_feat=7), seed=0)
     net = Network(small_cfg(), seed=0)
     with pytest.raises(ValueError, match="base.f1.w"):
-        load_base(net, base.state())
+        load_base(net, base.params)
 
 
 def test_training_is_reproducible():
@@ -682,7 +691,7 @@ def test_training_is_reproducible():
         base = Network(small_cfg("base_only"), seed=0)
         train_base(base, ds, val, schedule())
         net = Network(small_cfg(), seed=0)
-        two_phase_train(net, base.state(), ds, val, schedule())
+        two_phase_train(net, base.params, ds, val, schedule())
         results.append({n: p.data.copy() for n, p in net.params.items()})
     for n in results[0]:
         np.testing.assert_array_equal(results[0][n], results[1][n])
