@@ -10,7 +10,10 @@ metrics as they come, then, per metric, both medians, the base's quartiles,
 the pairs the change won and whether the bar is met: the change better in
 at least 9 of 10 pairs, and the gap between the medians larger than the
 base's interquartile range. A pair ties, and counts as not won, when both
-sides read the same. The export is removed afterwards, and `perfbench/run.py`
+sides read the same. A second line per metric gives the median of the
+per-pair ratios change/base and a distribution-free interval for it of at
+least 95 % coverage, from sign-test order statistics (the 2nd and 9th
+smallest of 10 ratios); fewer than 6 pairs admit no such interval. The export is removed afterwards, and `perfbench/run.py`
 removes its own work directory, also when the comparison is interrupted
 (Ctrl-C or SIGTERM).
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import signal
 import statistics
 import subprocess
@@ -71,6 +75,48 @@ def format_verdict(name: str, r: dict) -> str:
             f"({rel:+.1f} %), base q1-q3 {r['base_q1']:.6g}-{r['base_q3']:.6g} "
             f"(IQR {r['base_q3'] - r['base_q1']:.3g}), gap {r['gap']:.3g}, change better "
             f"in {r['wins']}/{r['pairs']} pairs, bar {'met' if r['bar_met'] else 'not met'}")
+
+
+def sign_test_rank(n: int) -> int:
+    """The largest r for which the r-th smallest and the r-th largest of n
+    pair ratios bound their population median with at least 95 % coverage,
+    1 - 2 P(Binomial(n, 1/2) < r); 0 when not even r = 1 does."""
+    r, below = 0, 0   # below = 2**n P(Binomial(n, 1/2) < r)
+    while 40 * (below + math.comb(n, r)) <= 2 ** n:   # 2 P(...) stays <= 1/20
+        below += math.comb(n, r)
+        r += 1
+    return r
+
+
+def ratio_summary(base: list[float], change: list[float]) -> dict:
+    """The median of the per-pair ratios change/base and its sign-test
+    interval `low`-`high`, the `rank`-th ratios from either end, which
+    covers the median ratio with probability `coverage`. The interval is
+    None with fewer than 6 pairs, and the median too when a base run reads
+    0, so that a ratio does not exist."""
+    if len(base) != len(change) or not base:
+        raise ValueError(f"need equal, nonempty runs per side, got {len(base)} "
+                         f"and {len(change)}")
+    n, r = len(base), sign_test_rank(len(base))
+    out = {"pairs": n, "rank": r, "median": None, "low": None, "high": None,
+           "coverage": 1.0 - 2 * sum(math.comb(n, i) for i in range(r)) / 2 ** n}
+    if 0.0 not in base:
+        ratios = sorted(c / b for b, c in zip(base, change))
+        out["median"] = statistics.median(ratios)
+        if r:
+            out["low"], out["high"] = ratios[r - 1], ratios[n - r]
+    return out
+
+
+def format_ratio(name: str, s: dict) -> str:
+    if s["median"] is None:
+        return f"{name}: no change/base ratio, a base run reads 0"
+    line = f"{name}: change/base ratio median {s['median']:.4g}"
+    n, r = s["pairs"], s["rank"]
+    if not r:
+        return f"{line}, no 95 % interval from {n} pairs (it takes 6)"
+    return (f"{line}, {s['coverage'] * 100:.1f} % interval {s['low']:.4g}-{s['high']:.4g} "
+            f"(ratios {r} and {n + 1 - r} of {n} in order)")
 
 
 def export(rev: str, dest: Path) -> None:
@@ -143,6 +189,7 @@ def main(argv=None) -> int:
     for name, better in metrics.items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         print(format_verdict(name, compare(values["base"], values["change"], better)))
+        print(format_ratio(name, ratio_summary(values["base"], values["change"])))
     return 0 if all_correct else 1
 
 

@@ -90,3 +90,40 @@ def test_bad_pair_count_is_an_argument_error():
     with pytest.raises(SystemExit) as exc:
         ab.main(["--base", "HEAD", "--workload", "verify_gate", "--pairs", "0"])
     assert exc.value.code == 2
+
+
+def test_sign_test_rank_keeps_at_least_95_percent_coverage():
+    # 10 pairs: P(B < 2) = 11/1024, so ratios 2 and 9 cover 97.9 %;
+    # ratios 3 and 8 would cover only 89.1 %
+    assert ab.sign_test_rank(10) == 2
+    assert [ab.sign_test_rank(n) for n in (5, 6, 8, 9, 20)] == [0, 1, 1, 2, 6]
+
+
+def test_ratio_summary_takes_the_2nd_and_9th_of_10_ratios():
+    base = [2.0, 1.0, 4.0, 1.0, 2.0, 1.0, 5.0, 1.0, 2.0, 1.0]
+    ratios = [0.9, 0.8, 0.95, 0.85, 0.7, 1.0, 0.92, 0.88, 0.81, 0.99]
+    s = ab.ratio_summary(base, [b * q for b, q in zip(base, ratios)])
+    assert s["pairs"] == 10 and s["rank"] == 2
+    assert s["median"] == pytest.approx((0.88 + 0.9) / 2)
+    assert (s["low"], s["high"]) == pytest.approx((0.8, 0.99))
+    assert s["coverage"] == 1 - 2 * 11 / 1024
+    line = ab.format_ratio("op_s", s)
+    assert line == ("op_s: change/base ratio median 0.89, 97.9 % interval 0.8-0.99 "
+                    "(ratios 2 and 9 of 10 in order)")
+
+
+def test_fewer_than_6_pairs_give_no_interval():
+    s = ab.ratio_summary([1.0] * 5, [0.5] * 5)
+    assert s["median"] == 0.5 and s["low"] is None and s["high"] is None
+    assert ab.format_ratio("op_s", s) == ("op_s: change/base ratio median 0.5, "
+                                          "no 95 % interval from 5 pairs (it takes 6)")
+    six = ab.ratio_summary([1.0] * 6, [0.5, 0.6, 0.7, 0.8, 0.9, 1.1])
+    assert (six["low"], six["high"]) == (0.5, 1.1)
+
+
+def test_a_base_that_reads_0_has_no_ratio():
+    s = ab.ratio_summary([0.0] + [1.0] * 9, [1.0] * 10)
+    assert s["median"] is None and s["low"] is None
+    assert ab.format_ratio("accuracy", s) == "accuracy: no change/base ratio, a base run reads 0"
+    with pytest.raises(ValueError):
+        ab.ratio_summary([1.0], [])
