@@ -53,12 +53,17 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def compare(base: list[float], change: list[float], better: str) -> dict:
-    """Medians, the base's quartiles, the pairs won and the verdict for one
-    metric; `base[i]` and `change[i]` are pair i."""
+def check_sides(base: list[float], change: list[float]) -> None:
+    """`base[i]` and `change[i]` are pair i, so the sides must be equally long."""
     if len(base) != len(change) or not base:
         raise ValueError(f"need equal, nonempty runs per side, got {len(base)} "
                          f"and {len(change)}")
+
+
+def compare(base: list[float], change: list[float], better: str) -> dict:
+    """Medians, the base's quartiles, the pairs won and the verdict for one
+    metric; `base[i]` and `change[i]` are pair i."""
+    check_sides(base, change)
     sign = {"lower": 1.0, "higher": -1.0}[better]
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     m_base, m_change = statistics.median(base), statistics.median(change)
@@ -92,11 +97,9 @@ def ratio_summary(base: list[float], change: list[float]) -> dict:
     """The median of the per-pair ratios change/base and its sign-test
     interval `low`-`high`, the `rank`-th ratios from either end, which
     covers the median ratio with probability `coverage`. The interval is
-    None with fewer than 6 pairs, and the median too when a base run reads
-    0, so that a ratio does not exist."""
-    if len(base) != len(change) or not base:
-        raise ValueError(f"need equal, nonempty runs per side, got {len(base)} "
-                         f"and {len(change)}")
+    None with fewer than 6 pairs; the median and the interval are None when
+    a base run reads 0, since no ratio exists then."""
+    check_sides(base, change)
     n, r = len(base), sign_test_rank(len(base))
     out = {"pairs": n, "rank": r, "median": None, "low": None, "high": None,
            "coverage": 1.0 - 2 * sum(math.comb(n, i) for i in range(r)) / 2 ** n}
