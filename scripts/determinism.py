@@ -39,8 +39,7 @@ import numpy as np
 from histlayer.checkpoint import load_checkpoint
 from histlayer import verify
 from histlayer.cli import cmd_gen_data, cmd_gradcheck, train_run
-from histlayer.config import RunConfig
-from histlayer.networks import BASELINE_MODES
+from histlayer.config import BASELINE_MODES, RunConfig
 
 RECIPE = RunConfig(seed=7, H=16, W=16, n_train=100, n_val=60, n_test=50, n_mc=2000,
                    lr=0.05, epochs=3, decay_epoch=2)

@@ -6,8 +6,8 @@ from .config import ConfigError, RunConfig
 from .data import ContextDataset, SceneSpec, default_spec, generate, local_bayes_ceiling
 from .histogram import (ComposedHistogram, HistogramParams, basis_eval,
                         hist_forward_direct, init_params)
-from .networks import (HistNetConfig, Network, StageOutputs, TrainSchedule, evaluate,
-                       parameter_census, train_base, two_phase_train)
+from .networks import (Network, StageOutputs, evaluate, parameter_census, train_base,
+                       two_phase_train)
 
 __all__ = [
     "GradCheckResult", "Parameter", "ShapeError", "Tensor", "backward", "grad_check",
@@ -16,8 +16,8 @@ __all__ = [
     "ContextDataset", "SceneSpec", "default_spec", "generate", "local_bayes_ceiling",
     "ComposedHistogram", "HistogramParams", "basis_eval", "hist_forward_direct",
     "init_params",
-    "HistNetConfig", "Network", "StageOutputs", "TrainSchedule", "evaluate",
-    "parameter_census", "train_base", "two_phase_train",
+    "Network", "StageOutputs", "evaluate", "parameter_census", "train_base",
+    "two_phase_train",
 ]
 
 __version__ = "0.1.0"

@@ -37,22 +37,22 @@ def write(path, magic: bytes, version: int, parts) -> None:
 class Reader:
     """Bounded reads of the fields of an open file; made by `reader`."""
 
-    def __init__(self, f, truncated: type[Exception]):
+    def __init__(self, f, error: type[Exception]):
         self._f = f
-        self._truncated = truncated
+        self._error = error
         self.left = os.fstat(f.fileno()).st_size
 
     def _claim(self, n: int, what: str) -> None:
         if n > self.left:
-            raise self._truncated(f"file truncated while reading {what}: "
-                                  f"wanted {n} bytes, {self.left} left")
+            raise self._error(f"file truncated while reading {what}: "
+                              f"wanted {n} bytes, {self.left} left")
         self.left -= n
 
     def _check(self, got: int, n: int, what: str) -> None:
         # the file may have shrunk since its size was taken
         if got != n:
-            raise self._truncated(f"file truncated while reading {what}: "
-                                  f"wanted {n} bytes, read {got}")
+            raise self._error(f"file truncated while reading {what}: "
+                              f"wanted {n} bytes, read {got}")
 
     def read(self, n: int, what: str) -> bytes:
         self._claim(n, what)
@@ -76,18 +76,18 @@ class Reader:
 
 
 @contextlib.contextmanager
-def reader(path, magic: bytes, version: int, what: str, error: type[Exception],
-           version_error: type[Exception], truncated: type[Exception]):
-    """Check the magic and version of the `what` file at `path`, then yield a `Reader`."""
+def reader(path, magic: bytes, version: int, what: str, error: type[Exception]):
+    """Check the magic and version of the `what` file at `path`, then yield a
+    `Reader`; every format fault raises `error`."""
     with open(path, "rb") as f:
-        r = Reader(f, truncated)
+        r = Reader(f, error)
         found = r.read(len(magic), "magic")
         if found != magic:
             raise error(f"bad magic {found!r}, expected {magic!r}")
         (found,) = r.unpack("<I", "version")
         if found != version:
-            raise version_error(f"unsupported {magic.decode()} version {found}, "
-                                f"expected {version}")
+            raise error(f"unsupported {magic.decode()} version {found}, "
+                        f"expected {version}")
         yield r
         if r.left:
             raise error(f"{r.left} unexpected bytes after the end of the {what}")

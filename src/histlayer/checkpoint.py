@@ -18,15 +18,7 @@ HPRM_VERSION = 1
 
 
 class CheckpointFormatError(ValueError):
-    """Bad magic or malformed checkpoint file."""
-
-
-class CheckpointVersionError(CheckpointFormatError):
-    """Unsupported checkpoint version."""
-
-
-class CheckpointTruncationError(CheckpointFormatError):
-    """Checkpoint file ended before the declared payload."""
+    """Bad magic, unsupported version, truncated or malformed checkpoint file."""
 
 
 def save_checkpoint(params: dict[str, Parameter], path) -> None:
@@ -41,8 +33,8 @@ def save_checkpoint(params: dict[str, Parameter], path) -> None:
 
 def load_checkpoint(path) -> dict[str, Parameter]:
     params: dict[str, Parameter] = {}
-    with binfile.reader(path, HPRM_MAGIC, HPRM_VERSION, "checkpoint", CheckpointFormatError,
-                        CheckpointVersionError, CheckpointTruncationError) as f:
+    with binfile.reader(path, HPRM_MAGIC, HPRM_VERSION, "checkpoint",
+                        CheckpointFormatError) as f:
         (count,) = f.unpack("<I", "parameter count")
         for _ in range(count):
             try:

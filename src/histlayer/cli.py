@@ -13,7 +13,7 @@ import argparse
 import contextlib
 import csv
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +21,12 @@ import numpy as np
 from . import autodiff as ad
 from . import verify
 from .checkpoint import CheckpointFormatError, load_checkpoint, load_into, save_checkpoint
-from .config import ConfigError, RunConfig, load_config, write_resolved
+from .config import BASELINE_MODES, ConfigError, RunConfig, load_config, write_resolved
 from .data import (DatasetFormatError, default_spec, generate, local_bayes_ceiling,
                    read_dataset, write_dataset)
 from .histogram import histogram_table
-from .networks import (BASELINE_MODES, HistNetConfig, Network, TrainingDivergedError,
-                       TrainSchedule, evaluate, load_base, parameter_census, train_base,
-                       two_phase_train)
+from .networks import (Network, TrainingDivergedError, evaluate, load_base, parameter_census,
+                       train_base, two_phase_train)
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -42,17 +41,6 @@ _U64 = (1 << 64) - 1
 
 def _split_seed(master: int, index: int) -> int:
     return (master + _SPLIT_SALT * (index + 1)) & _U64
-
-
-def net_config(cfg: RunConfig, mode: str | None = None) -> HistNetConfig:
-    return HistNetConfig(K=cfg.K, B=cfg.B, D_in=cfg.D, C_feat=cfg.C_feat,
-                         baseline_mode=mode or cfg.mode)
-
-
-def schedule(cfg: RunConfig, seed: int) -> TrainSchedule:
-    return TrainSchedule(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                         momentum=cfg.momentum, lr_decay=cfg.lr_decay,
-                         decay_epoch=cfg.decay_epoch, seed=seed)
 
 
 def scene_spec(cfg: RunConfig):
@@ -123,10 +111,11 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
               mode: str | None = None) -> dict:
     """Train one model (base pretrain included if needed); returns a summary.
 
-    `out_dir` is made when the first file is written into it, so a run that
-    fails before that leaves no directory behind."""
-    seed = cfg.seed if seed is None else seed
-    mode = mode or cfg.mode
+    `seed` and `mode`, when given, replace the configuration's, so the
+    network, the schedule and the written `resolved_config.txt` all describe
+    this run. `out_dir` is made when the first file is written into it, so a
+    run that fails before that leaves no directory behind."""
+    cfg = replace(cfg, seed=cfg.seed if seed is None else seed, mode=mode or cfg.mode)
     splits = _load_splits(cfg, data_dir)
     if base_ckpt is not None and not base_ckpt.exists():
         raise FileNotFoundError(f"base checkpoint not found: {base_ckpt}")
@@ -134,20 +123,19 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
     rows = []
 
     if base_ckpt is None:
-        base_net = Network(net_config(cfg, "base_only"), seed=seed)
-        rows += train_base(base_net, train_ds, val_ds, schedule(cfg, seed))
+        base_net = Network(replace(cfg, mode="base_only"))
+        rows += train_base(base_net, train_ds, val_ds, cfg)
         base_ckpt = out_dir / "base.hprm"
         out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(base_net.params, base_ckpt)
     base_params = load_checkpoint(base_ckpt)
 
-    summary = {"mode": mode, "seed": seed}
-    net = Network(net_config(cfg, mode), seed=seed)
-    if mode == "base_only":
+    summary = {"mode": cfg.mode, "seed": cfg.seed}
+    net = Network(cfg)
+    if cfg.mode == "base_only":
         load_base(net, base_params)
     else:
-        rows2, phase_info = two_phase_train(net, base_params, train_ds, val_ds,
-                                            schedule(cfg, seed))
+        rows2, phase_info = two_phase_train(net, base_params, train_ds, val_ds, cfg)
         rows += rows2
         summary.update(phase_info)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -176,7 +164,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, data_dir: Path,
 
 def cmd_eval(cfg: RunConfig, ckpt: Path, data_path: Path, out_dir: Path) -> int:
     ds = _read_matching(cfg, data_path)
-    net = Network(net_config(cfg), seed=cfg.seed)
+    net = Network(cfg)
     load_into(net.params, ckpt)
     m = evaluate(net, ds)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -336,12 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", type=Path)
 
     p = sub.add_parser("gradcheck", help="run the property battery as JSON lines")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", default=None,
                    help="deliberately break the named op's backward (harness sanity)")
 
     p = sub.add_parser("inspect-histogram", help="dump learned centers/slopes as CSV")
-    common(p)
     p.add_argument("checkpoint", type=Path)
     p.add_argument("--csv", type=Path, default=None)
 
@@ -364,6 +351,12 @@ def _resolve(args) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # gradcheck reads a seed alone, inspect-histogram no configuration
+        if args.command == "gradcheck":
+            RunConfig(seed=args.seed).validate()
+            return cmd_gradcheck(args.seed, args.corrupt)
+        if args.command == "inspect-histogram":
+            return cmd_inspect_histogram(args.checkpoint, args.csv)
         cfg = _resolve(args)
         out = args.out
         if args.command == "gen-data":
@@ -372,10 +365,6 @@ def main(argv=None) -> int:
             return cmd_train(cfg, out, args.data or out, args.base_checkpoint)
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint, args.dataset, out)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg.seed, args.corrupt)
-        if args.command == "inspect-histogram":
-            return cmd_inspect_histogram(args.checkpoint, args.csv)
         if args.command == "compare":
             return cmd_compare(cfg, out, args.data or out)
         raise AssertionError(args.command)

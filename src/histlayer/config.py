@@ -2,7 +2,9 @@
 
 Config files are `key = value` lines ('#' starts a comment). Unknown keys
 are rejected so typos cannot silently fall back to defaults. Every command
-writes the fully resolved configuration next to its outputs.
+that reads a configuration writes the fully resolved one next to its
+outputs. `RunConfig` is the only configuration object: the network, the
+training schedule and the data generator all read it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .data import check_class_count, default_spec
+
+BASELINE_MODES = ("base_only", "fix_hist", "free_all", "score_global",
+                  "feat_global", "histnet")
+# larger noise overflows the features or the Monte-Carlo ceiling's squared
+# distances, whatever the other sizes
+NOISE_SIGMA_MAX = 1e100
 
 
 class ConfigError(ValueError):
@@ -53,8 +63,6 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise ConfigError for a value no command can run with."""
-        from .data import check_class_count, default_spec
-        from .networks import HistNetConfig  # networks imports this module
         bounds = {
             "seed >= 0": self.seed >= 0,
             "B >= 2": self.B >= 2,
@@ -66,14 +74,15 @@ class RunConfig:
             "lr > 0": self.lr > 0,
             "0 <= momentum < 1": 0 <= self.momentum < 1,
             "lr_decay > 0": self.lr_decay > 0,
+            f"0 <= noise_sigma <= {NOISE_SIGMA_MAX:g}":
+                0 <= self.noise_sigma <= NOISE_SIGMA_MAX,
             "compare_seeds >= 1": self.compare_seeds >= 1,
         }
         broken = [rule for rule, ok in bounds.items() if not ok]
         if broken:
             raise ConfigError(f"values out of range, need {'; '.join(broken)}")
         try:
-            HistNetConfig(K=self.K, B=self.B, D_in=self.D, C_feat=self.C_feat,
-                          baseline_mode=self.mode).validate()
+            check_network(self)
             check_class_count(self.K)   # before default_spec allocates (K, D)
             self._check_array_sizes()
             default_spec(K=self.K, D=self.D, noise_sigma=self.noise_sigma,
@@ -98,6 +107,15 @@ class RunConfig:
                                  f"take {nbytes} bytes, more than any array can hold")
 
 
+def check_network(cfg: RunConfig) -> None:
+    """Raise ValueError unless `cfg` describes a network that can be built:
+    a known mode and K, B, D and C_feat all at least 1."""
+    if cfg.mode not in BASELINE_MODES:
+        raise ValueError(f"unknown mode {cfg.mode!r}, expected one of {BASELINE_MODES}")
+    if min(cfg.K, cfg.B, cfg.D, cfg.C_feat) < 1:
+        raise ValueError("K, B, D and C_feat must all be positive")
+
+
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
@@ -114,8 +132,8 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from e
 
 
-def parse_config_text(text: str, cfg: RunConfig | None = None) -> RunConfig:
-    cfg = cfg or RunConfig()
+def parse_config_text(text: str) -> RunConfig:
+    cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:

@@ -23,15 +23,7 @@ _U64_MASK = (1 << 64) - 1
 
 
 class DatasetFormatError(ValueError):
-    """Bad magic or malformed dataset file."""
-
-
-class DatasetVersionError(DatasetFormatError):
-    """Unsupported dataset file version."""
-
-
-class DatasetTruncationError(DatasetFormatError):
-    """Dataset file ended before the declared payload."""
+    """Bad magic, unsupported version, truncated or malformed dataset file."""
 
 
 def check_class_count(K: int) -> None:
@@ -215,8 +207,7 @@ def write_dataset(dataset: ContextDataset, path) -> None:
 
 
 def read_dataset(path) -> ContextDataset:
-    with binfile.reader(path, HCTX_MAGIC, HCTX_VERSION, "dataset", DatasetFormatError,
-                        DatasetVersionError, DatasetTruncationError) as f:
+    with binfile.reader(path, HCTX_MAGIC, HCTX_VERSION, "dataset", DatasetFormatError) as f:
         n, d, h, w, k, s = f.unpack("<6I", "header")
         if min(n, d, h, w) < 1:
             raise DatasetFormatError(f"header declares an empty dataset: "

@@ -63,7 +63,7 @@ class HistogramParams:
         np.maximum(self.slopes.data, S_MIN, out=self.slopes.data)
 
 
-def init_params(K: int, B: int, name: str = "hist") -> HistogramParams:
+def init_params(K: int, B: int) -> HistogramParams:
     """Centers evenly spaced on [0,1], slopes B-1 everywhere.
 
     For B=6 this is centers {0, 0.2, ..., 1.0} with half-width 0.2; adjacent
@@ -75,8 +75,8 @@ def init_params(K: int, B: int, name: str = "hist") -> HistogramParams:
     centers = np.tile(grid, (K, 1)).reshape(K, B, 1, 1)
     slopes = np.full((K, B, 1, 1), float(B - 1))
     return HistogramParams(
-        centers=Parameter(centers, name=f"{name}.centers"),
-        slopes=Parameter(slopes, name=f"{name}.slopes"),
+        centers=Parameter(centers, name="hist.centers"),
+        slopes=Parameter(slopes, name="hist.slopes"),
     )
 
 
@@ -176,8 +176,7 @@ class ComposedHistogram:
     ablation).
     """
 
-    def __init__(self, params: HistogramParams, unlocked: bool = False,
-                 name: str = "hist"):
+    def __init__(self, params: HistogramParams, unlocked: bool = False):
         K, B = params.K, params.B
         self.K, self.B = K, B
         self.unlocked = unlocked
@@ -197,10 +196,10 @@ class ComposedHistogram:
         w2_lock = np.full(w2.shape, structural)
         w2_lock[diag, diag] = 1.0
 
-        self.w1 = Parameter(w1, np.full(w1.shape, structural), name=f"{name}.w1")
-        self.b1 = Parameter(b1, name=f"{name}.b1")
-        self.w2 = Parameter(w2, w2_lock, name=f"{name}.w2")
-        self.b2 = Parameter(b2, np.full(b2.shape, structural), name=f"{name}.b2")
+        self.w1 = Parameter(w1, np.full(w1.shape, structural), name="hist.w1")
+        self.b1 = Parameter(b1, name="hist.b1")
+        self.w2 = Parameter(w2, w2_lock, name="hist.w2")
+        self.b2 = Parameter(b2, np.full(b2.shape, structural), name="hist.b2")
 
     def forward(self, likelihood: Tensor) -> Tensor:
         shifted = conv1x1(likelihood, self.w1, self.b1)

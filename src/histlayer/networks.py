@@ -3,7 +3,8 @@
 Stage 1 is a pixelwise classifier (1x1 convolutions on per-pixel features).
 Stage 2 summarizes stage 1's likelihood map into a global context vector
 and reclassifies every position from its features and that vector. The
-context branch is selected by `baseline_mode`:
+network and its training read one `RunConfig`; its `mode` selects the
+context branch:
 
 * histnet    — trainable histogram of the likelihood map (direct form)
 * fix_hist   — same histogram but with centers/slopes frozen
@@ -24,36 +25,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .checkpoint import CheckpointFormatError
+from .config import RunConfig, check_network
 from .histogram import ComposedHistogram, HistogramParams, init_params
 
-BASELINE_MODES = ("base_only", "fix_hist", "free_all", "score_global",
-                  "feat_global", "histnet")
 HIST_MODES = ("histnet", "fix_hist", "free_all")
-
-
-@dataclass
-class HistNetConfig:
-    K: int = 6
-    B: int = 6
-    D_in: int = 8
-    C_feat: int = 16
-    baseline_mode: str = "histnet"
-
-    def validate(self) -> None:
-        if self.baseline_mode not in BASELINE_MODES:
-            raise ValueError(f"unknown baseline_mode {self.baseline_mode!r}, "
-                             f"expected one of {BASELINE_MODES}")
-        if min(self.K, self.B, self.D_in, self.C_feat) < 1:
-            raise ValueError("K, B, D_in and C_feat must all be positive")
-
-    def context_input_dim(self) -> int:
-        if self.baseline_mode in HIST_MODES:
-            return self.K * self.B
-        if self.baseline_mode == "score_global":
-            return self.K
-        if self.baseline_mode == "feat_global":
-            return self.C_feat
-        return 0
 
 
 @dataclass
@@ -81,11 +56,11 @@ def _gauss(rng, shape, std):
 class Network:
     """A built network: named parameters plus the loss pass."""
 
-    def __init__(self, cfg: HistNetConfig, seed: int = 0):
-        cfg.validate()
+    def __init__(self, cfg: RunConfig):
+        check_network(cfg)
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
-        K, C, D = cfg.K, cfg.C_feat, cfg.D_in
+        rng = np.random.default_rng(cfg.seed)
+        K, C, D, mode = cfg.K, cfg.C_feat, cfg.D, cfg.mode
 
         # base: two feature layers (He init) and a stage-1 classifier
         self.f1_w = Parameter(_gauss(rng, (C, D, 1, 1), np.sqrt(2.0 / D)), name="base.f1.w")
@@ -99,17 +74,17 @@ class Network:
         self.hist: HistogramParams | ComposedHistogram | None = None
         self.fc: tuple[Parameter, Parameter] | None = None
         self.head: tuple[Parameter, Parameter] | None = None
-        if cfg.baseline_mode == "free_all":
+        if mode == "free_all":
             self.hist = ComposedHistogram(init_params(K, cfg.B), unlocked=True)
-        elif cfg.baseline_mode in HIST_MODES:
+        elif mode in HIST_MODES:
             self.hist = init_params(K, cfg.B)
-            if cfg.baseline_mode == "fix_hist":
+            if mode == "fix_hist":
                 for p in self.hist.parameters():
                     p.lock_mask[...] = 0.0
-        if cfg.baseline_mode != "base_only":
+        if mode != "base_only":
             KB = K * cfg.B
-            self.fc = (Parameter(_gauss(rng, (KB, cfg.context_input_dim(), 1, 1), 0.01),
-                                 name="fc.w"),
+            summary_dim = {"score_global": K, "feat_global": C}.get(mode, KB)
+            self.fc = (Parameter(_gauss(rng, (KB, summary_dim, 1, 1), 0.01), name="fc.w"),
                        Parameter(np.zeros((KB, 1, 1, 1)), name="fc.b"))
             self.head = (Parameter(_gauss(rng, (K, C + KB, 1, 1), 0.01), name="head2.w"),
                          Parameter(np.zeros((K, 1, 1, 1)), name="head2.b"))
@@ -125,7 +100,7 @@ class Network:
 
     def prefix(self, features: Tensor, labels: np.ndarray) -> Prefix:
         """Stage 1 and the context summary of a batch; starts a new graph."""
-        mode = self.cfg.baseline_mode
+        mode = self.cfg.mode
         ad.reset_tape()
         # the first activation is dropped once the second layer has read it,
         # so an unrecorded pass holds at most two (N,C_feat,H,W) arrays; a
@@ -317,17 +292,6 @@ def evaluate(net: Network, dataset, cache: PrefixCache | None = None) -> dict:
 # --------------------------------------------------------------------------
 # training
 
-@dataclass
-class TrainSchedule:
-    epochs: int = 30
-    batch_size: int = 10
-    lr: float = 1e-2
-    momentum: float = 0.9
-    lr_decay: float = 0.1
-    decay_epoch: int = 20
-    seed: int = 0
-
-
 class TrainingDivergedError(ArithmeticError):
     """A parameter stopped being finite, or the loss clamped log 0, during
     training."""
@@ -362,11 +326,13 @@ def _check_clamped(net: Network, phase: int, epoch: int, clamped: int) -> None:
 
 
 def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
-                schedule: TrainSchedule, phase: int,
+                schedule: RunConfig, phase: int,
                 caches: tuple[PrefixCache, PrefixCache] | None = None) -> list[LogRow]:
     """One SGD phase; returns one train and one val log row per epoch.
 
-    Train-split metrics are accumulated from the minibatch forward passes,
+    `schedule` is the run's configuration: the phase reads its epochs,
+    batch_size, lr, lr_decay, decay_epoch, momentum and, for the batch
+    order, seed. Train-split metrics are accumulated from the minibatch forward passes,
     val metrics come from a full evaluation pass at each epoch end, so the
     last val row describes the parameters the phase ends with. Raises
     TrainingDivergedError after an epoch that leaves a parameter non-finite
@@ -410,7 +376,7 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
     return rows
 
 
-def train_base(net: Network, train_ds, val_ds, schedule: TrainSchedule) -> list[LogRow]:
+def train_base(net: Network, train_ds, val_ds, schedule: RunConfig) -> list[LogRow]:
     """Pretrain a base_only network; logged as phase 0."""
     trainable = list(net.params.values())
     return train_phase(net, train_ds, val_ds, trainable, schedule, phase=0)
@@ -429,7 +395,7 @@ def load_base(net: Network, base_params: dict[str, Parameter]) -> None:
 
 
 def two_phase_train(net: Network, base_params: dict[str, Parameter],
-                    train_ds, val_ds, schedule: TrainSchedule):
+                    train_ds, val_ds, schedule: RunConfig):
     """Incremental training: new layers first, then everything jointly.
 
     Phase 1 updates only the context FC layer and the stage-2 head; the
@@ -440,7 +406,7 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
     histogram gradients. Phase 2 drops the caches and updates all
     parameters whose lock masks allow it (fix_hist keeps its bins frozen).
     """
-    if net.cfg.baseline_mode == "base_only":
+    if net.cfg.mode == "base_only":
         raise ValueError("two_phase_train needs a context-refinement mode")
     if base_params is None:
         raise ValueError("two_phase_train requires a pretrained base checkpoint")

@@ -16,9 +16,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .config import RunConfig
 from .data import default_spec, generate, read_dataset, write_dataset
 from .histogram import ComposedHistogram, HistogramParams, hist_forward_direct, init_params
-from .networks import HistNetConfig, Network, metrics_from_confusion
+from .networks import Network, metrics_from_confusion
 from .oracle import hist_oracle
 
 TOL_STRUCTURAL = 1e-12
@@ -142,8 +143,8 @@ def check_network_gradients(seed: int) -> PropertyReport:
     `trials` counts the checked entries, so the skip share shows.
     """
     rng = np.random.default_rng(seed)
-    cfg = HistNetConfig(K=3, B=4, D_in=4, C_feat=5, baseline_mode="histnet")
-    net = Network(cfg, seed=seed)
+    cfg = RunConfig(seed=seed, K=3, B=4, D=4, C_feat=5, mode="histnet")
+    net = Network(cfg)
     for p in net.params.values():
         if p.name.endswith(".centers"):
             p.data[...] = rng.uniform(-0.2, 1.2, size=p.shape)
@@ -151,7 +152,7 @@ def check_network_gradients(seed: int) -> PropertyReport:
             p.data[...] = rng.uniform(0.5, 8.0, size=p.shape)
         else:
             p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
-    feats = Tensor(rng.standard_normal((2, cfg.D_in, 3, 3)))
+    feats = Tensor(rng.standard_normal((2, cfg.D, 3, 3)))
     labels = rng.integers(0, cfg.K, size=(2, 3, 3))
 
     def loss_fn():
@@ -241,10 +242,13 @@ def check_partition_of_unity(seed: int, trials: int) -> PropertyReport:
                           worst < TOL_STRUCTURAL, seed)
 
 
-def _random_training_steps(layer: ComposedHistogram, rng, steps: int, n=2, h=3, w=3):
-    K = layer.K
-    for _ in range(steps):
-        x = Tensor(rng.uniform(0, 1, size=(n, K, h, w)))
+TRAINING_STEPS = 100
+
+
+def _random_training_steps(layer: ComposedHistogram, rng):
+    """TRAINING_STEPS SGD steps of `layer` on random (2, K, 3, 3) inputs."""
+    for _ in range(TRAINING_STEPS):
+        x = Tensor(rng.uniform(0, 1, size=(2, layer.K, 3, 3)))
         ad.reset_tape()
         out = layer.forward(x)
         ad.zero_grads(layer.parameters())
@@ -253,12 +257,12 @@ def _random_training_steps(layer: ComposedHistogram, rng, steps: int, n=2, h=3, 
         layer.clamp_slopes()
 
 
-def check_lock_immutability(seed: int, steps: int = 100) -> PropertyReport:
+def check_lock_immutability(seed: int) -> PropertyReport:
     rng = np.random.default_rng(seed)
     hp = init_params(3, 6)
     layer = ComposedHistogram(hp)
     snap = {p.name: p.data.copy() for p in layer.parameters()}
-    _random_training_steps(layer, rng, steps)
+    _random_training_steps(layer, rng)
     diag = np.arange(layer.K * layer.B)
     off = np.ones_like(layer.w2.data, dtype=bool)
     off[diag, diag] = False
@@ -271,11 +275,11 @@ def check_lock_immutability(seed: int, steps: int = 100) -> PropertyReport:
         violations += 1
     moved = not np.array_equal(layer.b1.data, snap["hist.b1"])
     detail = "centers moved" if moved else "centers did not move"
-    return PropertyReport("lock_mask_immutability", steps, violations, 0,
+    return PropertyReport("lock_mask_immutability", TRAINING_STEPS, violations, 0,
                           violations == 0, seed, detail)
 
 
-def check_free_all_unlock(seed: int, steps: int = 100) -> PropertyReport:
+def check_free_all_unlock(seed: int) -> PropertyReport:
     """free_all abandons the structure: off-diagonals must be able to move.
 
     Diagonal preservation is expected to FAIL for this mode; the property
@@ -285,12 +289,12 @@ def check_free_all_unlock(seed: int, steps: int = 100) -> PropertyReport:
     hp = init_params(2, 4)
     layer = ComposedHistogram(hp, unlocked=True)
     before = layer.w2.data.copy()
-    _random_training_steps(layer, rng, steps)
+    _random_training_steps(layer, rng)
     diag = np.arange(layer.K * layer.B)
     off = np.ones_like(layer.w2.data, dtype=bool)
     off[diag, diag] = False
     changed = float(np.abs(layer.w2.data[off] - before[off]).max())
-    return PropertyReport("free_all_diagonal_expected_fail", steps, changed, 0,
+    return PropertyReport("free_all_diagonal_expected_fail", TRAINING_STEPS, changed, 0,
                           changed > 0.0, seed,
                           "off-diagonal drift confirms the unlock")
 

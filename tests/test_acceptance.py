@@ -16,8 +16,7 @@ from histlayer.cli import cmd_gen_data, compare_runs, train_run
 from histlayer.config import RunConfig
 from histlayer.data import generate, default_spec
 from histlayer.histogram import init_params
-from histlayer.networks import (HistNetConfig, Network, TrainSchedule, train_base,
-                                two_phase_train)
+from histlayer.networks import Network, train_base, two_phase_train
 from histlayer.verify import TOL_FINITE_DIFF, TOL_STRUCTURAL
 
 
@@ -100,10 +99,10 @@ def test_criterion_5_lock_semantics():
     spec = default_spec()
     train = generate(spec, 16, 8, 8, seed=10)
     val = generate(spec, 8, 8, 8, seed=11)
-    sched = TrainSchedule(epochs=2, batch_size=4, decay_epoch=1, seed=0)
-    base = Network(HistNetConfig(baseline_mode="base_only"), seed=0)
+    sched = RunConfig(epochs=2, batch_size=4, decay_epoch=1)
+    base = Network(RunConfig(mode="base_only"))
     train_base(base, train, val, sched)
-    net = Network(HistNetConfig(baseline_mode="fix_hist"), seed=0)
+    net = Network(RunConfig(mode="fix_hist"))
     centers_before = net.hist.centers.data.copy()
     slopes_before = net.hist.slopes.data.copy()
     two_phase_train(net, base.params, train, val, sched)

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,11 @@ import histlayer.autodiff as ad
 from histlayer import cli, networks, verify
 from histlayer.checkpoint import load_checkpoint, load_into, save_checkpoint
 from histlayer.cli import main
-from histlayer.config import (ConfigError, RunConfig, dump_config, load_config,
-                              parse_config_text)
+from histlayer.config import (BASELINE_MODES, ConfigError, RunConfig, dump_config,
+                              load_config, parse_config_text)
 from histlayer.data import read_dataset, write_dataset
 from histlayer.histogram import ComposedHistogram
-from histlayer.networks import HistNetConfig, Network
+from histlayer.networks import Network
 from histlayer.verify import PRIMITIVES
 
 SMALL = []
@@ -138,10 +140,29 @@ def run_capped(args, cwd, limit=2 << 30):
 
 def test_class_count_is_checked_before_the_spec_allocates(tmp_path):
     """K=20000 with D=20000 would make default_spec allocate a 3 GB (K, D) array."""
-    proc = run_capped(["gradcheck", "--set", "K=20000", "--set", "D=20000"], tmp_path)
+    proc = run_capped(["gen-data", "--out", "out", "--set", "K=20000", "--set", "D=20000"],
+                      tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "config error: K must be at most 255, got 20000" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma,rc", [("1e100", 0), ("1.0000001e100", 2), ("1e308", 2)])
+def test_noise_sigma_bound_exits_2_without_a_warning(tmp_path, capsys, sigma, rc):
+    """Noise above the bound would overflow the features or the Monte-Carlo
+    ceiling; it is a config error before any data is drawn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gen-data", "--out", str(tmp_path / "out"),
+                     "--set", f"noise_sigma={sigma}"] + TINY) == rc
+    err = capsys.readouterr().err
+    if rc == 2:
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "noise_sigma" in err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err == ""
 
 
 def test_split_no_array_can_hold_exits_2_before_any_work(tmp_path):
@@ -293,8 +314,7 @@ def test_train_missing_base_checkpoint_exits_3(trained, capsys):
 @pytest.mark.parametrize("mode", ["histnet", "base_only"])
 @pytest.mark.parametrize("defect", ["shape", "missing"])
 def test_train_mismatched_base_checkpoint_exits_3(trained, tmp_path, capsys, mode, defect):
-    base = Network(cli.net_config(RunConfig(C_feat=8 if defect == "shape" else 16),
-                                  "base_only"), seed=0).params
+    base = Network(RunConfig(C_feat=8 if defect == "shape" else 16, mode="base_only")).params
     if defect == "missing":
         del base["base.f1.w"]
     save_checkpoint(base, tmp_path / "base.hprm")
@@ -329,6 +349,18 @@ def test_failed_input_check_leaves_no_output_directory(trained, tmp_path, capsys
         args += ["--data", str(trained["data"])]
     assert main([command, "--out", str(tmp_path / "run")] + args + SMALL) == rc
     assert not (tmp_path / "run").exists()
+
+
+def test_compare_writes_each_runs_own_seed_and_mode(trained, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--out", str(out), "--data", str(trained["data"]),
+                 "--seed", "3"] + SMALL + ["--set", "epochs=1", "--set", "compare_seeds=2"]) == 0
+    caller = load_config(out / "resolved_config.txt")
+    assert (caller.seed, caller.mode) == (3, "histnet")
+    for seed in (3, 4):
+        for mode in BASELINE_MODES:
+            cfg = load_config(out / f"seed{seed}" / mode / "resolved_config.txt")
+            assert cfg == replace(caller, seed=seed, mode=mode)
 
 
 def test_eval_reproduces_final_log_metrics(trained, capsys):
@@ -366,7 +398,7 @@ def test_train_run_evaluates_val_once_per_parameter_state(trained, monkeypatch, 
     assert len(calls) == passes
 
     # the same values as separate passes over the final parameters
-    net = Network(cli.net_config(cfg, mode), seed=cfg.seed)
+    net = Network(replace(cfg, mode=mode))
     load_into(net.params, tmp_path / "final.hprm")
     for split in ("val", "test"):
         m = real(net, read_dataset(trained["data"] / f"{split}.hctx"))
@@ -467,7 +499,7 @@ def test_eval_dimension_mismatch_exits_2(trained, capsys):
 
 
 def test_inspect_histogram_fresh_init(tmp_path, capsys):
-    net = Network(HistNetConfig(K=2, B=6, D_in=3, C_feat=4), seed=0)
+    net = Network(RunConfig(K=2, B=6, D=3, C_feat=4))
     ckpt = tmp_path / "fresh.hprm"
     save_checkpoint(net.params, ckpt)
     assert main(["inspect-histogram", str(ckpt),
@@ -496,8 +528,7 @@ def test_inspect_histogram_trained_bins_match_checkpoint(trained, capsys):
 
 
 def test_inspect_histogram_without_histogram_exits_3(tmp_path, capsys):
-    net = Network(HistNetConfig(K=2, B=3, D_in=3, C_feat=4,
-                                baseline_mode="score_global"), seed=0)
+    net = Network(RunConfig(K=2, B=3, D=3, C_feat=4, mode="score_global"))
     ckpt = tmp_path / "plain.hprm"
     save_checkpoint(net.params, ckpt)
     assert main(["inspect-histogram", str(ckpt)]) == 3
@@ -505,8 +536,7 @@ def test_inspect_histogram_without_histogram_exits_3(tmp_path, capsys):
 
 
 def test_inspect_histogram_free_all_exits_3(tmp_path, capsys):
-    net = Network(HistNetConfig(K=2, B=3, D_in=3, C_feat=4, baseline_mode="free_all"),
-                  seed=0)
+    net = Network(RunConfig(K=2, B=3, D=3, C_feat=4, mode="free_all"))
     ckpt = tmp_path / "free_all.hprm"
     save_checkpoint(net.params, ckpt)
     assert main(["inspect-histogram", str(ckpt)]) == 3
@@ -517,7 +547,7 @@ def test_inspect_histogram_free_all_exits_3(tmp_path, capsys):
 def test_eval_composed_histogram_checkpoint_exits_3(trained, tmp_path, capsys, mode):
     """A checkpoint holding the composed kernels hist.w1/b1/w2/b2 does not load
     into a histnet or fix_hist network, whose histogram is hist.centers/slopes."""
-    net = Network(HistNetConfig(baseline_mode=mode), seed=0)
+    net = Network(RunConfig(mode=mode))
     params = {n: p for n, p in net.params.items() if not n.startswith("hist.")}
     for p in ComposedHistogram(net.hist).parameters():
         params[p.name] = p
@@ -532,7 +562,7 @@ def test_eval_composed_histogram_checkpoint_exits_3(trained, tmp_path, capsys, m
 
 def test_eval_unlocked_fix_hist_checkpoint_exits_3(trained, tmp_path, capsys):
     """A file cannot unlock the bins that fix_hist freezes."""
-    net = Network(HistNetConfig(baseline_mode="fix_hist"), seed=0)
+    net = Network(RunConfig(mode="fix_hist"))
     net.params["hist.centers"].lock_mask[...] = 1.0
     ckpt = tmp_path / "unlocked.hprm"
     save_checkpoint(net.params, ckpt)
@@ -540,6 +570,26 @@ def test_eval_unlocked_fix_hist_checkpoint_exits_3(trained, tmp_path, capsys):
                "--mode", "fix_hist", "--out", str(tmp_path / "out")] + SMALL)
     assert rc == 3
     assert "hist.centers: checkpoint lock mask" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect-histogram", "x.hprm", "--out", "d"],
+    ["inspect-histogram", "x.hprm", "--mode", "free_all"],
+    ["inspect-histogram", "x.hprm", "--set", "K=7"],
+    ["inspect-histogram", "x.hprm", "--seed", "9"],
+    ["inspect-histogram", "x.hprm", "--config", "run.cfg"],
+    ["gradcheck", "--mode", "histnet"], ["gradcheck", "--out", "d"],
+    ["gradcheck", "--set", "seed=1"], ["gradcheck", "--config", "run.cfg"]])
+def test_subcommand_rejects_options_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_gradcheck_negative_seed_exits_2(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def gradcheck_reports(capsys, argv, rc):

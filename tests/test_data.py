@@ -5,9 +5,8 @@ import pytest
 from scipy import stats
 
 from histlayer.cli import main
-from histlayer.data import (ContextDataset, DatasetFormatError, DatasetTruncationError,
-                            DatasetVersionError, SceneSpec, default_spec, generate,
-                            local_bayes_ceiling, read_dataset, write_dataset)
+from histlayer.data import (ContextDataset, DatasetFormatError, SceneSpec, default_spec,
+                            generate, local_bayes_ceiling, read_dataset, write_dataset)
 
 
 def test_default_spec_is_valid():
@@ -203,7 +202,7 @@ def test_truncated_file_reports_truncation(tmp_path):
     write_dataset(ds, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) // 2])
-    with pytest.raises(DatasetTruncationError):
+    with pytest.raises(DatasetFormatError, match="truncated"):
         read_dataset(path)
 
 
@@ -221,7 +220,7 @@ def test_version_mismatch_distinct_error(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 99
     path.write_bytes(bytes(raw))
-    with pytest.raises(DatasetVersionError):
+    with pytest.raises(DatasetFormatError, match="unsupported HCTX version 99"):
         read_dataset(path)
 
 
@@ -232,7 +231,7 @@ def test_huge_declared_image_count_is_truncation_not_overflow(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[8:12] = struct.pack("<I", 2**32 - 1)
     path.write_bytes(bytes(raw))
-    with pytest.raises(DatasetTruncationError, match="features"):
+    with pytest.raises(DatasetFormatError, match="truncated while reading features"):
         read_dataset(path)
 
 

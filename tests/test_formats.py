@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from histlayer import binfile
 from histlayer.autodiff import Parameter
-from histlayer.checkpoint import (CheckpointFormatError, CheckpointTruncationError,
-                                  CheckpointVersionError, load_checkpoint, load_into,
+from histlayer.checkpoint import (CheckpointFormatError, load_checkpoint, load_into,
                                   save_checkpoint)
 from histlayer.data import (DatasetFormatError, default_spec, generate, read_dataset,
                             write_dataset)
@@ -96,7 +95,7 @@ def test_truncated_checkpoint(tmp_path, rng):
     save_checkpoint(make_params(rng), path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-5])
-    with pytest.raises(CheckpointTruncationError):
+    with pytest.raises(CheckpointFormatError, match="truncated"):
         load_checkpoint(path)
 
 
@@ -121,7 +120,7 @@ def test_version_mismatch(tmp_path, rng):
     raw = bytearray(path.read_bytes())
     raw[4] = 7
     path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointVersionError):
+    with pytest.raises(CheckpointFormatError, match="unsupported HPRM version 7"):
         load_checkpoint(path)
 
 
@@ -147,7 +146,7 @@ def test_huge_declared_shape_is_truncation(tmp_path):
     path = tmp_path / "c.hprm"
     path.write_bytes(b"HPRM" + struct.pack("<3I", 1, 1, 1) + b"a"
                      + struct.pack("<4I", *[2**32 - 1] * 4))
-    with pytest.raises(CheckpointTruncationError, match="a values"):
+    with pytest.raises(CheckpointFormatError, match="truncated while reading a values"):
         load_checkpoint(path)
 
 
@@ -197,9 +196,8 @@ def test_file_that_shrinks_while_read_raises_truncation(tmp_path, read):
     path = tmp_path / "f.bin"
     binfile.write(path, b"TEST", 1, [np.zeros(FILLER // 8), binfile.blob(bytes(512)),
                                      np.zeros(64)])
-    with pytest.raises(CheckpointTruncationError, match="the field.*read 0"):
-        with binfile.reader(path, b"TEST", 1, "test file", CheckpointFormatError,
-                            CheckpointVersionError, CheckpointTruncationError) as r:
+    with pytest.raises(CheckpointFormatError, match="truncated while reading the field.*read 0"):
+        with binfile.reader(path, b"TEST", 1, "test file", CheckpointFormatError) as r:
             r.array("<f8", (FILLER // 8,), "filler")
             os.truncate(path, 8 + FILLER)
             read(r)

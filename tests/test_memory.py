@@ -11,9 +11,10 @@ import pytest
 import histlayer.autodiff as ad
 from histlayer.autodiff import Tensor
 from histlayer import networks
+from histlayer.config import RunConfig
 from histlayer.data import ContextDataset, default_spec, generate, read_dataset, write_dataset
 from histlayer.histogram import hist_forward_direct, init_params
-from histlayer.networks import HistNetConfig, Network
+from histlayer.networks import Network
 
 
 def peak_bytes(fn):
@@ -107,9 +108,9 @@ def test_histogram_forward_and_backward_peak_below_one_offsets_array():
 def test_evaluation_batch_peaks_below_three_feature_maps():
     """A forward-only pass of one evaluation batch of the default network
     drops each activation once the next layer has read it."""
-    cfg = HistNetConfig()
-    ds = generate(default_spec(K=cfg.K, D=cfg.D_in), N, H, W, seed=3)
-    net = Network(cfg, seed=1)
+    cfg = RunConfig(seed=1)
+    ds = generate(default_spec(K=cfg.K, D=cfg.D), N, H, W, seed=3)
+    net = Network(cfg)
     feature_map = N * cfg.C_feat * H * W * 8   # bytes of one (N,C_feat,H,W) float64 array
     ad.reset_tape()
     with ad.no_grad():

@@ -7,19 +7,19 @@ import pytest
 import histlayer.autodiff as ad
 from histlayer import networks
 from histlayer.autodiff import Tensor
+from histlayer.config import BASELINE_MODES, RunConfig
 from histlayer.data import default_spec, generate
 from histlayer.histogram import ComposedHistogram
-from histlayer.networks import (BASELINE_MODES, HistNetConfig, Network, TrainSchedule,
-                                evaluate, load_base, metrics_from_confusion,
+from histlayer.networks import (Network, evaluate, load_base, metrics_from_confusion,
                                 parameter_census, train_base, train_phase,
                                 two_phase_train)
 from histlayer.verify import TOL_STRUCTURAL
 
 
 def small_cfg(mode="histnet", **kw):
-    defaults = dict(K=5, B=3, D_in=6, C_feat=6, baseline_mode=mode)
+    defaults = dict(K=5, B=3, D=6, C_feat=6, mode=mode)
     defaults.update(kw)
-    return HistNetConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 def small_data(n=12, seed=0):
@@ -39,15 +39,20 @@ def outputs(net, x):
 # configuration
 
 def test_config_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="unknown baseline_mode"):
-        small_cfg(mode="magic").validate()
+    with pytest.raises(ValueError, match="unknown mode"):
+        Network(small_cfg(mode="magic"))
+
+
+def context_input_dim(cfg):
+    return {"score_global": cfg.K, "feat_global": cfg.C_feat,
+            "base_only": 0}.get(cfg.mode, cfg.K * cfg.B)
 
 
 def test_context_input_dims():
-    assert small_cfg("histnet").context_input_dim() == 15
-    assert small_cfg("score_global").context_input_dim() == 5
-    assert small_cfg("feat_global").context_input_dim() == 6
-    assert small_cfg("base_only").context_input_dim() == 0
+    for mode, dim in [("histnet", 15), ("score_global", 5), ("feat_global", 6),
+                      ("base_only", 0)]:
+        net = Network(small_cfg(mode))
+        assert (net.fc[0].shape[1] if net.fc else 0) == dim == context_input_dim(net.cfg)
 
 
 # --------------------------------------------------------------------------
@@ -55,7 +60,7 @@ def test_context_input_dims():
 
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 def test_forward_shapes_all_modes(mode):
-    net = Network(small_cfg(mode), seed=1)
+    net = Network(small_cfg(mode, seed=1))
     out = outputs(net, np.random.default_rng(0).standard_normal((2, 6, 4, 4)))
     expected_stages = 1 if mode == "base_only" else 2
     assert len(out.stage_probs) == expected_stages
@@ -65,14 +70,14 @@ def test_forward_shapes_all_modes(mode):
 
 
 def test_stage_probs_normalized(rng):
-    net = Network(small_cfg(), seed=2)
+    net = Network(small_cfg(seed=2))
     out = outputs(net, rng.standard_normal((3, 6, 5, 5)))
     for p in out.stage_probs + [out.final_probs]:
         np.testing.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_zeroed_classifier_gives_uniform_probs(rng):
-    net = Network(small_cfg("base_only"), seed=3)
+    net = Network(small_cfg("base_only", seed=3))
     net.params["base.cls.w"].data[...] = 0.0
     net.params["base.cls.b"].data[...] = 0.0
     out = outputs(net, rng.standard_normal((2, 6, 3, 3)))
@@ -81,17 +86,17 @@ def test_zeroed_classifier_gives_uniform_probs(rng):
 
 def test_stage_head_input_width():
     cfg = small_cfg()
-    net = Network(cfg, seed=0)
+    net = Network(cfg)
     hw, _ = net.head
     assert hw.shape[1] == cfg.C_feat + cfg.K * cfg.B
 
 
 def test_construction_is_seed_deterministic():
-    a = Network(small_cfg(), seed=7)
-    b = Network(small_cfg(), seed=7)
+    a = Network(small_cfg(seed=7))
+    b = Network(small_cfg(seed=7))
     for name in a.params:
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
-    c = Network(small_cfg(), seed=8)
+    c = Network(small_cfg(seed=8))
     assert not np.array_equal(a.params["fc.w"].data, c.params["fc.w"].data)
 
 
@@ -101,7 +106,7 @@ def test_zeroed_context_fc_makes_context_modes_agree(rng):
     x = rng.standard_normal((2, 6, 4, 4))
     outs = []
     for mode in ("histnet", "score_global", "feat_global"):
-        net = Network(small_cfg(mode), seed=11)
+        net = Network(small_cfg(mode, seed=11))
         for tag in ("fc.w", "fc.b"):
             net.params[tag].data[...] = 0.0
         # align the parts that differ only through rng consumption order
@@ -140,7 +145,7 @@ def _stage2_layout(d_ctx):
 ])
 def test_checkpoint_layout_per_mode(mode, extra):
     """The ordered (name, shape) list that final.hprm writes, at the defaults."""
-    net = Network(HistNetConfig(baseline_mode=mode), seed=0)
+    net = Network(RunConfig(mode=mode))
     assert [(n, p.shape) for n, p in net.params.items()] == _BASE_LAYOUT + extra
 
 
@@ -149,11 +154,11 @@ def test_checkpoint_layout_per_mode(mode, extra):
 
 def census_expect(cfg):
     KB = cfg.K * cfg.B
-    d_ctx = cfg.context_input_dim()
+    d_ctx = context_input_dim(cfg)
     head = cfg.K * (cfg.C_feat + KB) + cfg.K
     fc = KB * d_ctx + KB
-    hist = 2 * KB if cfg.baseline_mode == "histnet" else 0
-    if cfg.baseline_mode == "free_all":
+    hist = 2 * KB if cfg.mode == "histnet" else 0
+    if cfg.mode == "free_all":
         hist = KB * cfg.K + KB + KB * KB + KB
     return head + fc + hist
 
@@ -162,19 +167,19 @@ def census_expect(cfg):
                                   "score_global", "feat_global"])
 def test_census_matches_analytic_count(mode):
     cfg = small_cfg(mode)
-    census = parameter_census(Network(cfg, seed=0))
+    census = parameter_census(Network(cfg))
     assert census["extra_trainable"] == census_expect(cfg)
 
 
 def test_census_base_only_empty():
-    census = parameter_census(Network(small_cfg("base_only"), seed=0))
+    census = parameter_census(Network(small_cfg("base_only")))
     assert census["extra_trainable"] == 0
     assert census["per_param"] == {}
 
 
 def test_census_histnet_bin_entries():
     cfg = small_cfg("histnet")
-    census = parameter_census(Network(cfg, seed=0))["per_param"]
+    census = parameter_census(Network(cfg))["per_param"]
     KB = cfg.K * cfg.B
     assert [n for n in census if n.startswith("hist")] == ["hist.centers", "hist.slopes"]
     assert census["hist.centers"] == KB
@@ -182,7 +187,7 @@ def test_census_histnet_bin_entries():
 
 
 def test_census_fix_hist_bin_entries():
-    census = parameter_census(Network(small_cfg("fix_hist"), seed=0))["per_param"]
+    census = parameter_census(Network(small_cfg("fix_hist")))["per_param"]
     assert census["hist.centers"] == 0 and census["hist.slopes"] == 0
 
 
@@ -191,13 +196,13 @@ def test_direct_histogram_matches_composed_reference_in_network(mode):
     """The network's direct-form histogram gives the loss and gradients of the
     same network running the locked composed stack on the same bins."""
     rng = np.random.default_rng(21)
-    direct = Network(small_cfg(mode), seed=9)
+    direct = Network(small_cfg(mode, seed=9))
     for p in direct.params.values():
         p.data[...] = rng.standard_normal(p.shape) * 0.5
     hp = direct.hist
     hp.centers.data[...] = rng.uniform(-0.2, 1.2, size=hp.centers.shape)
     hp.slopes.data[...] = rng.uniform(0.5, 8.0, size=hp.slopes.shape)
-    ref = Network(small_cfg(mode), seed=9)
+    ref = Network(small_cfg(mode, seed=9))
     for name, p in ref.params.items():
         p.data[...] = direct.params[name].data
     layer = ComposedHistogram(ref.hist)
@@ -239,7 +244,7 @@ def test_metrics_absent_class_excluded_from_mean():
 
 
 def test_empty_dataset_rejected():
-    net = Network(small_cfg("base_only"), seed=0)
+    net = Network(small_cfg("base_only"))
     ds = small_data(2)
     ds.features = ds.features[:0]
     with pytest.raises(ValueError, match="empty"):
@@ -247,7 +252,7 @@ def test_empty_dataset_rejected():
 
 
 def test_confusion_counts_every_pixel():
-    net = Network(small_cfg(), seed=0)
+    net = Network(small_cfg())
     ds = small_data(5)
     conf = evaluate(net, ds)["confusion"]
     assert conf.sum() == 5 * 6 * 6
@@ -259,12 +264,12 @@ def test_evaluate_rejects_a_label_outside_the_class_range(label):
     ds = small_data(3)
     ds.labels[1, 2, 3] = label
     with pytest.raises(ValueError, match="out of range"):
-        evaluate(Network(small_cfg(), seed=0), ds)
+        evaluate(Network(small_cfg()), ds)
 
 
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 def test_no_grad_loss_records_nothing_and_matches_recorded(mode):
-    net = Network(small_cfg(mode), seed=3)
+    net = Network(small_cfg(mode, seed=3))
     ds = small_data(3, seed=4)
     feats = Tensor(ds.features)
     loss, out = net.loss(feats, ds.labels)
@@ -282,7 +287,7 @@ def test_no_grad_loss_records_nothing_and_matches_recorded(mode):
 
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 def test_training_backward_skips_the_unused_probability_branch(mode):
-    net = Network(small_cfg(mode), seed=3)
+    net = Network(small_cfg(mode, seed=3))
     ds = small_data(3, seed=4)
     feats = Tensor(ds.features, with_grad=False)
     loss, out = net.loss(feats, ds.labels)
@@ -306,7 +311,7 @@ def test_data_batch_without_gradient_gives_identical_parameter_gradients(mode):
     ds = small_data(3, seed=4)
     grads = []
     for with_grad in (True, False):
-        net = Network(small_cfg(mode), seed=3)
+        net = Network(small_cfg(mode, seed=3))
         loss, _ = net.loss(Tensor(ds.features, with_grad=with_grad), ds.labels)
         ad.backward(loss)
         grads.append({n: p.grad.tobytes() for n, p in net.params.items()})
@@ -328,7 +333,7 @@ def test_phase1_step_gives_the_full_graph_gradients_bitwise(mode):
     ds, val = small_data(6, seed=4), small_data(3, seed=5)
     results = []
     for cached in (False, True):
-        net = Network(small_cfg(mode), seed=3)
+        net = Network(small_cfg(mode, seed=3))
         caches = tuple(networks.PrefixCache(net, d, 4) for d in (ds, val)) if cached else None
         rows = train_phase(net, ds, val, phase1_params(net), schedule(1), phase=1,
                            caches=caches)
@@ -338,7 +343,7 @@ def test_phase1_step_gives_the_full_graph_gradients_bitwise(mode):
 
 @pytest.mark.parametrize("mode", CONTEXT_MODES)
 def test_phase1_tape_holds_no_base_or_histogram_node(mode):
-    net = Network(small_cfg(mode), seed=3)
+    net = Network(small_cfg(mode, seed=3))
     ds = small_data(3, seed=4)
     pre = networks.PrefixCache(net, ds, 3).take(slice(0, 3))
     loss, out = net.refine(pre, ds.labels)
@@ -359,7 +364,7 @@ def test_phase1_tape_holds_no_base_or_histogram_node(mode):
 
 @pytest.mark.parametrize("mode", CONTEXT_MODES)
 def test_prefix_of_a_batch_equals_the_per_image_prefixes(mode):
-    net = Network(small_cfg(mode), seed=3)
+    net = Network(small_cfg(mode, seed=3))
     ds = small_data(5, seed=4)
     with ad.no_grad():
         batch = net.prefix(Tensor(ds.features), ds.labels)
@@ -381,7 +386,7 @@ def test_refine_on_cached_prefixes_matches_the_loss_pass_bitwise(mode, scale):
     labels = ds.labels[idx]
     results = []
     for cached in (False, True):
-        net = Network(small_cfg(mode), seed=3)
+        net = Network(small_cfg(mode, seed=3))
         net.params["base.cls.w"].data *= scale
         if cached:  # filled in chunks of 2, which split the batch differently
             pre = networks.PrefixCache(net, ds, batch_size=2).take(idx)
@@ -412,8 +417,8 @@ def test_phase1_computes_each_prefix_once(monkeypatch):
     monkeypatch.setattr(Network, "prefix", prefix)
     monkeypatch.setattr(networks, "train_phase", train_phase)
     ds, val = small_data(10, seed=3), small_data(6, seed=4)
-    net = Network(small_cfg(), seed=0)
-    two_phase_train(net, Network(small_cfg("base_only"), seed=0).params, ds, val,
+    net = Network(small_cfg())
+    two_phase_train(net, Network(small_cfg("base_only")).params, ds, val,
                     schedule(2))
     phase2 = calls.index(("phase", 2))
     assert calls[:phase2] == [("prefix", 4)] * 2 + [("prefix", 2), ("prefix", 4),
@@ -434,9 +439,9 @@ def test_phase1_leaves_every_base_and_histogram_gradient_zero(monkeypatch):
 
     monkeypatch.setattr(networks, "train_phase", train_phase)
     ds, val = small_data(8, seed=3), small_data(4, seed=4)
-    net = Network(small_cfg(), seed=0)
+    net = Network(small_cfg())
     fixed = [*net.base_param_names, "hist.centers", "hist.slopes"]
-    two_phase_train(net, Network(small_cfg("base_only"), seed=0).params, ds, val,
+    two_phase_train(net, Network(small_cfg("base_only")).params, ds, val,
                     schedule(2))
     assert list(seen) == fixed
     for name, grad in seen.items():
@@ -458,7 +463,7 @@ def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch, workers):
     batch losses weighted by batch length, summed in batch order, over N; and
     the confusion counts of the per-batch final and stage-1 predictions. The
     bits do not depend on how many batches run at once."""
-    net = Network(small_cfg(), seed=6)
+    net = Network(small_cfg(seed=6))
     ds = small_data(12, seed=8)
     monkeypatch.setattr(networks, "EVAL_BATCH", 5)  # batches of 5, 5 and 2
     use_workers(monkeypatch, workers)
@@ -489,7 +494,7 @@ def test_evaluate_on_more_workers_than_cores_matches_one(monkeypatch, cached):
     """Four workers on six batches of two, switching threads every
     microsecond, give the one-worker bits, on a dataset whose summed batch
     losses change bits when summed in reverse."""
-    net = Network(small_cfg(), seed=6)
+    net = Network(small_cfg(seed=6))
     ds = small_data(12, seed=8)
     cache = networks.PrefixCache(net, ds, 5) if cached else None
     monkeypatch.setattr(networks, "EVAL_BATCH", 2)
@@ -524,7 +529,7 @@ def test_evaluate_raises_a_batch_error_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(networks, "EVAL_BATCH", 5)
     use_workers(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="batch at 5 failed"):
-        evaluate(Network(small_cfg(), seed=6), small_data(12, seed=8))
+        evaluate(Network(small_cfg(seed=6)), small_data(12, seed=8))
     assert eval_threads() == []
     assert ad._STATE.grad_enabled
 
@@ -542,7 +547,7 @@ def test_evaluate_batches_run_under_the_callers_errstate(monkeypatch):
     use_workers(monkeypatch, 2)
     with np.errstate(divide="ignore", over="raise", under="ignore", invalid="ignore"):
         caller = np.geterr()
-        evaluate(Network(small_cfg(), seed=6), small_data(12, seed=8))
+        evaluate(Network(small_cfg(seed=6)), small_data(12, seed=8))
     assert caller != np.geterr()
     assert len(seen) == 3
     assert all(name.startswith(networks.EVAL_THREAD_NAME) for name, _ in seen)
@@ -562,7 +567,7 @@ def test_evaluate_batches_take_no_gradient(monkeypatch, workers):
     monkeypatch.setattr(networks, "EVAL_BATCH", 5)
     use_workers(monkeypatch, workers)
     ds = small_data(12, seed=8)
-    evaluate(Network(small_cfg(), seed=6), ds)
+    evaluate(Network(small_cfg(seed=6)), ds)
     sizes = [t.shape[0] for t in built]
     if workers == 1:   # in batch order on the caller's thread
         assert sizes == [5, 5, 2]
@@ -575,15 +580,14 @@ def test_evaluate_batches_take_no_gradient(monkeypatch, workers):
 # training
 
 def schedule(epochs=2):
-    return TrainSchedule(epochs=epochs, batch_size=4, decay_epoch=1, seed=0)
+    return RunConfig(epochs=epochs, batch_size=4, decay_epoch=1)
 
 
 def test_train_base_loss_decreases():
     ds = small_data(24, seed=1)
     val = small_data(8, seed=2)
-    net = Network(small_cfg("base_only"), seed=0)
-    rows = train_base(net, ds, val, TrainSchedule(epochs=6, batch_size=4,
-                                                  decay_epoch=5, seed=0))
+    net = Network(small_cfg("base_only"))
+    rows = train_base(net, ds, val, RunConfig(epochs=6, batch_size=4, decay_epoch=5))
     train_losses = [r.loss for r in rows if r.split == "train"]
     assert train_losses[-1] < train_losses[0]
 
@@ -591,9 +595,9 @@ def test_train_base_loss_decreases():
 def test_phase1_leaves_base_and_bins_bit_identical():
     ds = small_data(16, seed=3)
     val = small_data(8, seed=4)
-    base = Network(small_cfg("base_only"), seed=0)
+    base = Network(small_cfg("base_only"))
     train_base(base, ds, val, schedule())
-    net = Network(small_cfg(), seed=0)
+    net = Network(small_cfg())
     load_base(net, base.params)
     before = {n: net.params[n].data.copy() for n in net.base_param_names}
     bins_before = (net.hist.centers.data.copy(), net.hist.slopes.data.copy())
@@ -607,9 +611,9 @@ def test_phase1_leaves_base_and_bins_bit_identical():
 def test_two_phase_train_moves_bins_in_phase_two():
     ds = small_data(16, seed=3)
     val = small_data(8, seed=4)
-    base = Network(small_cfg("base_only"), seed=0)
+    base = Network(small_cfg("base_only"))
     train_base(base, ds, val, schedule())
-    net = Network(small_cfg(), seed=0)
+    net = Network(small_cfg())
     bins_before = net.hist.centers.data.copy()
     rows, stage1 = two_phase_train(net, base.params, ds, val, schedule())
     assert any(r.phase == 1 for r in rows) and any(r.phase == 2 for r in rows)
@@ -628,10 +632,10 @@ def stage1_per_pixel(net, ds):
 @pytest.mark.parametrize("epochs", [2, 0])
 def test_two_phase_train_takes_stage1_from_the_epoch_end_passes(monkeypatch, epochs):
     ds, val = small_data(16, seed=3), small_data(8, seed=4)
-    base = Network(small_cfg("base_only"), seed=0)
+    base = Network(small_cfg("base_only"))
     train_base(base, ds, val, schedule())
     # reference: a separate stage-1 pass after each phase
-    ref = Network(small_cfg(), seed=0)
+    ref = Network(small_cfg())
     load_base(ref, base.params)
     train_phase(ref, ds, val, phase1_params(ref), schedule(epochs), phase=1)
     before = stage1_per_pixel(ref, val)
@@ -641,14 +645,14 @@ def test_two_phase_train_takes_stage1_from_the_epoch_end_passes(monkeypatch, epo
     calls = []
     real = networks.evaluate
     monkeypatch.setattr(networks, "evaluate", lambda *a: calls.append(a) or real(*a))
-    net = Network(small_cfg(), seed=0)
+    net = Network(small_cfg())
     _, stage1 = two_phase_train(net, base.params, ds, val, schedule(epochs))
     assert stage1 == {"stage1_before_phase2": before, "stage1_after_phase2": after}
     assert len(calls) == max(2 * epochs, 1)
 
 
 def test_train_phase_names_the_first_non_finite_parameter():
-    net = Network(small_cfg("base_only"), seed=0)
+    net = Network(small_cfg("base_only"))
     net.params["base.f2.b"].data[3] = np.inf
     net.params["base.cls.w"].data[0] = np.nan
     with pytest.raises(networks.TrainingDivergedError,
@@ -657,7 +661,7 @@ def test_train_phase_names_the_first_non_finite_parameter():
 
 
 def test_train_phase_stops_when_the_loss_clamps_with_finite_parameters():
-    net = Network(small_cfg("base_only"), seed=0)
+    net = Network(small_cfg("base_only"))
     net.params["base.cls.w"].data *= 1e6    # logit gaps far above 745
     val = small_data(4)
     with ad.no_grad():
@@ -671,14 +675,14 @@ def test_train_phase_stops_when_the_loss_clamps_with_finite_parameters():
 
 
 def test_two_phase_train_rejects_base_only():
-    net = Network(small_cfg("base_only"), seed=0)
+    net = Network(small_cfg("base_only"))
     with pytest.raises(ValueError, match="context-refinement"):
         two_phase_train(net, net.params, small_data(4), small_data(4), schedule())
 
 
 def test_load_base_shape_mismatch_named():
-    base = Network(small_cfg("base_only", C_feat=7), seed=0)
-    net = Network(small_cfg(), seed=0)
+    base = Network(small_cfg("base_only", C_feat=7))
+    net = Network(small_cfg())
     with pytest.raises(ValueError, match="base.f1.w"):
         load_base(net, base.params)
 
@@ -688,9 +692,9 @@ def test_training_is_reproducible():
     val = small_data(8, seed=4)
     results = []
     for _ in range(2):
-        base = Network(small_cfg("base_only"), seed=0)
+        base = Network(small_cfg("base_only"))
         train_base(base, ds, val, schedule())
-        net = Network(small_cfg(), seed=0)
+        net = Network(small_cfg())
         two_phase_train(net, base.params, ds, val, schedule())
         results.append({n: p.data.copy() for n, p in net.params.items()})
     for n in results[0]:
@@ -700,7 +704,7 @@ def test_training_is_reproducible():
 def test_log_rows_cover_each_epoch_and_split():
     ds = small_data(12, seed=6)
     val = small_data(6, seed=7)
-    net = Network(small_cfg("base_only"), seed=0)
+    net = Network(small_cfg("base_only"))
     rows = train_base(net, ds, val, schedule(epochs=3))
     assert len(rows) == 6
     assert [(r.epoch, r.split) for r in rows] == [
@@ -708,7 +712,7 @@ def test_log_rows_cover_each_epoch_and_split():
 
 
 def test_evaluate_metrics_in_unit_interval():
-    net = Network(small_cfg(), seed=0)
+    net = Network(small_cfg())
     m = evaluate(net, small_data(6))
     assert 0.0 <= m["per_pixel"] <= 1.0
     assert 0.0 <= m["per_class"] <= 1.0
