@@ -332,13 +332,13 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
 
     `schedule` is the run's configuration: the phase reads its epochs,
     batch_size, lr, lr_decay, decay_epoch, momentum and, for the batch
-    order, seed. Train-split metrics are accumulated from the minibatch forward passes,
-    val metrics come from a full evaluation pass at each epoch end, so the
-    last val row describes the parameters the phase ends with. Raises
-    TrainingDivergedError after an epoch that leaves a parameter non-finite
-    or whose train steps or val pass clamped log 0 in the loss: a picked
-    probability underflowed to 0, so the logits are diverging even where
-    every value stays finite. Each step zeroes and steps `trainable` alone.
+    order, seed. Train-split metrics are accumulated from the minibatch
+    forward passes, val metrics come from a full evaluation pass at each
+    epoch end, so the last val row describes the parameters the phase ends
+    with. Raises TrainingDivergedError after an epoch that leaves a
+    parameter non-finite or whose train steps or val pass clamped log 0 in
+    the loss: a picked probability underflowed to 0, so the logits are
+    diverging even where every value stays finite. Each step zeroes and steps `trainable` alone.
     `caches` holds the train and val prefixes when no trainable parameter
     feeds them, so the passes run `refine` alone; without them the
     backward runs through the whole network whatever `trainable` holds.
