@@ -13,6 +13,11 @@ the failed-op ratio, and the tier-1 wall time, test counts and the set-up
 time of the acceptance `comparison` fixture (the slowest set-up in
 `tests/test_acceptance.py`, where the session fixture is built).
 
+Before the workloads it times a fixed numpy reference kernel and records its
+median, q1, q3 and repeat count as `reference_kernel`. The kernel never
+changes with the program, so a reader can tell a host that got slower from a
+change that did; no recorded metric is rescaled by it.
+
 Example:
     python scripts/bench.py --out BENCH_7.json
 """
@@ -21,14 +26,35 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 104729
 TRACED_WORKLOAD = "train_histnet"
+
+
+def reference_kernel() -> dict:
+    """Time five repeats of a fixed numpy workload: 64 float64 256x256
+    matmuls, then `np.exp` over 2**20 elements. Keep it as it is, so that
+    its readings compare across BENCH files."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2, 256, 256))
+    v = rng.standard_normal(2 ** 20)
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(64):
+            np.matmul(a, b)
+        np.exp(v)
+        times.append(time.perf_counter() - start)
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return {"median_s": statistics.median(times), "q1": q1, "q3": q3, "n": len(times)}
 
 
 def usable_cores() -> int:
@@ -108,7 +134,8 @@ def main() -> int:
                                 cwd=ROOT, capture_output=True, text=True,
                                 check=True).stdout.strip())
     report = {"git_sha": sha, "git_dirty": dirty, "seed": SEED, "seconds": seconds,
-              "environment": None, "usable_cores": usable_cores(), "workloads": {}}
+              "environment": None, "usable_cores": usable_cores(),
+              "reference_kernel": reference_kernel(), "workloads": {}}
     for wl in spec["workloads"]:
         lines = run_perfbench(wl["name"], seconds, trace=0)
         report["environment"] = report["environment"] or lines[0]["environment"]

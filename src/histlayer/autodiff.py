@@ -8,16 +8,15 @@ locks.
 
 All tensors are (N, C, H, W) float64 arrays. Ops are recorded on a global
 tape in forward order; `backward` replays the tape in exact reverse order,
-so gradient accumulation order is deterministic. Every `Parameter` holds
-a zero-filled gradient buffer for its whole life, as does any leaf built
-with `with_grad=True`; data built with `with_grad=False` takes none. An
-op records a node only when at least one of its inputs takes a gradient,
-and its closure writes every parameter and each data input that takes
-one. A recorded node gets its buffer on the first write into it
-(`_accumulate`), and `backward` skips the closure of a node whose
-gradient was never written, since the output it was called on does not
-depend on that node. Under `no_grad` ops record nothing, for forward-only
-passes.
+so gradient accumulation order is deterministic. A `Parameter` is the one
+leaf that takes a gradient: it holds a zero-filled buffer for its whole
+life. `Tensor(x)` is data and holds none. An op records a node only when
+at least one of its inputs takes a gradient, and its closure writes every
+parameter and each other input that takes one. A recorded node gets its
+buffer on the first write into it (`_accumulate`), and `backward` skips
+the closure of a node whose gradient was never written, since the output
+it was called on does not depend on that node. Under `no_grad` ops record
+nothing, for forward-only passes.
 """
 
 from __future__ import annotations
@@ -117,16 +116,14 @@ def backward(out: "Tensor", grad: np.ndarray | None = None) -> None:
 # tensors
 
 class Tensor:
-    """Dense rank-4 float64 array with a gradient slot (None without one)."""
+    """Dense rank-4 float64 array; `grad` stays None until a gradient is written."""
 
-    def __init__(self, data, with_grad: bool = True):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"tensors are rank-4 (N,C,H,W), got shape {arr.shape}")
         self.data = arr
-        # np.zeros(shape) rather than zeros_like, which dispatches through
-        # __array_function__ at several times the cost on tiny tensors
-        self.grad = np.zeros(arr.shape) if with_grad else None
+        self.grad = None
         self._backward = None
 
     @property
@@ -135,22 +132,20 @@ class Tensor:
 
     @property
     def requires_grad(self) -> bool:
-        """True for a tensor with a gradient buffer and for a recorded node,
-        whose buffer is allocated on its first gradient write."""
+        """True for a `Parameter` and for a recorded node, whose buffer is
+        allocated on its first gradient write."""
         return self.grad is not None or self._backward is not None
 
     def item(self) -> float:
         return float(self.data.item(0))
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
 
 class Parameter(Tensor):
-    """Tensor with an update-lock mask and a momentum buffer.
+    """Tensor with a gradient buffer, an update-lock mask and a momentum
+    buffer: the one leaf that takes a gradient.
 
     Entries where lock_mask == 0 are structurally frozen: the optimizer
     never writes them, whatever the gradient says.
@@ -159,12 +154,18 @@ class Parameter(Tensor):
     def __init__(self, value, lock_mask=None, name: str = ""):
         super().__init__(value)
         shape = self.data.shape
+        # np.zeros(shape) rather than zeros_like, which dispatches through
+        # __array_function__ at several times the cost on tiny tensors
+        self.grad = np.zeros(shape)
         if lock_mask is None:
             self.lock_mask = np.ones(shape)
         else:
             self.lock_mask = np.array(lock_mask, dtype=np.float64, order="C").reshape(shape)
         self.momentum_buf = np.zeros(shape)
         self.name = name
+
+    def zero_grad(self) -> None:
+        self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Parameter(name={self.name!r}, shape={self.shape})"
@@ -183,7 +184,7 @@ def _records(*inputs: Tensor) -> bool:
 def _node(data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
     """The output of an op on `inputs`. It is recorded, with `backward_fn`
     as its closure, when `_records(*inputs)`."""
-    out = Tensor(data, with_grad=False)
+    out = Tensor(data)
     if _records(*inputs):
         out._backward = backward_fn
         _STATE.tape.append(out)
@@ -399,7 +400,7 @@ def xent_from_logp(logp: np.ndarray) -> Tensor:
     """The loss `softmax_xent` gives for the per-position label log
     probabilities `logp`, unrecorded: the same expression on the same
     values, so the same bits."""
-    loss = Tensor(np.zeros((1, 1, 1, 1)), with_grad=False)
+    loss = Tensor(np.zeros((1, 1, 1, 1)))
     _set_xent_value(loss, logp)
     return loss
 
@@ -495,9 +496,6 @@ def grad_check(loss_fn, wiggle: Parameter, eps: float = 1e-4,
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if wiggle.grad is None:
-        raise ValueError(f"parameter {wiggle.name or 'param'} is frozen: it holds no "
-                         "gradient buffer to check")
 
     reset_tape()
     wiggle.zero_grad()

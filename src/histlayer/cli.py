@@ -113,8 +113,8 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
 
     `seed` and `mode`, when given, replace the configuration's, so the
     network, the schedule and the written `resolved_config.txt` all describe
-    this run. `out_dir` is made when the first file is written into it, so a
-    run that fails before that leaves no directory behind."""
+    this run. Every file, `base.hprm` too, is written once training and
+    evaluation end, so a failed run writes none and makes no directory."""
     cfg = replace(cfg, seed=cfg.seed if seed is None else seed, mode=mode or cfg.mode)
     splits = _load_splits(cfg, data_dir)
     if base_ckpt is not None and not base_ckpt.exists():
@@ -125,10 +125,7 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
     if base_ckpt is None:
         base_net = Network(replace(cfg, mode="base_only"))
         rows += train_base(base_net, train_ds, val_ds, cfg)
-        base_ckpt = out_dir / "base.hprm"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(base_net.params, base_ckpt)
-    base_params = load_checkpoint(base_ckpt)
+    base_params = base_net.params if base_ckpt is None else load_checkpoint(base_ckpt)
 
     summary = {"mode": cfg.mode, "seed": cfg.seed}
     net = Network(cfg)
@@ -138,10 +135,6 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
         rows2, phase_info = two_phase_train(net, base_params, train_ds, val_ds, cfg)
         rows += rows2
         summary.update(phase_info)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(net.params, out_dir / "final.hprm")
-    _write_log(rows, out_dir / "log.csv")
-    write_resolved(cfg, out_dir)
 
     # the last epoch-end val pass ran on the final parameters (base_only
     # copies the base it just trained); without one, evaluate val here
@@ -151,6 +144,13 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
         summary[f"{split}_per_class"] = m["per_class"]
     summary["census"] = parameter_census(net)["extra_trainable"]
     summary["log_rows"] = len(rows)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if base_ckpt is None:
+        save_checkpoint(base_params, out_dir / "base.hprm")
+    save_checkpoint(net.params, out_dir / "final.hprm")
+    _write_log(rows, out_dir / "log.csv")
+    write_resolved(cfg, out_dir)
     return summary
 
 
@@ -302,16 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="histlayer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True, mode=True):   # --seed and --mode where the command reads them
         p.add_argument("--config", type=Path, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=BASELINE_MODES, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+        if mode:
+            p.add_argument("--mode", choices=BASELINE_MODES, default=None)
         p.add_argument("--out", type=Path, default=Path("runs"))
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key")
 
     p = sub.add_parser("gen-data", help="generate train/val/test datasets")
-    common(p)
+    common(p, mode=False)
 
     p = sub.add_parser("train", help="train base and/or context model")
     common(p)
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-checkpoint", type=Path, default=None)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
-    common(p)
+    common(p, seed=False)
     p.add_argument("checkpoint", type=Path)
     p.add_argument("dataset", type=Path)
 
@@ -333,17 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=Path, default=None)
 
     p = sub.add_parser("compare", help="train all baseline modes, emit summary CSV")
-    common(p)
+    common(p, mode=False)
     p.add_argument("--data", type=Path, default=None)
     return parser
 
 
 def _resolve(args) -> RunConfig:
     cfg = load_config(args.config, args.set)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.mode is not None:
-        cfg.mode = args.mode
+    for key in ("seed", "mode"):   # an option the command does not take is absent
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     cfg.validate()
     return cfg
 

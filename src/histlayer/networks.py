@@ -163,7 +163,7 @@ class PrefixCache:
         with ad.no_grad():
             for start in range(0, n, batch_size):
                 stop = min(start + batch_size, n)
-                pre = net.prefix(Tensor(dataset.features[start:stop], with_grad=False),
+                pre = net.prefix(Tensor(dataset.features[start:stop]),
                                  dataset.labels[start:stop])
                 if self.logp is None:
                     self.logp = np.empty((n, *pre.loss.logp.shape[1:]))
@@ -177,8 +177,7 @@ class PrefixCache:
     def take(self, idx) -> Prefix:
         """The prefix of the images at `idx` (indices or a slice)."""
         return Prefix(loss=ad.xent_from_logp(self.logp[idx]),
-                      **{name: Tensor(arr[idx], with_grad=False)
-                         for name, arr in self.tensors.items()})
+                      **{name: Tensor(arr[idx]) for name, arr in self.tensors.items()})
 
 
 def parameter_census(net: Network) -> dict:
@@ -216,7 +215,7 @@ def _batch_pass(net: Network, dataset, idx, labels: np.ndarray,
     """The loss pass on the images at `idx`, on their cached prefixes when
     a cache is given."""
     if cache is None:
-        return net.loss(Tensor(dataset.features[idx], with_grad=False), labels)
+        return net.loss(Tensor(dataset.features[idx]), labels)
     return net.refine(cache.take(idx), labels)
 
 

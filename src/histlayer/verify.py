@@ -189,11 +189,11 @@ def check_equivalence(seed: int, trials: int) -> PropertyReport:
         upstream = rng.standard_normal((n, K * B, 1, 1))
 
         ad.reset_tape()
-        x_d = Tensor(xdata.copy())
+        x_d = Parameter(xdata.copy())
         direct = hist_forward_direct(x_d, hp)
         ad.backward(direct, upstream)
 
-        x_c = Tensor(xdata.copy())
+        x_c = Parameter(xdata.copy())
         composed = layer.forward(x_c)
         ad.backward(composed, upstream)
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import histlayer.autodiff as ad
 from histlayer.autodiff import Parameter, ShapeError, Tensor
-from histlayer.histogram import hist_forward_direct, init_params
+from histlayer.histogram import HistogramParams, hist_forward_direct, init_params
 
 
 def scalar_sum(t):
@@ -77,7 +78,7 @@ FC_SHAPE = (10, 36, 1, 1, 36)
 
 
 def conv_pass(rng, n, cin, h, w, cout):
-    x = Tensor(rng.standard_normal((n, cin, h, w)))
+    x = Parameter(rng.standard_normal((n, cin, h, w)))
     weight = Parameter(rng.standard_normal((cout, cin, 1, 1)))
     bias = Parameter(rng.standard_normal((cout, 1, 1, 1)))
     upstream = rng.standard_normal((n, cout, h, w))
@@ -124,7 +125,7 @@ def test_abs_elem_sign_cases():
 
 
 def test_abs_elem_gradient_is_sign_times_upstream():
-    x = Tensor(np.full((1, 1, 1, 1), -0.3))
+    x = Parameter(np.full((1, 1, 1, 1), -0.3))
     ad.reset_tape()
     out = ad.abs_elem(x)
     run_backward(out, upstream=2.0)
@@ -137,7 +138,7 @@ def test_relu_values_and_dead_gradient():
     out = ad.relu(x)
     np.testing.assert_array_equal(out.data.ravel(), [0.0, 0.0, 3.0, 0.0])
 
-    neg = Tensor(np.full((1, 2, 2, 2), -1.0))
+    neg = Parameter(np.full((1, 2, 2, 2), -1.0))
     ad.reset_tape()
     out = ad.relu(neg)
     run_backward(out)
@@ -151,7 +152,7 @@ def test_relu_is_bit_equal_to_where_on_signed_zeros(rng):
     ref = np.where(raw > 0, raw, 0.0)
     with ad.no_grad():
         assert ad.relu(Tensor(raw)).data.tobytes() == ref.tobytes()
-    x = Tensor(raw)
+    x = Parameter(raw)
     upstream = rng.standard_normal(raw.shape)
     ad.reset_tape()
     out = ad.relu(x)
@@ -184,7 +185,7 @@ def test_global_avg_pool_constant_map():
 
 
 def test_global_avg_pool_mean_value_and_gradient():
-    x = Tensor(np.array([0.0, 0.2, 0.4, 1.0]).reshape(1, 1, 2, 2))
+    x = Parameter(np.array([0.0, 0.2, 0.4, 1.0]).reshape(1, 1, 2, 2))
     ad.reset_tape()
     out = ad.global_avg_pool(x)
     assert out.item() == pytest.approx(0.4)
@@ -206,7 +207,7 @@ def concat_reference(f, ctx, weight, bias, upstream, frozen):
     for frozen features, which are data."""
     n, c, h, w = f.shape
     tiled = np.broadcast_to(ctx, (n, ctx.shape[1], h, w))
-    cat = Tensor(np.concatenate([f, tiled], axis=1))
+    cat = Parameter(np.concatenate([f, tiled], axis=1))
     wp, bp = Parameter(weight), Parameter(bias)
     ad.reset_tape()
     out = ad.conv1x1(cat, wp, bp)
@@ -233,8 +234,8 @@ def test_concat_conv1x1_matches_numpy_concat_then_conv1x1(shape, frozen, rng):
     wdata = rng.standard_normal((cout, c + d, 1, 1))
     bdata = rng.standard_normal((cout, 1, 1, 1))
     upstream = rng.standard_normal((n, cout, h, w))
-    f = Tensor(fdata, with_grad=frozen != "features")
-    ctx = Tensor(cdata)
+    f = Tensor(fdata) if frozen == "features" else Parameter(fdata)
+    ctx = Parameter(cdata)
     weight, bias = Parameter(wdata), Parameter(bdata)
     if frozen == "weight":
         weight.lock_mask[...] = 0.0
@@ -267,7 +268,7 @@ def test_concat_conv1x1_degenerate_features():
 
 def test_concat_conv1x1_context_gradient_is_spatial_sum(rng):
     feats = Tensor(rng.standard_normal((2, 3, 4, 4)))
-    ctx = Tensor(rng.standard_normal((2, 2, 1, 1)))
+    ctx = Parameter(rng.standard_normal((2, 2, 1, 1)))
     weight = Parameter(rng.standard_normal((5, 5, 1, 1)))
     bias = Parameter(np.zeros((5, 1, 1, 1)))
     ad.reset_tape()
@@ -401,7 +402,7 @@ def test_softmax_xent_bit_equal_to_take_along_axis_reference(rng):
     labels = rng.integers(0, k, size=(n, h, w)).astype(np.uint8)
     labels[2, 4, 6] = 1
     logits_arr[2, 0, 4, 6] = 800.0      # label 1 there underflows to p = 0
-    logits = Tensor(logits_arr)
+    logits = Parameter(logits_arr)
     ad.reset_tape()
     loss, probs = ad.softmax_xent(logits, labels)
     ad.backward(loss)
@@ -483,15 +484,6 @@ def test_grad_check_flags_input_at_bin_center_as_skipped():
     assert res.n_checked == 0
 
 
-def test_grad_check_names_a_frozen_parameter(rng):
-    x = Parameter(rng.standard_normal((1, 3, 2, 2)), name="x")
-    w = Parameter(rng.standard_normal((2, 3, 1, 1)), name="frozen.w")
-    b = Parameter(rng.standard_normal((2, 1, 1, 1)), name="b")
-    w.grad = None
-    with pytest.raises(ValueError, match="frozen.w is frozen"):
-        ad.grad_check(lambda: scalar_sum(ad.conv1x1(x, w, b)), w)
-
-
 def hinge_crossed_per_trace(trace_a, trace_b, margin):
     """The per-trace loop `_hinge_crossed` replaced, kept as its reference."""
     for pa, pb in zip(trace_a, trace_b):
@@ -543,22 +535,59 @@ def test_hinge_crossed_rejects_passes_with_different_traces(trace_b):
 # --------------------------------------------------------------------------
 # tensor buffers
 
+def test_a_tensor_is_data_without_a_gradient():
+    t = Tensor(np.ones((1, 2, 1, 1)))
+    assert t.grad is None
+    assert not t.requires_grad
+    with pytest.raises(TypeError):
+        Tensor(np.ones((1, 2, 1, 1)), with_grad=True)
+
+
+def _grad_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+# Digests of (input, parameter) gradients as a `Tensor(x)` input leaf took
+# them when a plain tensor could hold a gradient buffer: a `Parameter` input,
+# the one leaf that takes a gradient now, gets the same bits.
+def test_parameter_input_to_conv1x1_takes_the_pinned_gradient_bits():
+    rng = np.random.default_rng(24)
+    x = Parameter(rng.standard_normal((3, 5, 4, 4)))
+    w = Parameter(rng.standard_normal((6, 5, 1, 1)))
+    b = Parameter(rng.standard_normal((6, 1, 1, 1)))
+    ad.reset_tape()
+    ad.backward(ad.conv1x1(x, w, b), rng.standard_normal((3, 6, 4, 4)))
+    assert _grad_digest(x.grad, w.grad, b.grad) == "7e5b0dee0cc09a11"
+
+
+def test_parameter_input_to_the_histogram_takes_the_pinned_gradient_bits():
+    rng = np.random.default_rng(24)
+    p = HistogramParams(Parameter(rng.uniform(-0.2, 1.2, size=(3, 5, 1, 1))),
+                        Parameter(rng.uniform(0.5, 8.0, size=(3, 5, 1, 1))))
+    x = Parameter(rng.uniform(-0.2, 1.2, size=(2, 3, 4, 4)))
+    ad.reset_tape()
+    ad.backward(hist_forward_direct(x, p), rng.standard_normal((2, 15, 1, 1)))
+    assert _grad_digest(x.grad, p.centers.grad, p.slopes.grad) == "9ec602fa89fc2f54"
+
+
 def test_every_buffer_is_a_fresh_c_contiguous_float64_array_of_the_data_shape():
     base = np.arange(24.0).reshape(2, 3, 4, 1)
     inputs = [base, base[:, ::2], np.asfortranarray(base), base.astype(np.float32),
               np.arange(24).reshape(2, 3, 4, 1)]
     buffers = []
     for data in inputs:
-        t = Tensor(data)
         p = Parameter(data)
         locked = Parameter(data, lock_mask=np.asfortranarray(np.ones(data.shape)))
-        own = [t.grad, p.grad, p.lock_mask, p.momentum_buf, locked.grad,
+        own = [p.grad, p.lock_mask, p.momentum_buf, locked.grad,
                locked.lock_mask, locked.momentum_buf]
         for buf in own:
             assert buf.dtype == np.float64
             assert buf.flags.c_contiguous and buf.flags.writeable
             assert buf.shape == data.shape
-            for other in (data, t.data, p.data, locked.data):
+            for other in (data, p.data, locked.data):
                 assert not np.shares_memory(buf, other)
         buffers += own
     for i, buf in enumerate(buffers):
@@ -576,8 +605,8 @@ def test_a_given_lock_mask_is_copied():
 # data inputs: nodes recorded only toward inputs that take a gradient
 
 def test_node_records_nothing_without_a_gradient_input(rng):
-    data = Tensor(rng.standard_normal((1, 2, 1, 1)), with_grad=False)
-    other = Tensor(rng.standard_normal((1, 2, 1, 1)), with_grad=False)
+    data = Tensor(rng.standard_normal((1, 2, 1, 1)))
+    other = Tensor(rng.standard_normal((1, 2, 1, 1)))
     live = Parameter(rng.standard_normal((1, 2, 1, 1)), name="live")
     ad.reset_tape()
     out = ad._node(data.data, lambda: None, data, other)
@@ -591,7 +620,7 @@ def test_node_records_nothing_without_a_gradient_input(rng):
 
 @pytest.mark.parametrize("op", ["concat_conv1x1", "mean_tensors"])
 def test_multi_input_ops_skip_inputs_without_gradient(op, rng):
-    frozen = Tensor(rng.standard_normal((2, 3, 2, 2)), with_grad=False)
+    frozen = Tensor(rng.standard_normal((2, 3, 2, 2)))
     live = Parameter(rng.standard_normal((2, 3, 1, 1) if op == "concat_conv1x1"
                                          else (2, 3, 2, 2)), name="live")
     ad.reset_tape()
@@ -696,7 +725,7 @@ def test_no_grad_direct_histogram_records_nothing_and_matches(rng):
 
 
 def test_no_grad_restores_recording_on_exit():
-    x = Tensor(np.ones((1, 2, 1, 1)))
+    x = Parameter(np.ones((1, 2, 1, 1)))
     ad.reset_tape()
     with ad.no_grad():
         with ad.no_grad():
@@ -753,7 +782,7 @@ def test_nodes_consumed_twice_get_summed_gradients_in_their_own_buffers(rng):
 
 
 def test_backward_rejects_bad_upstream_and_tape_free_outputs():
-    x = Tensor(np.ones((1, 2, 2, 2)))
+    x = Parameter(np.ones((1, 2, 2, 2)))
     ad.reset_tape()
     with pytest.raises(ShapeError, match="upstream gradient shape"):
         ad.backward(ad.relu(x), np.ones((1, 2, 1, 1)))

@@ -35,7 +35,7 @@ def test_chunked_histogram_equals_the_per_image_outputs_bitwise(n):
 
     per_image, per_traces, per_grads = [], [], []
     for i in range(n):
-        lik = Tensor(x[i:i + 1])
+        lik = Parameter(x[i:i + 1])
         ad.reset_tape()
         with ad.hinge_trace() as trace:
             out = hist_forward_direct(lik, p)
@@ -45,7 +45,7 @@ def test_chunked_histogram_equals_the_per_image_outputs_bitwise(n):
         per_grads.append(lik.grad)
     want = np.concatenate(per_image)
 
-    lik = Tensor(x)
+    lik = Parameter(x)
     ad.zero_grads([p.centers, p.slopes])
     ad.reset_tape()
     with ad.hinge_trace() as recorded_trace:

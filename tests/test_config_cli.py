@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -302,6 +303,29 @@ def test_train_with_explicit_base_skips_pretrain(trained):
     rows = read_log(run2 / "log.csv")
     assert len(rows) == 2 * 2 * 2
     assert sorted({r["phase"] for r in rows}) == ["1", "2"]
+    # the base trained in memory and the same base read from its file
+    assert (run2 / "final.hprm").read_bytes() == (trained["run"] / "final.hprm").read_bytes()
+
+
+@pytest.mark.parametrize("error, code", [(KeyboardInterrupt, 130),
+                                         (networks.TrainingDivergedError("x"), 5),
+                                         (MemoryError, 6)],
+                         ids=["interrupted", "diverged", "out-of-memory"])
+def test_a_failed_train_writes_no_file(trained, tmp_path, monkeypatch, error, code):
+    """Training fails after the base pretrain: no base.hprm is left, and an
+    --out holding an earlier complete run keeps every byte of it."""
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "two_phase_train", failing)
+    argv = ["train", "--data", str(trained["data"]), "--seed", "3"] + SMALL
+    assert main(argv + ["--out", str(tmp_path / "run")]) == code
+    assert not (tmp_path / "run").exists()
+    old = tmp_path / "old"
+    shutil.copytree(trained["run"], old)
+    before = {p.name: p.read_bytes() for p in old.iterdir()}
+    assert main(argv + ["--out", str(old)]) == code
+    assert {p.name: p.read_bytes() for p in old.iterdir()} == before
 
 
 def test_train_missing_base_checkpoint_exits_3(trained, capsys):
@@ -579,10 +603,13 @@ def test_eval_unlocked_fix_hist_checkpoint_exits_3(trained, tmp_path, capsys):
     ["inspect-histogram", "x.hprm", "--seed", "9"],
     ["inspect-histogram", "x.hprm", "--config", "run.cfg"],
     ["gradcheck", "--mode", "histnet"], ["gradcheck", "--out", "d"],
-    ["gradcheck", "--set", "seed=1"], ["gradcheck", "--config", "run.cfg"]])
+    ["gradcheck", "--set", "seed=1"], ["gradcheck", "--config", "run.cfg"],
+    ["gen-data", "--mode", "free_all"], ["eval", "C", "D", "--seed", "5"],
+    ["compare", "--mode", "fix_hist"]])
 def test_subcommand_rejects_options_it_does_not_read(capsys, argv):
+    # the parser alone: a tree that accepted the option would run the command
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
+        cli.build_parser().parse_args(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -623,7 +650,7 @@ def test_gradcheck_corrupt_leaves_unrecorded_outputs_alone(monkeypatch, capsys):
     seen = []
 
     def battery(seed):
-        x = ad.Tensor(np.ones((1, 2, 1, 1)))
+        x = ad.Parameter(np.ones((1, 2, 1, 1)))
         with ad.no_grad():
             seen.append(ad.relu(x).requires_grad)
         seen.append(ad.relu(x).requires_grad)

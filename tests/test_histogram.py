@@ -127,7 +127,7 @@ def test_feature_range_and_init_row_sums(rng):
 
 def test_backward_inactive_vote_has_zero_partials():
     p = init_params(1, 2)   # centers 0 and 1, slope 1
-    x = Tensor(np.full((1, 1, 1, 1), 0.0))   # outside support of bin 1? psi1(0)=0
+    x = Parameter(np.full((1, 1, 1, 1), 0.0))   # outside support of bin 1? psi1(0)=0
     ad.reset_tape()
     feat = hist_forward_direct(x, p)
     upstream = np.zeros((1, 2, 1, 1))
@@ -142,7 +142,7 @@ def test_backward_single_pixel_hand_case():
     # one pixel at mu + 0.05, slope 5: psi = 0.75, active branch
     p = HistogramParams(Parameter(np.full((1, 1, 1, 1), 0.4)),
                         Parameter(np.full((1, 1, 1, 1), 5.0)))
-    x = Tensor(np.full((1, 1, 1, 1), 0.45))
+    x = Parameter(np.full((1, 1, 1, 1), 0.45))
     ad.reset_tape()
     feat = hist_forward_direct(x, p)
     ad.backward(feat, np.ones((1, 1, 1, 1)))
@@ -213,7 +213,7 @@ def test_backward_bit_equal_to_reference_formula(rng):
         upstream = rng.standard_normal((n, K * B, 1, 1))
         ref = reference_hist_grads(x, p.centers.data, p.slopes.data, upstream)
         kinks += int((np.abs(x.reshape(n, K, 1, h, w) - mu.reshape(1, K, B, 1, 1)) == 0).sum())
-        lik = Tensor(x)
+        lik = Parameter(x)
         ad.reset_tape()
         ad.backward(hist_forward_direct(lik, p), upstream)
         for got, want in zip((lik.grad, p.centers.grad, p.slopes.grad), ref):
@@ -274,7 +274,7 @@ def test_backward_bit_equal_where_pixels_lie_outside_every_support(rng, outside_
         d = x[:, :, None] - mu[None, :, :, 0, 0][..., None, None]
         outside += int((np.abs(d) * s[None, :, :, 0, 0][..., None, None] >= 1.0)
                        .all(axis=2).sum())
-        lik = Tensor(x)
+        lik = Parameter(x)
         ad.reset_tape()
         ad.backward(hist_forward_direct(lik, p), upstream)
         want = reference_hist_grads(x, mu, s, upstream)
@@ -290,7 +290,7 @@ def test_recorded_likelihood_takes_the_layers_gradient_bit_for_bit(rng, outside_
     each zero included, is pinned, and so is what flows on to the leaf."""
     negative_zeros = 0
     for x, p, upstream in histogram_trials(rng, outside_share):
-        leaf = Tensor(x)
+        leaf = Parameter(x)
         ad.reset_tape()
         lik = ad.mean_tensors([leaf])   # a recorded node with leaf's values
         assert lik.data.tobytes() == x.tobytes()
@@ -411,11 +411,11 @@ def test_composed_gradients_equal_direct(rng):
     x = rng.uniform(0, 1, size=(2, 2, 3, 3))
     upstream = rng.standard_normal((2, 8, 1, 1))
 
-    xd = Tensor(x.copy())
+    xd = Parameter(x.copy())
     ad.reset_tape()
     ad.backward(hist_forward_direct(xd, p), upstream)
 
-    xc = Tensor(x.copy())
+    xc = Parameter(x.copy())
     ad.reset_tape()
     ad.backward(layer.forward(xc), upstream)
 

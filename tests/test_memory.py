@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import histlayer.autodiff as ad
-from histlayer.autodiff import Tensor
+from histlayer.autodiff import Parameter, Tensor
 from histlayer import networks
 from histlayer.config import RunConfig
 from histlayer.data import ContextDataset, default_spec, generate, read_dataset, write_dataset
@@ -40,7 +40,7 @@ OFFSETS = N * K * B * H * W * 8   # bytes of one (N,K,B,H,W) float64 array
 @pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
 def test_histogram_forward_peaks_below_one_offsets_array(recorded):
     p = init_params(K, B)
-    x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)), with_grad=False)
+    x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)))
     ad.reset_tape()
     with contextlib.nullcontext() if recorded else ad.no_grad():
         peak, out = peak_bytes(lambda: hist_forward_direct(x, p))
@@ -70,7 +70,7 @@ def test_recorded_histogram_forward_keeps_its_state_until_backward_or_reset():
     offsets array) and its chunk work array for the backward, and nothing
     once the tape is reset."""
     p = init_params(K, B)
-    x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)), with_grad=False)
+    x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)))
     ad.reset_tape()
     tracemalloc.start()
     try:
@@ -97,7 +97,7 @@ def test_histogram_forward_and_backward_peak_below_one_offsets_array():
     """Measured at 0.63 of one with the kept support state, 0.66 without it."""
     rng = np.random.default_rng(0)
     p = init_params(K, B)
-    x = Tensor(rng.uniform(size=(N, K, H, W)))
+    x = Parameter(rng.uniform(size=(N, K, H, W)))
     upstream = rng.standard_normal((N, K * B, 1, 1))
     ad.reset_tape()
     peak, _ = peak_bytes(lambda: ad.backward(hist_forward_direct(x, p), upstream))

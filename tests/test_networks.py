@@ -6,7 +6,7 @@ import pytest
 
 import histlayer.autodiff as ad
 from histlayer import networks
-from histlayer.autodiff import Tensor
+from histlayer.autodiff import Parameter, Tensor
 from histlayer.config import BASELINE_MODES, RunConfig
 from histlayer.data import default_spec, generate
 from histlayer.histogram import ComposedHistogram
@@ -289,7 +289,7 @@ def test_no_grad_loss_records_nothing_and_matches_recorded(mode):
 def test_training_backward_skips_the_unused_probability_branch(mode):
     net = Network(small_cfg(mode, seed=3))
     ds = small_data(3, seed=4)
-    feats = Tensor(ds.features, with_grad=False)
+    feats = Tensor(ds.features)
     loss, out = net.loss(feats, ds.labels)
     # final_probs and the last stage's probabilities feed no loss
     pruned = [out.final_probs, out.stage_probs[-1]]
@@ -310,9 +310,9 @@ def test_training_backward_skips_the_unused_probability_branch(mode):
 def test_data_batch_without_gradient_gives_identical_parameter_gradients(mode):
     ds = small_data(3, seed=4)
     grads = []
-    for with_grad in (True, False):
+    for leaf in (Parameter, Tensor):
         net = Network(small_cfg(mode, seed=3))
-        loss, _ = net.loss(Tensor(ds.features, with_grad=with_grad), ds.labels)
+        loss, _ = net.loss(leaf(ds.features), ds.labels)
         ad.backward(loss)
         grads.append({n: p.grad.tobytes() for n, p in net.params.items()})
     assert grads[0] == grads[1]
@@ -392,7 +392,7 @@ def test_refine_on_cached_prefixes_matches_the_loss_pass_bitwise(mode, scale):
             pre = networks.PrefixCache(net, ds, batch_size=2).take(idx)
             loss, out = net.refine(pre, labels)
         else:
-            loss, out = net.loss(Tensor(ds.features[idx], with_grad=False), labels)
+            loss, out = net.loss(Tensor(ds.features[idx]), labels)
         ad.backward(loss)
         results.append((loss.data.tobytes(), out.final_probs.data.tobytes(), out.clamped,
                         [p.grad.tobytes() for p in phase1_params(net)]))
