@@ -3,8 +3,8 @@
 Subcommands: gen-data, train, eval, gradcheck, inspect-histogram, compare.
 Exit codes: 0 success, 2 config error, 3 I/O or format error,
 4 verification failure, 5 training diverged (a parameter became non-finite
-or the loss clamped log 0; no final.hprm or log.csv is written), 6 out of
-memory, 130 interrupted (Ctrl-C).
+or the loss clamped log 0; the run writes no file), 6 out of memory,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
