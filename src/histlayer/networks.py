@@ -325,8 +325,7 @@ def _check_clamped(net: Network, phase: int, epoch: int, clamped: int) -> None:
 
 
 def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
-                schedule: RunConfig, phase: int,
-                caches: tuple[PrefixCache, PrefixCache] | None = None) -> list[LogRow]:
+                schedule: RunConfig, phase: int) -> list[LogRow]:
     """One SGD phase; returns one train and one val log row per epoch.
 
     `schedule` is the run's configuration: the phase reads its epochs,
@@ -337,12 +336,19 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
     with. Raises TrainingDivergedError after an epoch that leaves a
     parameter non-finite or whose train steps or val pass clamped log 0 in
     the loss: a picked probability underflowed to 0, so the logits are
-    diverging even where every value stays finite. Each step zeroes and steps `trainable` alone.
-    `caches` holds the train and val prefixes when no trainable parameter
-    feeds them, so the passes run `refine` alone; without them the
-    backward runs through the whole network whatever `trainable` holds.
+    diverging even where every value stays finite.
+
+    Each step zeroes and steps `trainable` alone, and `trainable` decides
+    the cache: when every trainable parameter is one `refine` reads (the
+    context fc layer and the stage-2 head), no step changes a prefix, so
+    each train and val prefix is computed once, in batch_size chunks
+    before the first step, and every pass runs `refine` alone. Otherwise
+    every pass runs, and backpropagates through, the whole network.
     """
-    train_cache, val_cache = caches or (None, None)
+    train_cache = val_cache = None
+    if net.fc is not None and set(trainable) <= {*net.fc, *net.head}:
+        train_cache, val_cache = (PrefixCache(net, ds, schedule.batch_size)
+                                  for ds in (train_ds, val_ds))
     rows = []
     rng = np.random.default_rng(schedule.seed * 1000003 + phase)
     n = len(train_ds)
@@ -397,26 +403,19 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
                     train_ds, val_ds, schedule: RunConfig):
     """Incremental training: new layers first, then everything jointly.
 
-    Phase 1 updates only the context FC layer and the stage-2 head; the
-    base and the histogram bins stay fixed. So phase 1 computes each train
-    and val image's prefix once, before its first step, and every batch
-    gathers it from that cache; its graph is `refine` alone, so its
-    backward stops at the context FC layer and never writes the base or
-    histogram gradients. Phase 2 drops the caches and updates all
-    parameters whose lock masks allow it (fix_hist keeps its bins frozen).
+    Phase 1 trains only the context FC layer and the stage-2 head; the base
+    and the histogram bins stay fixed, so `train_phase` runs it on cached
+    prefixes and its backward never writes a base or histogram gradient.
+    Phase 2 trains every parameter, where its lock mask allows (fix_hist
+    keeps its bins frozen), on full passes.
     """
     if net.cfg.mode == "base_only":
         raise ValueError("two_phase_train needs a context-refinement mode")
     if base_params is None:
         raise ValueError("two_phase_train requires a pretrained base checkpoint")
     load_base(net, base_params)
-
-    caches = tuple(PrefixCache(net, ds, schedule.batch_size) for ds in (train_ds, val_ds))
-    rows = train_phase(net, train_ds, val_ds, [*net.fc, *net.head], schedule, phase=1,
-                       caches=caches)
-    del caches
-    phase2 = list(net.params.values())
-    rows2 = train_phase(net, train_ds, val_ds, phase2, schedule, phase=2)
+    rows = train_phase(net, train_ds, val_ds, [*net.fc, *net.head], schedule, phase=1)
+    rows2 = train_phase(net, train_ds, val_ds, list(net.params.values()), schedule, phase=2)
     if rows2:
         before, after = rows[-1].stage1_per_pixel, rows2[-1].stage1_per_pixel
     else:  # no epochs: no epoch-end pass ran and no parameter moved

@@ -329,14 +329,19 @@ def phase1_params(net):
 @pytest.mark.parametrize("mode", CONTEXT_MODES)
 def test_phase1_step_gives_the_full_graph_gradients_bitwise(mode):
     """A phase-1 step on cached prefixes moves the fc layer and the head as
-    a step whose backward runs through the whole network does."""
+    a step whose backward runs through the whole network does. The full
+    pass is forced by a base parameter in `trainable` whose zeroed lock
+    mask keeps its value."""
     ds, val = small_data(6, seed=4), small_data(3, seed=5)
     results = []
-    for cached in (False, True):
+    for full in (True, False):
         net = Network(small_cfg(mode, seed=3))
-        caches = tuple(networks.PrefixCache(net, d, 4) for d in (ds, val)) if cached else None
-        rows = train_phase(net, ds, val, phase1_params(net), schedule(1), phase=1,
-                           caches=caches)
+        trainable = phase1_params(net)
+        if full:
+            net.f1_w.lock_mask[...] = 0.0
+            trainable.append(net.f1_w)
+        rows = train_phase(net, ds, val, trainable, schedule(1), phase=1)
+        assert net.f1_w.grad.any() == full   # only the full backward reaches the base
         results.append((rows, {n: p.data.tobytes() for n, p in net.params.items()}))
     assert results[0] == results[1]
 
@@ -400,30 +405,63 @@ def test_refine_on_cached_prefixes_matches_the_loss_pass_bitwise(mode, scale):
     assert (results[0][2] > 0) == (scale > 1.0)
 
 
-def test_phase1_computes_each_prefix_once(monkeypatch):
-    """Phase 1 runs the prefix once per image, in batch-size chunks before
-    its first step, and not again in its steps or its val passes."""
-    calls = []
-    real_prefix, real_phase = Network.prefix, networks.train_phase
+def record_prefixes(monkeypatch, calls):
+    """Append ("prefix", batch length) to `calls` at each `Network.prefix`."""
+    real_prefix = Network.prefix
 
     def prefix(self, features, labels):
         calls.append(("prefix", features.shape[0]))
         return real_prefix(self, features, labels)
 
+    monkeypatch.setattr(Network, "prefix", prefix)
+
+
+# the train split's 10 images, then the val split's 6, in chunks of 4
+ONCE_EACH = [("prefix", 4), ("prefix", 4), ("prefix", 2), ("prefix", 4), ("prefix", 2)]
+
+
+def test_phase1_computes_each_prefix_once(monkeypatch):
+    """Phase 1 runs the prefix once per image, in batch-size chunks before
+    its first step, and not again in its steps or its val passes."""
+    calls = []
+    real_phase = networks.train_phase
+
     def train_phase(*args, **kwargs):
         calls.append(("phase", kwargs["phase"]))
         return real_phase(*args, **kwargs)
 
-    monkeypatch.setattr(Network, "prefix", prefix)
+    record_prefixes(monkeypatch, calls)
     monkeypatch.setattr(networks, "train_phase", train_phase)
     ds, val = small_data(10, seed=3), small_data(6, seed=4)
     net = Network(small_cfg())
     two_phase_train(net, Network(small_cfg("base_only")).params, ds, val,
                     schedule(2))
     phase2 = calls.index(("phase", 2))
-    assert calls[:phase2] == [("prefix", 4)] * 2 + [("prefix", 2), ("prefix", 4),
-                                                   ("prefix", 2), ("phase", 1)]
+    assert calls[:phase2] == [("phase", 1), *ONCE_EACH]
     assert len(calls) > phase2 + 1   # phase 2 computes its prefixes per batch
+
+
+def test_a_call_that_trains_the_refine_parameters_computes_each_prefix_once(monkeypatch):
+    """`trainable` alone decides the cache: a direct call with the context
+    fc layer and the stage-2 head gets it without asking."""
+    calls = []
+    record_prefixes(monkeypatch, calls)
+    ds, val = small_data(10, seed=3), small_data(6, seed=4)
+    net = Network(small_cfg())
+    train_phase(net, ds, val, phase1_params(net), schedule(2), phase=1)
+    assert calls == ONCE_EACH
+
+
+def test_a_call_that_trains_every_parameter_moves_the_base_and_the_bins():
+    """With the base and the bins in `trainable`, no pass runs on a cache:
+    every base parameter and the bin centers move."""
+    ds, val = small_data(8, seed=3), small_data(4, seed=4)
+    net = Network(small_cfg())
+    moving = [*net.base_param_names, "hist.centers"]
+    before = {n: net.params[n].data.copy() for n in moving}
+    train_phase(net, ds, val, list(net.params.values()), schedule(1), phase=2)
+    for name, value in before.items():
+        assert not np.array_equal(net.params[name].data, value), name
 
 
 def test_phase1_leaves_every_base_and_histogram_gradient_zero(monkeypatch):
@@ -556,24 +594,33 @@ def test_evaluate_batches_run_under_the_callers_errstate(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_evaluate_batches_take_no_gradient(monkeypatch, workers):
-    built = []
+    """No tensor an evaluation builds, batch or op output, is recorded: none
+    keeps a backward closure."""
+    batches, built = [], []
+    real_init = Tensor.__init__
 
-    def recording(*args, **kwargs):
-        t = Tensor(*args, **kwargs)
-        built.append(t)
+    def recording_init(self, data):
+        real_init(self, data)
+        built.append(self)
+
+    def batch(data):
+        t = Tensor(data)
+        batches.append(t)
         return t
 
-    monkeypatch.setattr(networks, "Tensor", recording)
+    net, ds = Network(small_cfg(seed=6)), small_data(12, seed=8)
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    monkeypatch.setattr(networks, "Tensor", batch)
     monkeypatch.setattr(networks, "EVAL_BATCH", 5)
     use_workers(monkeypatch, workers)
-    ds = small_data(12, seed=8)
-    evaluate(Network(small_cfg(seed=6)), ds)
-    sizes = [t.shape[0] for t in built]
+    evaluate(net, ds)
+    sizes = [t.shape[0] for t in batches]
     if workers == 1:   # in batch order on the caller's thread
         assert sizes == [5, 5, 2]
     else:              # built in whatever order the workers reach them
         assert sorted(sizes) == [2, 5, 5]
-    assert all(t.grad is None for t in built)
+    assert len(built) > len(batches)   # the op outputs too
+    assert all(t._backward is None for t in built)
 
 
 # --------------------------------------------------------------------------
