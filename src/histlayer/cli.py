@@ -4,7 +4,7 @@ Subcommands: gen-data, train, eval, gradcheck, inspect-histogram, compare.
 Exit codes: 0 success, 2 config error, 3 I/O or format error,
 4 verification failure, 5 training diverged (a parameter became non-finite
 or the loss clamped log 0; the run writes no file), 6 out of memory,
-130 interrupted (Ctrl-C).
+130 interrupted (Ctrl-C), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import signal
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -34,6 +35,7 @@ EXIT_VERIFY = 4
 EXIT_DIVERGED = 5
 EXIT_MEMORY = 6
 EXIT_INTERRUPTED = 130   # 128 + SIGINT, as a shell reports it
+EXIT_TERMINATED = 143    # 128 + SIGTERM
 
 _SPLIT_SALT = 0x9E3779B97F4A7C15
 _U64 = (1 << 64) - 1
@@ -349,8 +351,18 @@ def _resolve(args) -> RunConfig:
     return cfg
 
 
+class Terminated(BaseException):
+    """Raised by `main`'s SIGTERM handler, so that clean-up runs as for
+    Ctrl-C."""
+
+
+def _terminate(signum, frame):
+    raise Terminated
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         # gradcheck reads a seed alone, inspect-histogram no configuration
         if args.command == "gradcheck":
@@ -387,6 +399,11 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Terminated:
+        print("terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -326,6 +327,72 @@ def test_a_failed_train_writes_no_file(trained, tmp_path, monkeypatch, error, co
     before = {p.name: p.read_bytes() for p in old.iterdir()}
     assert main(argv + ["--out", str(old)]) == code
     assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+
+
+# The CLI in a child process whose `cli.<hook>` prints `held` and blocks
+# from its call number `after` + 1 on, so that a signal sent once the
+# child has printed meets the command mid-work whatever the timing.
+HELD_CLI = """
+import sys, time
+from histlayer import cli
+hook, after = sys.argv[1], int(sys.argv[2])
+real, calls = getattr(cli, hook), []
+
+def held(*args):
+    calls.append(args)
+    if len(calls) > after:
+        print("held", flush=True)
+        time.sleep(600)
+    return real(*args)
+
+setattr(cli, hook, held)
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def terminated_at(args, cwd, hook, after, line):
+    """Run the CLI on `args` in a child, send it SIGTERM once it prints a
+    line starting with `line`, and return (exit code, stderr)."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-u", "-c", HELD_CLI, hook, str(after), *args],
+                            cwd=cwd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        for out in proc.stdout:
+            if out.startswith(line):
+                proc.send_signal(signal.SIGTERM)
+                break
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    return proc.returncode, err
+
+
+def test_gen_data_sigterm_exits_143_and_leaves_no_partial_data_set(tmp_path):
+    """SIGTERM after the train split is written: the split and --out go."""
+    code, err = terminated_at(["gen-data", "--out", "out"] + TINY, tmp_path,
+                              "generate", 1, "wrote ")
+    assert (code, err) == (cli.EXIT_TERMINATED, "terminated\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_sigterm_after_the_base_pretrain_keeps_an_earlier_run(trained, tmp_path):
+    old = tmp_path / "old"
+    shutil.copytree(trained["run"], old)
+    before = {p.name: p.read_bytes() for p in old.iterdir()}
+    code, err = terminated_at(["train", "--data", str(trained["data"]), "--seed", "3",
+                               "--out", str(old)] + SMALL, tmp_path,
+                              "two_phase_train", 0, "held")
+    assert (code, err) == (cli.EXIT_TERMINATED, "terminated\n")
+    assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+
+
+def test_main_restores_the_sigterm_handler(tmp_path, capsys):
+    previous = signal.getsignal(signal.SIGTERM)
+    assert main(["gen-data", "--out", str(tmp_path / "out")] + TINY) == 0
+    assert signal.getsignal(signal.SIGTERM) is previous
 
 
 def test_train_missing_base_checkpoint_exits_3(trained, capsys):
