@@ -6,8 +6,11 @@ Generates a small dataset (seed 7, 100 train / 60 val / 50 test images at
 decay, then trains every mode from that base with 3 epochs per phase,
 decay_epoch 2. Prints one JSON object holding the environment fingerprint
 (python, numpy, machine and BLAS), 17 sha256 values (each run's `log.csv`
-and `final.hprm`, and the three `data/*.hctx` dataset files) and the sha256
-of `histlayer gradcheck --seed 0` standard output. That object, run without
+and `final.hprm`, and the three `data/*.hctx` dataset files), the sha256
+of `histlayer gradcheck --seed 0` standard output (`gradcheck_sha256`) and
+`gate_sha256`, that of the release gate's reports (histogram finite
+differences, direct vs composed equivalence and oracle agreement at the
+acceptance seeds and trial counts). That object, run without
 `--against`, is `tests/golden/determinism.json`, which a tier-1 test
 compares with a fresh run wherever the fingerprint matches; a change that
 moves bits on purpose regenerates it.
