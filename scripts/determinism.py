@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from histlayer.checkpoint import load_checkpoint
+from histlayer.checkpoint import CheckpointFormatError, load_checkpoint
 from histlayer import verify
 from histlayer.cli import cmd_gen_data, cmd_gradcheck, train_run
 from histlayer.config import BASELINE_MODES, RunConfig
@@ -110,11 +110,21 @@ def _log(path: Path) -> list[list[str]]:
         return list(csv.reader(f))[1:]
 
 
+def _final_params(root: Path, run: str) -> dict:
+    path = root / run / "final.hprm"
+    try:
+        return load_checkpoint(path)
+    except CheckpointFormatError as e:
+        raise SystemExit(f"{run}: CheckpointFormatError in {path}: {e}") from None
+
+
 def deviation(out: Path, ref: Path) -> dict:
-    """Per run: max |param difference|, max |loss difference|, equal accuracies."""
+    """Per run: max |param difference|, max |loss difference|, equal accuracies.
+    Exits with one line naming the run when a checkpoint cannot be read, for
+    example one written in an older HPRM version."""
     result = {}
     for run in RUNS:
-        a, b = load_checkpoint(out / run / "final.hprm"), load_checkpoint(ref / run / "final.hprm")
+        a, b = _final_params(out, run), _final_params(ref, run)
         if a.keys() != b.keys():
             raise SystemExit(f"{run}: parameter names differ from {ref}")
         param = max(float(abs(a[n].data - b[n].data).max(initial=0.0)) for n in a)

@@ -1,7 +1,9 @@
-"""HPRM checkpoint files: named parameters with momentum and lock masks.
+"""HPRM checkpoint files: the values of named parameters.
 
 Fields in the `binfile` container: parameter count u32, then per parameter a
-UTF-8 name blob, 4 x u32 shape, float64 values and momentum, u8 lock mask.
+UTF-8 name blob, 4 x u32 shape and float64 values. A file holds no lock mask
+and no momentum: those come from the network that loads it, so a file cannot
+change which entries a network may train.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from . import binfile
 from .autodiff import Parameter
 
 HPRM_MAGIC = b"HPRM"
-HPRM_VERSION = 1
+HPRM_VERSION = 2
 
 
 class CheckpointFormatError(ValueError):
@@ -25,9 +27,7 @@ def save_checkpoint(params: dict[str, Parameter], path) -> None:
     parts = [struct.pack("<I", len(params))]
     for name, p in params.items():
         parts += [binfile.blob(name.encode("utf-8")), struct.pack("<4I", *p.shape),
-                  np.ascontiguousarray(p.data, dtype="<f8"),
-                  np.ascontiguousarray(p.momentum_buf, dtype="<f8"),
-                  p.lock_mask.astype(np.uint8).tobytes()]
+                  np.ascontiguousarray(p.data, dtype="<f8")]
     binfile.write(path, HPRM_MAGIC, HPRM_VERSION, parts)
 
 
@@ -45,20 +45,15 @@ def load_checkpoint(path) -> dict[str, Parameter]:
                 raise CheckpointFormatError(f"parameter {name} appears twice")
             shape = f.unpack("<4I", "shape")
             value = f.array("<f8", shape, f"{name} values")
-            momentum = f.array("<f8", shape, f"{name} momentum")
-            if not (np.isfinite(value).all() and np.isfinite(momentum).all()):
+            if not np.isfinite(value).all():
                 raise CheckpointFormatError(f"{name} holds non-finite values")
-            lock = f.array(np.uint8, shape, f"{name} lock mask")
-            if lock.max(initial=0) > 1:
-                raise CheckpointFormatError(f"{name} lock mask holds values other than 0/1")
-            p = Parameter(value, lock.astype(np.float64), name=name)
-            p.momentum_buf = momentum
-            params[name] = p
+            params[name] = Parameter(value, name=name)
     return params
 
 
 def load_into(params: dict[str, Parameter], path) -> None:
-    """Load a checkpoint into an existing parameter dict, matching by name."""
+    """Copy a checkpoint's values into an existing parameter dict, matching
+    by name; each parameter keeps its own lock mask and momentum."""
     loaded = load_checkpoint(path)
     missing = set(params) - set(loaded)
     extra = set(loaded) - set(params)
@@ -71,8 +66,4 @@ def load_into(params: dict[str, Parameter], path) -> None:
         if src.shape != p.shape:
             raise CheckpointFormatError(
                 f"parameter {name}: checkpoint shape {src.shape} vs model shape {p.shape}")
-        if not np.array_equal(src.lock_mask, p.lock_mask):
-            raise CheckpointFormatError(
-                f"parameter {name}: checkpoint lock mask differs from the model's")
         p.data[...] = src.data
-        p.momentum_buf[...] = src.momentum_buf

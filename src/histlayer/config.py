@@ -73,7 +73,7 @@ class RunConfig:
             "epochs, decay_epoch >= 0": min(self.epochs, self.decay_epoch) >= 0,
             "lr > 0": self.lr > 0,
             "0 <= momentum < 1": 0 <= self.momentum < 1,
-            "lr_decay > 0": self.lr_decay > 0,
+            "0 < lr * lr_decay < inf": 0 < self.lr * self.lr_decay < math.inf,
             f"0 <= noise_sigma <= {NOISE_SIGMA_MAX:g}":
                 0 <= self.noise_sigma <= NOISE_SIGMA_MAX,
             "compare_seeds >= 1": self.compare_seeds >= 1,

@@ -324,6 +324,7 @@ def _check_clamped(net: Network, phase: int, epoch: int, clamped: int) -> None:
             f"{np.abs(big.data).max():.3g}; lower lr")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
                 schedule: RunConfig, phase: int) -> list[LogRow]:
     """One SGD phase; returns one train and one val log row per epoch.
@@ -336,7 +337,9 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
     with. Raises TrainingDivergedError after an epoch that leaves a
     parameter non-finite or whose train steps or val pass clamped log 0 in
     the loss: a picked probability underflowed to 0, so the logits are
-    diverging even where every value stays finite.
+    diverging even where every value stays finite. numpy's overflow and
+    invalid-value warnings are off in the phase, so that error is the one
+    report of a divergence.
 
     Each step zeroes and steps `trainable` alone, and `trainable` decides
     the cache: when every trainable parameter is one `refine` reads (the

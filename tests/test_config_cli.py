@@ -97,11 +97,17 @@ def test_eval_missing_dataset_exits_3(tmp_path, capsys):
     ("train", "B=1"), ("train", "lr=-1"), ("train", "mode=bogus"),
     ("train", "batch_size=0"), ("train", "stages=1"), ("train", "momentum=1.5"),
     ("gen-data", "K=3"), ("gen-data", "H=0"), ("gen-data", "noise_sigma=nan"),
-    ("gen-data", "noise_sigma=inf"), ("train", "noise_sigma=nan")])
+    ("gen-data", "noise_sigma=inf"), ("train", "noise_sigma=nan"),
+    # a decayed rate that underflows to 0 or overflows to inf
+    ("train", "lr=1e-200 lr_decay=1e-200 decay_epoch=0"),
+    ("train", "lr=1e300 lr_decay=1e10 decay_epoch=0")])
 def test_bad_config_value_exits_2_before_any_work(tmp_path, capsys, command, value):
-    rc = main([command, "--out", str(tmp_path / "out"), "--set", value])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    args = [command, "--out", str(tmp_path / "out")]
+    for kv in value.split():
+        args += ["--set", kv]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
 
 
@@ -509,6 +515,15 @@ def test_diverging_run_exits_5_without_final_checkpoint(trained, tmp_path, capsy
     assert not (tmp_path / "log.csv").exists()
 
 
+def test_diverging_run_prints_one_line(trained, tmp_path):
+    """No numpy overflow warning comes before the one diverged: line."""
+    proc = run_capped(["train", "--out", "run", "--data", str(trained["data"])]
+                      + SMALL + ["--set", "lr=1e300"], tmp_path)
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("diverged: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "run" / "final.hprm").exists()
+
+
 def test_finite_blow_up_exits_5_without_outputs(tmp_path, capsys):
     # parameters grow to ~1e53 and stay finite; the loss clamps log 0
     sizes = []
@@ -651,16 +666,33 @@ def test_eval_composed_histogram_checkpoint_exits_3(trained, tmp_path, capsys, m
     assert "parameter mismatch" in err and "hist.w2" in err and "hist.centers" in err
 
 
-def test_eval_unlocked_fix_hist_checkpoint_exits_3(trained, tmp_path, capsys):
-    """A file cannot unlock the bins that fix_hist freezes."""
-    net = Network(RunConfig(mode="fix_hist"))
-    net.params["hist.centers"].lock_mask[...] = 1.0
-    ckpt = tmp_path / "unlocked.hprm"
-    save_checkpoint(net.params, ckpt)
-    rc = main(["eval", str(ckpt), str(trained["data"] / "val.hctx"),
-               "--mode", "fix_hist", "--out", str(tmp_path / "out")] + SMALL)
-    assert rc == 3
-    assert "hist.centers: checkpoint lock mask" in capsys.readouterr().err
+def test_a_checkpoint_holds_values_only(trained, tmp_path, capsys):
+    """A file carries no lock mask and no momentum, so it cannot unlock the
+    bins that fix_hist freezes, and a fix_hist checkpoint evaluates as
+    histnet does: the two modes differ only in their lock masks."""
+    cfg = RunConfig(mode="fix_hist")
+    save_checkpoint(Network(cfg).params, tmp_path / "plain.hprm")
+    edited = Network(cfg)
+    for p in edited.params.values():
+        p.lock_mask[...] = 1.0
+        p.momentum_buf[...] = 3.0
+    ckpt = tmp_path / "edited.hprm"
+    save_checkpoint(edited.params, ckpt)
+    assert ckpt.read_bytes() == (tmp_path / "plain.hprm").read_bytes()
+
+    fresh = Network(replace(cfg, seed=1))
+    load_into(fresh.params, ckpt)
+    for name in ("hist.centers", "hist.slopes"):
+        np.testing.assert_array_equal(fresh.params[name].data, edited.params[name].data)
+        assert not fresh.params[name].lock_mask.any()
+
+    for mode in ("fix_hist", "histnet"):
+        assert main(["eval", str(ckpt), str(trained["data"] / "val.hctx"),
+                     "--mode", mode, "--out", str(tmp_path / mode)] + SMALL) == 0
+    capsys.readouterr()
+    for name in ("metrics.csv", "confusion.csv"):
+        assert ((tmp_path / "fix_hist" / name).read_bytes()
+                == (tmp_path / "histnet" / name).read_bytes())
 
 
 @pytest.mark.parametrize("argv", [

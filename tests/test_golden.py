@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from histlayer.checkpoint import save_checkpoint
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "determinism.json"
 
@@ -44,3 +46,20 @@ def test_determinism_recipe_matches_the_golden_file(tmp_path):
     assert result["sha256"].keys() == golden["sha256"].keys()
     assert result["gradcheck_sha256"] == golden["gradcheck_sha256"]
     assert result["gate_sha256"] == golden["gate_sha256"]
+
+
+def test_deviation_names_the_run_whose_checkpoint_it_cannot_read(tmp_path, monkeypatch):
+    """A reference run from before HPRM version 2 ends `--against` with one
+    line, not a traceback."""
+    det = load_determinism_script()
+    monkeypatch.setattr(det, "RUNS", ("histnet",))
+    for side in ("out", "ref"):
+        (tmp_path / side / "histnet").mkdir(parents=True)
+        save_checkpoint({}, tmp_path / side / "histnet" / "final.hprm")
+    old = tmp_path / "ref" / "histnet" / "final.hprm"
+    raw = bytearray(old.read_bytes())
+    raw[4] = 1
+    old.write_bytes(bytes(raw))
+    with pytest.raises(SystemExit, match=r"^histnet: CheckpointFormatError in .*ref.*: "
+                                         r"unsupported HPRM version 1, expected 2$"):
+        det.deviation(tmp_path / "out", tmp_path / "ref")
