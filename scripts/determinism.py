@@ -18,7 +18,9 @@ moves bits on purpose regenerates it.
 With `--against DIR` (the `--out` directory of an earlier run, e.g. made
 from another commit), it also prints, per run, the largest absolute
 difference of any parameter value and of any logged loss, and whether the
-accuracy columns of `log.csv` are identical.
+accuracy columns of `log.csv` are identical. DIR is checked before the
+recipe runs: a run whose `final.hprm` does not load or whose `log.csv` is
+missing ends the script with one line naming it (exit 1).
 
 Example:
     PYTHONPATH=src python scripts/determinism.py --out runs/det
@@ -114,8 +116,18 @@ def _final_params(root: Path, run: str) -> dict:
     path = root / run / "final.hprm"
     try:
         return load_checkpoint(path)
-    except CheckpointFormatError as e:
-        raise SystemExit(f"{run}: CheckpointFormatError in {path}: {e}") from None
+    except (CheckpointFormatError, OSError) as e:
+        raise SystemExit(f"{run}: {type(e).__name__} in {path}: {e}") from None
+
+
+def check_reference(ref: Path) -> None:
+    """Exit with one line naming the first run of `ref` whose `final.hprm`
+    does not load or whose `log.csv` is missing, so that `--against` fails
+    before the recipe runs rather than after."""
+    for run in RUNS:
+        _final_params(ref, run)
+        if not (ref / run / "log.csv").is_file():
+            raise SystemExit(f"{run}: no log.csv in {ref / run}")
 
 
 def deviation(out: Path, ref: Path) -> dict:
@@ -127,7 +139,7 @@ def deviation(out: Path, ref: Path) -> dict:
         a, b = _final_params(out, run), _final_params(ref, run)
         if a.keys() != b.keys():
             raise SystemExit(f"{run}: parameter names differ from {ref}")
-        param = max(float(abs(a[n].data - b[n].data).max(initial=0.0)) for n in a)
+        param = max(float(abs(a[n] - b[n]).max(initial=0.0)) for n in a)
         rows, ref_rows = _log(out / run / "log.csv"), _log(ref / run / "log.csv")
         if len(rows) != len(ref_rows):
             raise SystemExit(f"{run}: log.csv has {len(rows)} rows, {ref} has {len(ref_rows)}")
@@ -147,6 +159,8 @@ def main() -> int:
                         help="--out directory of an earlier run to compare with")
     args = parser.parse_args()
 
+    if args.against is not None:
+        check_reference(args.against)
     result = report(args.out)
     if args.against is not None:
         result["against"] = str(args.against)

@@ -26,8 +26,8 @@ from .config import BASELINE_MODES, ConfigError, RunConfig, load_config, write_r
 from .data import (DatasetFormatError, default_spec, generate, local_bayes_ceiling,
                    read_dataset, write_dataset)
 from .histogram import histogram_table
-from .networks import (Network, TrainingDivergedError, evaluate, load_base, parameter_census,
-                       train_base, two_phase_train)
+from .networks import (Network, TrainingDivergedError, evaluate, parameter_census, train_base,
+                       two_phase_train)
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -113,6 +113,9 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
               mode: str | None = None) -> dict:
     """Train one model (base pretrain included if needed); returns a summary.
 
+    The model's base is the one pretrained here or the base parameters of
+    `base_ckpt`, which may hold more parameters.
+
     `seed` and `mode`, when given, replace the configuration's, so the
     network, the schedule and the written `resolved_config.txt` all describe
     this run. Every file, `base.hprm` too, is written once training and
@@ -127,14 +130,16 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
     if base_ckpt is None:
         base_net = Network(replace(cfg, mode="base_only"))
         rows += train_base(base_net, train_ds, val_ds, cfg)
-    base_params = base_net.params if base_ckpt is None else load_checkpoint(base_ckpt)
+        base = {name: p.data for name, p in base_net.params.items()}
+    else:
+        base = load_checkpoint(base_ckpt)
 
     summary = {"mode": cfg.mode, "seed": cfg.seed}
     net = Network(cfg)
-    if cfg.mode == "base_only":
-        load_base(net, base_params)
-    else:
-        rows2, phase_info = two_phase_train(net, base_params, train_ds, val_ds, cfg)
+    names = net.base_param_names
+    load_into({n: net.params[n] for n in names}, {n: v for n, v in base.items() if n in names})
+    if cfg.mode != "base_only":
+        rows2, phase_info = two_phase_train(net, train_ds, val_ds, cfg)
         rows += rows2
         summary.update(phase_info)
 
@@ -149,8 +154,8 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if base_ckpt is None:
-        save_checkpoint(base_params, out_dir / "base.hprm")
-    save_checkpoint(net.params, out_dir / "final.hprm")
+        save_checkpoint(base, out_dir / "base.hprm")
+    save_checkpoint({name: p.data for name, p in net.params.items()}, out_dir / "final.hprm")
     _write_log(rows, out_dir / "log.csv")
     write_resolved(cfg, out_dir)
     return summary
@@ -167,7 +172,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, data_dir: Path,
 def cmd_eval(cfg: RunConfig, ckpt: Path, data_path: Path, out_dir: Path) -> int:
     ds = _read_matching(cfg, data_path)
     net = Network(cfg)
-    load_into(net.params, ckpt)
+    load_into(net.params, load_checkpoint(ckpt))
     m = evaluate(net, ds)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"per_pixel: {m['per_pixel']!r}")
@@ -226,16 +231,19 @@ def cmd_gradcheck(seed: int, corrupt: str | None) -> int:
 
 
 def cmd_inspect_histogram(ckpt: Path, out_path: Path | None) -> int:
-    params = load_checkpoint(ckpt)
-    centers, slopes = params.get("hist.centers"), params.get("hist.slopes")
+    values = load_checkpoint(ckpt)
+    centers, slopes = values.get("hist.centers"), values.get("hist.slopes")
     if centers is None:
         raise CheckpointFormatError(f"checkpoint {ckpt} holds no histogram parameters")
     if slopes is None or slopes.shape != centers.shape:
         raise CheckpointFormatError(
             f"checkpoint {ckpt}: hist.centers has no matching hist.slopes")
+    if centers.shape[2:] != (1, 1):
+        raise CheckpointFormatError(f"checkpoint {ckpt}: hist.centers and hist.slopes have "
+                                    f"shape {centers.shape}, expected (K, B, 1, 1)")
     k, b = centers.shape[:2]
     lines = [["class", "bin", "center", "slope", "effective_width", "drifted"]]
-    for row in histogram_table(centers.data.reshape(k, b), slopes.data.reshape(k, b)):
+    for row in histogram_table(centers.reshape(k, b), slopes.reshape(k, b)):
         lines.append([row[0], row[1], repr(row[2]), repr(row[3]), repr(row[4]), row[5]])
     text = "\n".join(",".join(str(c) for c in line) for line in lines) + "\n"
     print(text, end="")

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .checkpoint import CheckpointFormatError
 from .config import RunConfig, check_network
 from .histogram import ComposedHistogram, HistogramParams, init_params
 
@@ -390,21 +389,9 @@ def train_base(net: Network, train_ds, val_ds, schedule: RunConfig) -> list[LogR
     return train_phase(net, train_ds, val_ds, trainable, schedule, phase=0)
 
 
-def load_base(net: Network, base_params: dict[str, Parameter]) -> None:
-    for name in net.base_param_names:
-        if name not in base_params:
-            raise CheckpointFormatError(f"base checkpoint is missing parameter {name}")
-        src = base_params[name]
-        dst = net.params[name]
-        if src.shape != dst.shape:
-            raise CheckpointFormatError(f"base parameter {name}: checkpoint shape "
-                                        f"{src.shape} vs model shape {dst.shape}")
-        dst.data[...] = src.data
-
-
-def two_phase_train(net: Network, base_params: dict[str, Parameter],
-                    train_ds, val_ds, schedule: RunConfig):
-    """Incremental training: new layers first, then everything jointly.
+def two_phase_train(net: Network, train_ds, val_ds, schedule: RunConfig):
+    """Incremental training of a network whose base the caller has loaded:
+    new layers first, then everything jointly.
 
     Phase 1 trains only the context FC layer and the stage-2 head; the base
     and the histogram bins stay fixed, so `train_phase` runs it on cached
@@ -414,9 +401,6 @@ def two_phase_train(net: Network, base_params: dict[str, Parameter],
     """
     if net.cfg.mode == "base_only":
         raise ValueError("two_phase_train needs a context-refinement mode")
-    if base_params is None:
-        raise ValueError("two_phase_train requires a pretrained base checkpoint")
-    load_base(net, base_params)
     rows = train_phase(net, train_ds, val_ds, [*net.fc, *net.head], schedule, phase=1)
     rows2 = train_phase(net, train_ds, val_ds, list(net.params.values()), schedule, phase=2)
     if rows2:

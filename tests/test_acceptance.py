@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from histlayer import verify
-from histlayer.checkpoint import load_checkpoint
+from histlayer.checkpoint import load_checkpoint, load_into
 from histlayer.cli import cmd_gen_data, compare_runs, train_run
 from histlayer.config import RunConfig
 from histlayer.data import generate, default_spec
@@ -105,7 +105,9 @@ def test_criterion_5_lock_semantics():
     net = Network(RunConfig(mode="fix_hist"))
     centers_before = net.hist.centers.data.copy()
     slopes_before = net.hist.slopes.data.copy()
-    two_phase_train(net, base.params, train, val, sched)
+    load_into({n: net.params[n] for n in net.base_param_names},
+              {n: p.data for n, p in base.params.items()})
+    two_phase_train(net, train, val, sched)
     frozen = (np.array_equal(net.hist.centers.data, centers_before)
               and np.array_equal(net.hist.slopes.data, slopes_before))
     ok = lock.passed and frozen
@@ -161,8 +163,8 @@ def test_criterion_8_bitwise_determinism(comparison):
                 == (root / "run_d2" / "log.csv").read_bytes())
     reread = load_checkpoint(root / "run_d1" / "final.hprm")
     reload_ok = all(
-        np.array_equal(reread[n].data, load_checkpoint(
-            root / "run_d2" / "final.hprm")[n].data) for n in reread)
+        np.array_equal(reread[n], load_checkpoint(
+            root / "run_d2" / "final.hprm")[n]) for n in reread)
     ok = data_same and ckpt_same and log_same and reload_ok
     verdict("bitwise determinism of data, training and formats", ok,
             f"datasets identical: {data_same}, checkpoints identical: "

@@ -1,16 +1,21 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import histlayer
 import histlayer.autodiff as ad
@@ -23,6 +28,11 @@ from histlayer.data import read_dataset, write_dataset
 from histlayer.histogram import ComposedHistogram
 from histlayer.networks import Network
 from histlayer.verify import PRIMITIVES
+
+def values(params):
+    """The arrays a checkpoint saves: each parameter's values by name."""
+    return {name: p.data for name, p in params.items()}
+
 
 SMALL = []
 for kv in ("n_train=16", "n_val=8", "n_test=8", "H=8", "W=8",
@@ -173,6 +183,73 @@ def test_noise_sigma_bound_exits_2_without_a_warning(tmp_path, capsys, sigma, rc
         assert err == ""
 
 
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e-3, 0.6, 0.9999, 1.0, 10.0, 1e6, 1e100,
+                     1.0000001e100, 1e300, 1e308, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))
+COUNTS = st.integers(1, 3)
+EDGE_COUNTS = st.sampled_from([-1, 0])
+
+# per RunConfig key: (an accepted value, at a size that trains in
+# milliseconds, and an extreme or rejected one)
+CONFIG_DRAWS = {
+    "seed": (st.integers(0, 2**64 + 3), st.just(-1)),
+    "K": (st.sampled_from([5, 6]), st.sampled_from([0, 4, 255, 256])),
+    "D": (st.sampled_from([5, 8]), st.sampled_from([0, 4, 254])),
+    "H": (COUNTS, EDGE_COUNTS), "W": (COUNTS, EDGE_COUNTS),
+    "noise_sigma": (st.one_of(st.floats(0, 2), st.floats(0, 1e100)), EXTREME_FLOATS),
+    "ambiguous_occupancy": (st.floats(0, 0.5), EXTREME_FLOATS),
+    "n_train": (COUNTS, EDGE_COUNTS), "n_val": (COUNTS, EDGE_COUNTS),
+    "n_test": (COUNTS, EDGE_COUNTS), "n_mc": (st.integers(1, 20), EDGE_COUNTS),
+    "B": (st.integers(2, 4), st.sampled_from([0, 1, 64])),
+    "C_feat": (st.integers(1, 4), EDGE_COUNTS),
+    "mode": (st.sampled_from(BASELINE_MODES), st.just("no_such_mode")),
+    "epochs": (st.integers(0, 2), st.just(-1)),
+    "batch_size": (COUNTS, EDGE_COUNTS),
+    "lr": (st.one_of(st.floats(1e-4, 1.0), st.floats(1e-300, 1e300)), EXTREME_FLOATS),
+    "momentum": (st.floats(0, 1, exclude_max=True), EXTREME_FLOATS),
+    "lr_decay": (st.one_of(st.floats(1e-3, 1.0), st.floats(1e-300, 1.0)), EXTREME_FLOATS),
+    "decay_epoch": (st.integers(0, 2), st.just(-1)),
+    "compare_seeds": (st.integers(1, 2), EDGE_COUNTS)}
+
+
+@st.composite
+def run_configs(draw):
+    """Accepted tiny values for every key, with up to three keys extreme."""
+    drawn = draw(st.fixed_dictionaries({k: ok for k, (ok, _) in CONFIG_DRAWS.items()}))
+    for key in draw(st.sets(st.sampled_from(sorted(CONFIG_DRAWS)), max_size=3)):
+        drawn[key] = draw(CONFIG_DRAWS[key][1])
+    return drawn
+
+
+def test_no_accepted_configuration_ends_in_a_traceback_or_a_warning(tmp_path_factory):
+    """gen-data then train on any configuration: each command exits 0, 2
+    (config error) or 5 (diverged), with at most one stderr line, and no
+    exception or warning escapes."""
+    assert CONFIG_DRAWS.keys() == {f.name for f in fields(RunConfig)}
+    root = tmp_path_factory.mktemp("configs")
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run_configs())
+    def check(drawn):
+        out = Path(tempfile.mkdtemp(dir=root))
+        sets = [a for key, value in drawn.items() for a in ("--set", f"{key}={value}")]
+        for argv in (["gen-data", "--out", str(out)],
+                     ["train", "--out", str(out / "run"), "--data", str(out)]):
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                rc = main(argv + sets)
+            assert rc in (0, 2, 5), (argv[0], rc, err.getvalue())
+            assert err.getvalue().count("\n") <= 1, err.getvalue()
+            assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+            assert [str(w.message) for w in caught] == []
+
+    check()
+
+
 def test_split_no_array_can_hold_exits_2_before_any_work(tmp_path):
     proc = run_capped(["gen-data", "--out", "out", "--set", "H=100000000000",
                        "--set", "W=100000000000"], tmp_path)
@@ -314,6 +391,23 @@ def test_train_with_explicit_base_skips_pretrain(trained):
     assert (run2 / "final.hprm").read_bytes() == (trained["run"] / "final.hprm").read_bytes()
 
 
+def test_a_base_checkpoint_may_hold_extra_parameters(trained, tmp_path, capsys):
+    """A histnet final.hprm serves as a base: its histogram, fc and head
+    values are ignored, so the run equals one from its base values alone."""
+    final = trained["run"] / "final.hprm"
+    names = Network(RunConfig(mode="base_only")).base_param_names
+    only_base = tmp_path / "base.hprm"
+    save_checkpoint({n: v for n, v in load_checkpoint(final).items() if n in names},
+                    only_base)
+    for base, out in ((final, "from_final"), (only_base, "from_base")):
+        assert main(["train", "--out", str(tmp_path / out), "--data", str(trained["data"]),
+                     "--base-checkpoint", str(base), "--mode", "score_global"]
+                    + SMALL) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "from_final" / "final.hprm").read_bytes()
+            == (tmp_path / "from_base" / "final.hprm").read_bytes())
+
+
 @pytest.mark.parametrize("error, code", [(KeyboardInterrupt, 130),
                                          (networks.TrainingDivergedError("x"), 5),
                                          (MemoryError, 6)],
@@ -414,7 +508,7 @@ def test_train_mismatched_base_checkpoint_exits_3(trained, tmp_path, capsys, mod
     base = Network(RunConfig(C_feat=8 if defect == "shape" else 16, mode="base_only")).params
     if defect == "missing":
         del base["base.f1.w"]
-    save_checkpoint(base, tmp_path / "base.hprm")
+    save_checkpoint(values(base), tmp_path / "base.hprm")
     rc = main(["train", "--out", str(tmp_path / "run"), "--data", str(trained["data"]),
                "--base-checkpoint", str(tmp_path / "base.hprm"), "--mode", mode] + SMALL)
     assert rc == 3
@@ -496,7 +590,7 @@ def test_train_run_evaluates_val_once_per_parameter_state(trained, monkeypatch, 
 
     # the same values as separate passes over the final parameters
     net = Network(replace(cfg, mode=mode))
-    load_into(net.params, tmp_path / "final.hprm")
+    load_into(net.params, load_checkpoint(tmp_path / "final.hprm"))
     for split in ("val", "test"):
         m = real(net, read_dataset(trained["data"] / f"{split}.hctx"))
         assert summary[f"{split}_per_pixel"] == m["per_pixel"]
@@ -560,7 +654,7 @@ def test_eval_dataset_with_a_nan_feature_exits_3(trained, tmp_path, capsys):
 
 def _non_finite_copy(src, dst, name, value):
     params = load_checkpoint(src)
-    params[name].data.reshape(-1)[0] = value
+    params[name].reshape(-1)[0] = value
     save_checkpoint(params, dst)
     return dst
 
@@ -607,7 +701,7 @@ def test_eval_dimension_mismatch_exits_2(trained, capsys):
 def test_inspect_histogram_fresh_init(tmp_path, capsys):
     net = Network(RunConfig(K=2, B=6, D=3, C_feat=4))
     ckpt = tmp_path / "fresh.hprm"
-    save_checkpoint(net.params, ckpt)
+    save_checkpoint(values(net.params), ckpt)
     assert main(["inspect-histogram", str(ckpt),
                  "--csv", str(tmp_path / "hist.csv")]) == 0
     out = capsys.readouterr().out
@@ -628,7 +722,7 @@ def test_inspect_histogram_trained_bins_match_checkpoint(trained, capsys):
     body = list(csv.reader(out.strip().splitlines()))[1:]
     assert len(body) == 6 * 6
     params = load_checkpoint(trained["run"] / "final.hprm")
-    centers = params["hist.centers"].data.reshape(36)
+    centers = params["hist.centers"].reshape(36)
     got = np.array([float(r[2]) for r in body])
     np.testing.assert_array_equal(got, centers)
 
@@ -636,7 +730,7 @@ def test_inspect_histogram_trained_bins_match_checkpoint(trained, capsys):
 def test_inspect_histogram_without_histogram_exits_3(tmp_path, capsys):
     net = Network(RunConfig(K=2, B=3, D=3, C_feat=4, mode="score_global"))
     ckpt = tmp_path / "plain.hprm"
-    save_checkpoint(net.params, ckpt)
+    save_checkpoint(values(net.params), ckpt)
     assert main(["inspect-histogram", str(ckpt)]) == 3
     assert "no histogram parameters" in capsys.readouterr().err
 
@@ -644,9 +738,32 @@ def test_inspect_histogram_without_histogram_exits_3(tmp_path, capsys):
 def test_inspect_histogram_free_all_exits_3(tmp_path, capsys):
     net = Network(RunConfig(K=2, B=3, D=3, C_feat=4, mode="free_all"))
     ckpt = tmp_path / "free_all.hprm"
-    save_checkpoint(net.params, ckpt)
+    save_checkpoint(values(net.params), ckpt)
     assert main(["inspect-histogram", str(ckpt)]) == 3
     assert "no histogram parameters" in capsys.readouterr().err
+
+
+def test_eval_rejects_the_parameters_its_network_lacks(trained, tmp_path, capsys):
+    """eval, unlike a base load, takes no extra parameter: a histnet
+    checkpoint does not evaluate as base_only."""
+    rc = main(["eval", str(trained["run"] / "final.hprm"), str(trained["data"] / "val.hctx"),
+               "--mode", "base_only", "--out", str(tmp_path / "out")] + SMALL)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert ("checkpoint/model parameter mismatch: missing [], unexpected ['fc.b', 'fc.w', "
+            "'head2.b', 'head2.w', 'hist.centers', 'hist.slopes']") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_inspect_histogram_bins_of_another_shape_exit_3(tmp_path, capsys):
+    """Matching centers and slopes that are not (K, B, 1, 1) end in one line."""
+    ckpt = tmp_path / "odd.hprm"
+    save_checkpoint({"hist.centers": np.zeros((2, 3, 2, 1)),
+                     "hist.slopes": np.ones((2, 3, 2, 1))}, ckpt)
+    assert main(["inspect-histogram", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "io error: " in err and "shape (2, 3, 2, 1), expected (K, B, 1, 1)" in err
 
 
 @pytest.mark.parametrize("mode", ["histnet", "fix_hist"])
@@ -658,7 +775,7 @@ def test_eval_composed_histogram_checkpoint_exits_3(trained, tmp_path, capsys, m
     for p in ComposedHistogram(net.hist).parameters():
         params[p.name] = p
     ckpt = tmp_path / "composed.hprm"
-    save_checkpoint(params, ckpt)
+    save_checkpoint(values(params), ckpt)
     rc = main(["eval", str(ckpt), str(trained["data"] / "val.hctx"),
                "--mode", mode, "--out", str(tmp_path / "out")] + SMALL)
     assert rc == 3
@@ -671,17 +788,17 @@ def test_a_checkpoint_holds_values_only(trained, tmp_path, capsys):
     bins that fix_hist freezes, and a fix_hist checkpoint evaluates as
     histnet does: the two modes differ only in their lock masks."""
     cfg = RunConfig(mode="fix_hist")
-    save_checkpoint(Network(cfg).params, tmp_path / "plain.hprm")
+    save_checkpoint(values(Network(cfg).params), tmp_path / "plain.hprm")
     edited = Network(cfg)
     for p in edited.params.values():
         p.lock_mask[...] = 1.0
         p.momentum_buf[...] = 3.0
     ckpt = tmp_path / "edited.hprm"
-    save_checkpoint(edited.params, ckpt)
+    save_checkpoint(values(edited.params), ckpt)
     assert ckpt.read_bytes() == (tmp_path / "plain.hprm").read_bytes()
 
     fresh = Network(replace(cfg, seed=1))
-    load_into(fresh.params, ckpt)
+    load_into(fresh.params, load_checkpoint(ckpt))
     for name in ("hist.centers", "hist.slopes"):
         np.testing.assert_array_equal(fresh.params[name].data, edited.params[name].data)
         assert not fresh.params[name].lock_mask.any()

@@ -23,29 +23,34 @@ def make_params(rng):
     return {"a": a, "b.w": b}
 
 
+def values(params):
+    """The arrays a checkpoint saves: each parameter's values by name."""
+    return {name: p.data for name, p in params.items()}
+
+
 def test_roundtrip_bit_exact(tmp_path, rng):
     params = make_params(rng)
     path = tmp_path / "c.hprm"
-    save_checkpoint(params, path)
+    save_checkpoint(values(params), path)
     back = load_checkpoint(path)
     assert set(back) == {"a", "b.w"}
     for name, p in params.items():
-        np.testing.assert_array_equal(back[name].data, p.data)
-        assert back[name].name == name
+        np.testing.assert_array_equal(back[name], p.data)
+        assert type(back[name]) is np.ndarray and back[name].dtype == np.float64
 
 
 def test_save_is_byte_deterministic(tmp_path, rng):
     params = make_params(rng)
     p1, p2 = tmp_path / "c1.hprm", tmp_path / "c2.hprm"
-    save_checkpoint(params, p1)
-    save_checkpoint(params, p2)
+    save_checkpoint(values(params), p1)
+    save_checkpoint(values(params), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_save_checkpoint_emits_the_documented_bytes(tmp_path, rng):
     params = make_params(rng)
     path = tmp_path / "c.hprm"
-    save_checkpoint(params, path)
+    save_checkpoint(values(params), path)
     # magic, version 2, count; per parameter its name, shape and values alone
     expected = b"HPRM" + struct.pack("<2I", 2, 2)
     for name in ("a", "b.w"):
@@ -59,11 +64,11 @@ def test_save_checkpoint_emits_the_documented_bytes(tmp_path, rng):
 def test_load_into_restores_in_place(tmp_path, rng):
     params = make_params(rng)
     path = tmp_path / "c.hprm"
-    save_checkpoint(params, path)
+    save_checkpoint(values(params), path)
     fresh = make_params(np.random.default_rng(99))
     fresh["a"].lock_mask[...] = 1.0
     kept = {name: (p.lock_mask.copy(), p.momentum_buf.copy()) for name, p in fresh.items()}
-    load_into(fresh, path)
+    load_into(fresh, load_checkpoint(path))
     for name in params:
         np.testing.assert_array_equal(fresh[name].data, params[name].data)
         # the destination's own lock mask and momentum stay as they were
@@ -74,25 +79,29 @@ def test_load_into_restores_in_place(tmp_path, rng):
 def test_load_into_names_mismatched_parameters(tmp_path, rng):
     params = make_params(rng)
     path = tmp_path / "c.hprm"
-    save_checkpoint(params, path)
+    save_checkpoint(values(params), path)
     other = {"a": params["a"], "c.w": params["b.w"]}
     with pytest.raises(CheckpointFormatError, match=r"missing \['c.w'\]"):
-        load_into(other, path)
+        load_into(other, load_checkpoint(path))
 
 
 def test_load_into_names_shape_mismatch(tmp_path, rng):
     params = make_params(rng)
     path = tmp_path / "c.hprm"
-    save_checkpoint(params, path)
+    save_checkpoint(values(params), path)
     other = make_params(rng)
     other["b.w"] = Parameter(np.zeros((5, 1, 1, 1)), name="b.w")
+    before = {name: p.data.copy() for name, p in other.items()}
     with pytest.raises(CheckpointFormatError, match="b.w"):
-        load_into(other, path)
+        load_into(other, load_checkpoint(path))
+    # names and shapes are checked before any value is copied
+    for name, value in before.items():
+        np.testing.assert_array_equal(other[name].data, value)
 
 
 def test_truncated_checkpoint(tmp_path, rng):
     path = tmp_path / "c.hprm"
-    save_checkpoint(make_params(rng), path)
+    save_checkpoint(values(make_params(rng)), path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-5])
     with pytest.raises(CheckpointFormatError, match="truncated"):
@@ -101,7 +110,7 @@ def test_truncated_checkpoint(tmp_path, rng):
 
 def test_trailing_bytes_rejected(tmp_path, rng):
     path = tmp_path / "c.hprm"
-    save_checkpoint(make_params(rng), path)
+    save_checkpoint(values(make_params(rng)), path)
     path.write_bytes(path.read_bytes() + bytes(70))
     with pytest.raises(CheckpointFormatError, match="70 unexpected bytes"):
         load_checkpoint(path)
@@ -117,7 +126,7 @@ def test_bad_magic_names_expected(tmp_path):
 def test_version_mismatch(tmp_path, rng):
     """Version 1, which also stored momentum and lock masks, is refused too."""
     path = tmp_path / "c.hprm"
-    save_checkpoint(make_params(rng), path)
+    save_checkpoint(values(make_params(rng)), path)
     raw = bytearray(path.read_bytes())
     for version in (7, 1):
         raw[4] = version
@@ -143,7 +152,7 @@ def test_huge_declared_shape_is_truncation(tmp_path):
 
 def test_duplicate_parameter_name_rejected(tmp_path, rng):
     path = tmp_path / "c.hprm"
-    save_checkpoint({"b.w": make_params(rng)["b.w"]}, path)
+    save_checkpoint({"b.w": make_params(rng)["b.w"].data}, path)
     raw = path.read_bytes()
     record = raw[12:]
     path.write_bytes(raw[:8] + struct.pack("<I", 2) + record + record)
@@ -156,7 +165,7 @@ def test_non_finite_parameter_rejected(tmp_path, rng, value):
     params = make_params(rng)
     params["a"].data[1, 2, 0, 0] = value
     path = tmp_path / "c.hprm"
-    save_checkpoint(params, path)
+    save_checkpoint(values(params), path)
     with pytest.raises(CheckpointFormatError, match="a holds non-finite values"):
         load_checkpoint(path)
 
@@ -189,7 +198,7 @@ def test_file_that_shrinks_while_read_raises_truncation(tmp_path, read):
 def _sample_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     write_dataset(generate(default_spec(), 2, 3, 3, seed=1), root / "d.hctx")
-    save_checkpoint(make_params(np.random.default_rng(0)), root / "c.hprm")
+    save_checkpoint(values(make_params(np.random.default_rng(0))), root / "c.hprm")
     return root
 
 

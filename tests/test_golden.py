@@ -63,3 +63,34 @@ def test_deviation_names_the_run_whose_checkpoint_it_cannot_read(tmp_path, monke
     with pytest.raises(SystemExit, match=r"^histnet: CheckpointFormatError in .*ref.*: "
                                          r"unsupported HPRM version 1, expected 2$"):
         det.deviation(tmp_path / "out", tmp_path / "ref")
+
+
+@pytest.mark.parametrize("defect", ["no final.hprm", "unreadable final.hprm", "no log.csv"])
+def test_against_checks_the_reference_before_the_recipe_runs(tmp_path, monkeypatch, defect):
+    """`--against DIR` ends with one line naming the run whose final.hprm
+    does not load or whose log.csv is missing, and trains nothing first."""
+    det = load_determinism_script()
+
+    def run_recipe(out):
+        raise AssertionError("the recipe ran before the reference was checked")
+
+    monkeypatch.setattr(det, "run_recipe", run_recipe)
+    ref = tmp_path / "ref"
+    for run in det.RUNS:
+        (ref / run).mkdir(parents=True)
+        save_checkpoint({}, ref / run / "final.hprm")
+        (ref / run / "log.csv").write_text("phase,epoch,split,loss,per_pixel,per_class\n")
+    broken = ref / "histnet"
+    if defect == "no final.hprm":
+        (broken / "final.hprm").unlink()
+    elif defect == "unreadable final.hprm":
+        (broken / "final.hprm").write_bytes(b"JUNK")
+    else:
+        (broken / "log.csv").unlink()
+    monkeypatch.setattr("sys.argv", ["determinism.py", "--out", str(tmp_path / "out"),
+                                     "--against", str(ref)])
+    with pytest.raises(SystemExit) as exit_info:
+        det.main()
+    message = str(exit_info.value.code)
+    assert message.startswith("histnet: ") and "\n" not in message
+    assert not (tmp_path / "out").exists()

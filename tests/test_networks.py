@@ -7,10 +7,11 @@ import pytest
 import histlayer.autodiff as ad
 from histlayer import networks
 from histlayer.autodiff import Parameter, Tensor
+from histlayer.checkpoint import CheckpointFormatError, load_into
 from histlayer.config import BASELINE_MODES, RunConfig
 from histlayer.data import default_spec, generate
 from histlayer.histogram import ComposedHistogram
-from histlayer.networks import (Network, evaluate, load_base, metrics_from_confusion,
+from histlayer.networks import (Network, evaluate, metrics_from_confusion,
                                 parameter_census, train_base, train_phase,
                                 two_phase_train)
 from histlayer.verify import TOL_STRUCTURAL
@@ -25,6 +26,12 @@ def small_cfg(mode="histnet", **kw):
 def small_data(n=12, seed=0):
     spec = default_spec(K=5, D=6)
     return generate(spec, n, 6, 6, seed=seed)
+
+
+def copy_base(net, base):
+    """Load a base_only network's values into `net`, as `cli.train_run` does."""
+    load_into({n: net.params[n] for n in net.base_param_names},
+              {n: p.data for n, p in base.params.items()})
 
 
 def outputs(net, x):
@@ -434,8 +441,8 @@ def test_phase1_computes_each_prefix_once(monkeypatch):
     monkeypatch.setattr(networks, "train_phase", train_phase)
     ds, val = small_data(10, seed=3), small_data(6, seed=4)
     net = Network(small_cfg())
-    two_phase_train(net, Network(small_cfg("base_only")).params, ds, val,
-                    schedule(2))
+    copy_base(net, Network(small_cfg("base_only")))
+    two_phase_train(net, ds, val, schedule(2))
     phase2 = calls.index(("phase", 2))
     assert calls[:phase2] == [("phase", 1), *ONCE_EACH]
     assert len(calls) > phase2 + 1   # phase 2 computes its prefixes per batch
@@ -479,8 +486,8 @@ def test_phase1_leaves_every_base_and_histogram_gradient_zero(monkeypatch):
     ds, val = small_data(8, seed=3), small_data(4, seed=4)
     net = Network(small_cfg())
     fixed = [*net.base_param_names, "hist.centers", "hist.slopes"]
-    two_phase_train(net, Network(small_cfg("base_only")).params, ds, val,
-                    schedule(2))
+    copy_base(net, Network(small_cfg("base_only")))
+    two_phase_train(net, ds, val, schedule(2))
     assert list(seen) == fixed
     for name, grad in seen.items():
         assert not grad.any(), name
@@ -645,7 +652,7 @@ def test_phase1_leaves_base_and_bins_bit_identical():
     base = Network(small_cfg("base_only"))
     train_base(base, ds, val, schedule())
     net = Network(small_cfg())
-    load_base(net, base.params)
+    copy_base(net, base)
     before = {n: net.params[n].data.copy() for n in net.base_param_names}
     bins_before = (net.hist.centers.data.copy(), net.hist.slopes.data.copy())
     train_phase(net, ds, val, phase1_params(net), schedule(), phase=1)
@@ -661,8 +668,9 @@ def test_two_phase_train_moves_bins_in_phase_two():
     base = Network(small_cfg("base_only"))
     train_base(base, ds, val, schedule())
     net = Network(small_cfg())
+    copy_base(net, base)
     bins_before = net.hist.centers.data.copy()
-    rows, stage1 = two_phase_train(net, base.params, ds, val, schedule())
+    rows, stage1 = two_phase_train(net, ds, val, schedule())
     assert any(r.phase == 1 for r in rows) and any(r.phase == 2 for r in rows)
     assert not np.array_equal(net.hist.centers.data, bins_before)
     assert 0.0 <= stage1["stage1_before_phase2"] <= 1.0
@@ -683,7 +691,7 @@ def test_two_phase_train_takes_stage1_from_the_epoch_end_passes(monkeypatch, epo
     train_base(base, ds, val, schedule())
     # reference: a separate stage-1 pass after each phase
     ref = Network(small_cfg())
-    load_base(ref, base.params)
+    copy_base(ref, base)
     train_phase(ref, ds, val, phase1_params(ref), schedule(epochs), phase=1)
     before = stage1_per_pixel(ref, val)
     train_phase(ref, ds, val, list(ref.params.values()), schedule(epochs), phase=2)
@@ -693,7 +701,8 @@ def test_two_phase_train_takes_stage1_from_the_epoch_end_passes(monkeypatch, epo
     real = networks.evaluate
     monkeypatch.setattr(networks, "evaluate", lambda *a: calls.append(a) or real(*a))
     net = Network(small_cfg())
-    _, stage1 = two_phase_train(net, base.params, ds, val, schedule(epochs))
+    copy_base(net, base)
+    _, stage1 = two_phase_train(net, ds, val, schedule(epochs))
     assert stage1 == {"stage1_before_phase2": before, "stage1_after_phase2": after}
     assert len(calls) == max(2 * epochs, 1)
 
@@ -724,14 +733,19 @@ def test_train_phase_stops_when_the_loss_clamps_with_finite_parameters():
 def test_two_phase_train_rejects_base_only():
     net = Network(small_cfg("base_only"))
     with pytest.raises(ValueError, match="context-refinement"):
-        two_phase_train(net, net.params, small_data(4), small_data(4), schedule())
+        two_phase_train(net, small_data(4), small_data(4), schedule())
 
 
-def test_load_base_shape_mismatch_named():
+def test_base_copy_shape_mismatch_named():
+    """A base of another C_feat is refused by name, and no parameter of the
+    network changes."""
     base = Network(small_cfg("base_only", C_feat=7))
     net = Network(small_cfg())
-    with pytest.raises(ValueError, match="base.f1.w"):
-        load_base(net, base.params)
+    before = {n: p.data.copy() for n, p in net.params.items()}
+    with pytest.raises(CheckpointFormatError, match="base.f1.w"):
+        copy_base(net, base)
+    for n, value in before.items():
+        np.testing.assert_array_equal(net.params[n].data, value)
 
 
 def test_training_is_reproducible():
@@ -742,7 +756,8 @@ def test_training_is_reproducible():
         base = Network(small_cfg("base_only"))
         train_base(base, ds, val, schedule())
         net = Network(small_cfg())
-        two_phase_train(net, base.params, ds, val, schedule())
+        copy_base(net, base)
+        two_phase_train(net, ds, val, schedule())
         results.append({n: p.data.copy() for n, p in net.params.items()})
     for n in results[0]:
         np.testing.assert_array_equal(results[0][n], results[1][n])
