@@ -91,6 +91,10 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     Input (N,K,H,W) -> output (N, K*B, 1, 1) with layout index k*B + b.
     A likelihood vector is simply the H=W=1 case. Gradients flow to the
     centers, the slopes and, when it takes one, the input.
+
+    The support, where t = 1 - s*|x - mu| > 0, includes x = mu. The slopes
+    take -(c - T)/(s*P) from the support's pixel count c and the sum T of
+    max(t, 0), so the backward needs s != 0 (training clamps s >= S_MIN).
     """
     n, k, h, w = likelihood.shape
     K, B = params.K, params.B
@@ -105,8 +109,8 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     # Both passes work in chunks of `step` images, each image alike, so every
     # bit is the whole-batch one. The forward turns each chunk's offsets
     # d = x - mu into t = 1 - s*|d| in one work array. A recorded forward
-    # also keeps, as int8, sign(d) where t > 0 (the support) and 0 elsewhere;
-    # the backward reads that state instead of testing |d| again.
+    # also keeps, as int8, sign(d) where t > 0 (the support) and 0 elsewhere,
+    # and counts per image and bin the support pixels c and the state's sum.
     step = max(1, _WORK // (K * B * h * w))
     work = np.empty((min(n, step), K, B, h, w))
     feats = np.empty((n, K, B))
@@ -114,6 +118,7 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     if _records(likelihood, params.centers, params.slopes):
         state = np.empty((n, K, B, h, w), dtype=np.int8)
         mask = np.empty(work.shape, dtype=bool)
+        count, signs = np.empty((2, n, K, B, 1, 1), dtype=np.int64)
     for i in range(0, n, step):
         t = np.subtract(x[i:i + step], mu, out=work[:n - i])
         _record_hinge(t)
@@ -126,42 +131,31 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
         t *= s
         np.subtract(1.0, t, out=t)    # rounds as |d|*(-s) + 1, with no -s array
         _record_hinge(t)
-        if state is not None:
-            st *= np.greater(t, 0.0, out=m).view(np.int8)   # t > 0 is |d|*s < 1
         np.maximum(t, 0.0, out=t)
         np.add.reduce(t, axis=(3, 4), out=feats[i:i + step])
+        if state is not None:
+            st *= np.greater(t, 0.0, out=m).view(np.int8)   # t > 0 is |d|*s < 1
+            np.add.reduce(m, axis=(3, 4), keepdims=True, out=count[i:i + step])
+            np.add.reduce(st, axis=(3, 4), keepdims=True, out=signs[i:i + step])
+    if state is not None:
+        spread = count - feats[..., None, None]   # c - T, the support's sum of s*|d|
     feats /= h * w                    # the division `mean` makes after its sum
     out = feats.reshape(n, K * B, 1, 1)
 
     def _bw():
         gg = node.grad.reshape(n, K, B, 1, 1) / (h * w)
         ggs = gg * s
-        # per-image sums over (h,w) for the slopes [0] and the centers [1],
-        # then one sum over the images: the order of a whole-batch sum over
-        # axes (0,3,4), so the bits are its bits
-        sums = np.empty((2, n, K, B))
-        gx = np.empty((n, K, h, w)) if likelihood.requires_grad else None
-        q = np.empty(work.shape)
-        for i in range(0, n, step):
-            # on the support d(out)/d(mu) = s*sign(d) = -d(out)/d(x) and
-            # d(out)/d(s) = -|d|; negating a sum is exact, so one product
-            # serves both the centers and the likelihood
-            qi = q[:n - i]
-            qi[...] = state[i:i + step]
-            v = np.multiply(qi, ggs[i:i + step], out=work[:n - i])
-            np.add.reduce(v, axis=(3, 4), out=sums[1, i:i + step])
-            if gx is not None:
+        # per image g*s*sigma/P and -g*(c - T)/(s*P), then one sum over the images
+        params.centers.grad += np.add.reduce(ggs * signs, axis=0)
+        params.slopes.grad -= np.add.reduce(gg * spread / s, axis=0)
+        if likelihood.requires_grad:
+            # d(out)/d(x) = -d(out)/d(mu) per pixel: the state times g*s summed
+            # over the bins, then negated (a - b and a + (-b) round alike)
+            gx = np.empty((n, K, h, w))
+            for i in range(0, n, step):
+                v = np.multiply(state[i:i + step], ggs[i:i + step], out=work[:n - i])
                 np.add.reduce(v, axis=2, out=gx[i:i + step])
-            # d*sign(d) is |d| exactly, so d*q is |d| on the support, 0 off it
-            np.subtract(x[i:i + step], mu, out=v)
-            v *= qi
-            v *= gg[i:i + step]
-            np.add.reduce(v, axis=(3, 4), out=sums[0, i:i + step])
-        slopes, centers = np.add.reduce(sums, axis=1).reshape(2, K, B, 1, 1)
-        params.slopes.grad -= slopes
-        params.centers.grad += centers
-        if gx is not None:
-            np.negative(gx, out=gx)     # a - b and a + (-b) round alike
+            np.negative(gx, out=gx)
             _accumulate(likelihood, gx)
 
     node = _node(out, _bw, likelihood, params.centers, params.slopes)

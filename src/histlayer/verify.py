@@ -186,6 +186,11 @@ def check_equivalence(seed: int, trials: int) -> PropertyReport:
         hp = _rand_params(rng, K, B)
         layer = ComposedHistogram(hp)
         xdata = rng.uniform(-0.2, 1.2, size=(n, K, h, w))
+        # a quarter of the pixels sit exactly on a bin center or a support edge
+        k, b = np.arange(K).reshape(1, K, 1, 1), rng.integers(B, size=xdata.shape)
+        edge = rng.choice([0.0, 1.0, -1.0], size=xdata.shape) / hp.slopes.data[k, b, 0, 0]
+        on_grid = hp.centers.data[k, b, 0, 0] + edge
+        xdata = np.where(rng.random(xdata.shape) < 0.25, on_grid, xdata)
         upstream = rng.standard_normal((n, K * B, 1, 1))
 
         ad.reset_tape()

@@ -570,7 +570,9 @@ def test_parameter_input_to_the_histogram_takes_the_pinned_gradient_bits():
     x = Parameter(rng.uniform(-0.2, 1.2, size=(2, 3, 4, 4)))
     ad.reset_tape()
     ad.backward(hist_forward_direct(x, p), rng.standard_normal((2, 15, 1, 1)))
-    assert _grad_digest(x.grad, p.centers.grad, p.slopes.grad) == "9ec602fa89fc2f54"
+    assert _grad_digest(x.grad) == "1268b2f460a78c6c"
+    # the centers and slopes as the backward from per-bin counts rounds them
+    assert _grad_digest(p.centers.grad, p.slopes.grad) == "c930d017f253856e"
 
 
 def test_every_buffer_is_a_fresh_c_contiguous_float64_array_of_the_data_shape():

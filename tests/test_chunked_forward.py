@@ -58,7 +58,7 @@ def test_chunked_histogram_equals_the_per_image_outputs_bitwise(n):
 
     assert recorded.data.tobytes() == want.tobytes()
     assert free.data.tobytes() == want.tobytes()
-    # the backward computes each chunk's offsets again: the likelihood
+    # the backward reads each chunk's kept support state: the likelihood
     # gradient is per pixel, so it is the per-image one bit for bit
     assert lik.grad.tobytes() == np.concatenate(per_grads).tobytes()
 

@@ -9,6 +9,7 @@ from histlayer.autodiff import Parameter, ShapeError, Tensor
 from histlayer.histogram import (S_MIN, ComposedHistogram, HistogramParams, basis_eval,
                                  hist_forward_direct, init_params)
 from histlayer.oracle import hist_oracle
+from histlayer.verify import TOL_STRUCTURAL
 
 
 def random_params(rng, K, B):
@@ -151,6 +152,24 @@ def test_backward_single_pixel_hand_case():
     assert x.grad.ravel()[0] == pytest.approx(-5.0, rel=1e-15)
 
 
+def test_backward_pixel_on_the_center_adds_nothing():
+    # one map of P = 2 pixels, at mu and at mu + 0.05, slope 5: the pixel on
+    # the center is in the support (t = 1) with sign 0, so only the other
+    # pixel moves the center, the slope and the likelihood
+    p = HistogramParams(Parameter(np.full((1, 1, 1, 1), 0.4)),
+                        Parameter(np.full((1, 1, 1, 1), 5.0)))
+    x = Parameter(np.array([0.4, 0.45]).reshape(1, 1, 1, 2))
+    g, P = 3.0, 2
+    ad.reset_tape()
+    feat = hist_forward_direct(x, p)
+    assert feat.data.ravel()[0] == pytest.approx((1.0 + 0.75) / P, rel=1e-15)
+    ad.backward(feat, np.full((1, 1, 1, 1), g))
+    assert p.centers.grad.ravel()[0] == 5.0 * g / P
+    assert p.slopes.grad.ravel()[0] == pytest.approx(-0.05 * g / P, rel=1e-12)
+    assert x.grad.ravel()[0] == 0.0
+    assert x.grad.ravel()[1] == -5.0 * g / P
+
+
 def test_backward_finite_difference_full(rng):
     p = random_params(rng, 2, 4)
     x = Parameter(rng.uniform(0, 1, size=(2, 2, 3, 3)), name="x")
@@ -192,6 +211,36 @@ def reference_hist_grads(x, mu, s, upstream):
     return [np.zeros_like(g) + g for g in (likelihood, centers, slopes)]
 
 
+def count_hist_grads(x, mu, s, upstream):
+    """The centers and slopes gradients from per-(image, class, bin) counts,
+    in the layer's order: c support pixels (t > 0, x = mu included), sigma the
+    sum of sign(x - mu) over them and T the sum of max(t, 0); per image
+    g*s*sigma/P and -g*(c - T)/(s*P), then one sum over the images."""
+    n, K, h, w = x.shape
+    B = mu.shape[1]
+    d = x.reshape(n, K, 1, h, w) - mu.reshape(1, K, B, 1, 1)
+    t = 1.0 - np.abs(d) * s.reshape(1, K, B, 1, 1)
+    support = t > 0
+    c = np.count_nonzero(support, axis=(3, 4))
+    sigma = np.where(support, np.sign(d), 0.0).sum(axis=(3, 4))
+    T = np.maximum(t, 0.0).sum(axis=(3, 4))
+    gg = upstream.reshape(n, K, B) / (h * w)
+    s = s.reshape(K, B)
+    centers = (gg * s * sigma).sum(axis=0).reshape(K, B, 1, 1)
+    slopes = -(gg * (c - T) / s).sum(axis=0).reshape(K, B, 1, 1)
+    return [np.zeros_like(g) + g for g in (centers, slopes)]
+
+
+def assert_bin_gradients(p, x, upstream, ref):
+    """Centers and slopes hold the count formula's bits, and lie within
+    TOL_STRUCTURAL of `ref`, the |x - mu| formula's (centers, slopes)."""
+    got = (p.centers.grad, p.slopes.grad)
+    counted = count_hist_grads(x, p.centers.data, p.slopes.data, upstream)
+    for g, want, near in zip(got, counted, ref):
+        assert g.tobytes() == want.tobytes()
+        assert np.abs(g - near).max() < TOL_STRUCTURAL
+
+
 def test_backward_bit_equal_to_reference_formula(rng):
     # random small shapes, each one chunk, then the network's K = B = 6 on
     # 16x16 maps at batch sizes that span two and several chunks
@@ -216,8 +265,8 @@ def test_backward_bit_equal_to_reference_formula(rng):
         lik = Parameter(x)
         ad.reset_tape()
         ad.backward(hist_forward_direct(lik, p), upstream)
-        for got, want in zip((lik.grad, p.centers.grad, p.slopes.grad), ref):
-            assert got.tobytes() == want.tobytes()
+        assert lik.grad.tobytes() == ref[0].tobytes()
+        assert_bin_gradients(p, x, upstream, ref[1:])
     assert kinks > 0
 
 
@@ -278,8 +327,8 @@ def test_backward_bit_equal_where_pixels_lie_outside_every_support(rng, outside_
         ad.reset_tape()
         ad.backward(hist_forward_direct(lik, p), upstream)
         want = reference_hist_grads(x, mu, s, upstream)
-        for got, ref in zip((lik.grad, p.centers.grad, p.slopes.grad), want):
-            assert got.tobytes() == ref.tobytes()
+        assert lik.grad.tobytes() == want[0].tobytes()
+        assert_bin_gradients(p, x, upstream, want[1:])
     assert outside > 0
 
 
@@ -299,9 +348,7 @@ def test_recorded_likelihood_takes_the_layers_gradient_bit_for_bit(rng, outside_
         want = layer_likelihood_gradient(x, mu, s, upstream)
         assert lik.grad.tobytes() == want.tobytes()
         assert leaf.grad.tobytes() == (np.zeros_like(x) + want / 1).tobytes()
-        ref = reference_hist_grads(x, mu, s, upstream)
-        assert p.centers.grad.tobytes() == ref[1].tobytes()
-        assert p.slopes.grad.tobytes() == ref[2].tobytes()
+        assert_bin_gradients(p, x, upstream, reference_hist_grads(x, mu, s, upstream)[1:])
         negative_zeros += int(np.signbit(want[want == 0]).sum())
     assert negative_zeros > 0
 

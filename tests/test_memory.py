@@ -94,7 +94,10 @@ def test_unrecorded_histogram_forward_keeps_only_its_output():
 
 
 def test_histogram_forward_and_backward_peak_below_one_offsets_array():
-    """Measured at 0.63 of one with the kept support state, 0.66 without it."""
+    """Measured at 0.50 of one: the kept int8 support state, the chunk work
+    array and the likelihood gradient; the backward takes the centers and
+    slopes from per-bin counts and keeps no float copy of the state (0.63
+    with that copy, 0.66 without the kept state)."""
     rng = np.random.default_rng(0)
     p = init_params(K, B)
     x = Parameter(rng.uniform(size=(N, K, H, W)))
@@ -102,7 +105,7 @@ def test_histogram_forward_and_backward_peak_below_one_offsets_array():
     ad.reset_tape()
     peak, _ = peak_bytes(lambda: ad.backward(hist_forward_direct(x, p), upstream))
     assert np.any(x.grad != 0) and np.any(p.centers.grad != 0) and np.any(p.slopes.grad != 0)
-    assert peak < 0.7 * OFFSETS
+    assert peak < 0.55 * OFFSETS
 
 
 def test_evaluation_batch_peaks_below_three_feature_maps():
