@@ -191,8 +191,9 @@ def test_backward_finite_difference_full(rng):
 
 
 def reference_hist_grads(x, mu, s, upstream):
-    """The backward formula with the broadcast np.where and separate centers
-    and likelihood products, kept as the reference for the fused one."""
+    """The backward formula with the broadcast np.where over |x - mu|: the
+    likelihood gradient's bits, and the centers and slopes to within
+    TOL_STRUCTURAL of the layer's per-bin counts."""
     n, K, h, w = x.shape
     B = mu.shape[1]
     mu, s = mu.reshape(1, K, B, 1, 1), s.reshape(1, K, B, 1, 1)

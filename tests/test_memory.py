@@ -67,8 +67,8 @@ def kept_bytes(fn):
 
 def test_recorded_histogram_forward_keeps_its_state_until_backward_or_reset():
     """A recorded forward keeps its int8 support state (an eighth of an
-    offsets array) and its chunk work array for the backward, and nothing
-    once the tape is reset."""
+    offsets array), its per-bin counts and its chunk work array for the
+    backward, and nothing once the tape is reset."""
     p = init_params(K, B)
     x = Tensor(np.random.default_rng(0).uniform(size=(N, K, H, W)))
     ad.reset_tape()
