@@ -3,15 +3,22 @@
 
 Runs `perfbench/run.py` on every workload of `BENCHMARK.json` at seed
 104729 with `--trace 0`, one after another, for the declared run length,
-then one `--trace 1` run of `train_histnet` for the per-layer table, then
+then one `--trace 1` run of every workload for the per-layer tables, then
 one run of the tier-1 suite with `--durations`. Writes the git commit, the
 environment line of the first run, the number of cores this process may run
 on (`usable_cores`; evaluation runs its batches on that many threads, while
 the environment line's `cores` counts every core of the machine), per
 workload the median, q1, q3 and sample count of each end-to-end metric with
-the failed-op ratio, and the tier-1 wall time, test counts and the set-up
-time of the acceptance `comparison` fixture (the slowest set-up in
+the failed-op ratio, `per_layer` as a map from workload name to its traced
+record, and the tier-1 wall time, test counts and the set-up time of the
+acceptance `comparison` fixture (the slowest set-up in
 `tests/test_acceptance.py`, where the session fixture is built).
+
+The traced runs are pinned to one core (`traced_cores`), so `evaluate`
+runs its batches in turn: the tracer keeps one span stack for all threads,
+and batches on two threads would cross their spans, undercounting calls
+and misplacing times. The readings whose unit in `BENCHMARK.json` is `count`
+are counts per op; the others are times, sizes or ratios.
 
 Before the workloads it times a fixed numpy reference kernel and records its
 median, q1, q3 and repeat count as `reference_kernel`. The kernel never
@@ -36,7 +43,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 104729
-TRACED_WORKLOAD = "train_histnet"
+TRACED_CORES = 1
 
 
 def reference_kernel() -> dict:
@@ -64,12 +71,19 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def pin_to_traced_cores() -> None:
+    """Restrict the calling process to its TRACED_CORES lowest usable cores."""
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:TRACED_CORES])
+
+
 def run_perfbench(workload: str, seconds: float, trace: int) -> list[dict]:
-    """The JSON lines one perfbench run prints: environment, detail, result."""
+    """The JSON lines one perfbench run prints: environment, detail, result.
+    A traced run is pinned to TRACED_CORES cores."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     print("running", " ".join(cmd[1:]), file=sys.stderr, flush=True)
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                          preexec_fn=pin_to_traced_cores if trace else None)
     if proc.returncode != 0:
         raise SystemExit(f"{workload}: perfbench exited {proc.returncode}:\n{proc.stderr}")
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
@@ -94,9 +108,9 @@ def end_to_end(lines: list[dict]) -> dict:
 
 def per_layer(lines: list[dict]) -> dict:
     _, detail_line, result = lines
-    return {"workload": TRACED_WORKLOAD, "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"],
-            **detail_line["detail"], "metrics": result["metrics"]}
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], **detail_line["detail"],
+            "metrics": result["metrics"]}
 
 
 def tier1() -> dict:
@@ -135,12 +149,14 @@ def main() -> int:
                                 check=True).stdout.strip())
     report = {"git_sha": sha, "git_dirty": dirty, "seed": SEED, "seconds": seconds,
               "environment": None, "usable_cores": usable_cores(),
+              "traced_cores": TRACED_CORES,
               "reference_kernel": reference_kernel(), "workloads": {}}
     for wl in spec["workloads"]:
         lines = run_perfbench(wl["name"], seconds, trace=0)
         report["environment"] = report["environment"] or lines[0]["environment"]
         report["workloads"][wl["name"]] = end_to_end(lines)
-    report["per_layer"] = per_layer(run_perfbench(TRACED_WORKLOAD, seconds, trace=1))
+    report["per_layer"] = {wl["name"]: per_layer(run_perfbench(wl["name"], seconds, trace=1))
+                           for wl in spec["workloads"]}
     report["tier1"] = tier1()
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

@@ -106,6 +106,13 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
     mu = params.centers.data.reshape(1, K, B, 1, 1)
     s = params.slopes.data.reshape(1, K, B, 1, 1)
     x = likelihood.data.reshape(n, K, 1, h, w)
+    # The centers and slopes as (1,K,B,H,W) planes, so each chunk's x - mu
+    # and t *= s broadcast over the images only: numpy copies a (1,K,B,1,1)
+    # operand into its buffer for every H*W-long row, 3-4x slower than a
+    # plain elementwise op. The backward keeps s.
+    mu_plane, s_plane = np.empty((1, K, B, h, w)), np.empty((1, K, B, h, w))
+    mu_plane[...] = mu
+    s_plane[...] = s
     # Both passes work in chunks of `step` images, each image alike, so every
     # bit is the whole-batch one. The forward turns each chunk's offsets
     # d = x - mu into t = 1 - s*|d| in one work array. A recorded forward
@@ -120,7 +127,7 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
         mask = np.empty(work.shape, dtype=bool)
         count, signs = np.empty((2, n, K, B, 1, 1), dtype=np.int64)
     for i in range(0, n, step):
-        t = np.subtract(x[i:i + step], mu, out=work[:n - i])
+        t = np.subtract(x[i:i + step], mu_plane, out=work[:n - i])
         _record_hinge(t)
         if state is not None:
             # (d > 0) - (d < 0) through bool views of int8: np.sign costs more
@@ -128,7 +135,7 @@ def hist_forward_direct(likelihood: Tensor, params: HistogramParams) -> Tensor:
             np.greater(t, 0.0, out=st.view(bool))
             st -= np.less(t, 0.0, out=m).view(np.int8)
         np.abs(t, out=t)
-        t *= s
+        t *= s_plane
         np.subtract(1.0, t, out=t)    # rounds as |d|*(-s) + 1, with no -s array
         _record_hinge(t)
         np.maximum(t, 0.0, out=t)

@@ -41,11 +41,36 @@ class Prefix:
     summary: Tensor | None  # the context fc layer's input; None for base_only
 
 
+def channel_argmax(p: np.ndarray) -> np.ndarray:
+    """`np.argmax(p, axis=1)` as uint8, from compares: ties go to the lowest
+    channel and the first NaN wins. A channel equal to the maximum (or NaN)
+    weighs K-1 minus its index, and the largest weight names the channel;
+    `check_class_count` holds K <= 255, so the weights fit in uint8."""
+    K = p.shape[1]
+    eq = np.equal(p, p.max(axis=1, keepdims=True))
+    eq |= np.isnan(p)
+    weights = np.arange(K - 1, -1, -1, dtype=np.uint8).reshape(1, K, *(1,) * (p.ndim - 2))
+    return (K - 1) - (eq * weights).max(axis=1)
+
+
 @dataclass
 class StageOutputs:
     stage_probs: list
-    final_probs: Tensor
     clamped: int    # positions whose loss clamped log 0 (see ad.softmax_xent)
+
+    def prediction(self) -> np.ndarray:
+        """The class each position predicts: the argmax over the mean of the
+        stage probabilities, ties to the lowest class, the first NaN winning.
+
+        The argmax is taken of the sum p1 + p2, which picks what the mean's
+        does for the one or two stages a network has: halving a float is
+        exact above the subnormal range, the largest sum is at least about
+        1/K, and NaN sits at the same places in the sum and in the mean.
+        Dividing by 3 is not exact, so a third stage would need the mean."""
+        p = self.stage_probs[0].data
+        if len(self.stage_probs) == 2:
+            p = p + self.stage_probs[1].data
+        return channel_argmax(p)
 
 
 def _gauss(rng, shape, std):
@@ -122,8 +147,8 @@ class Network:
     def refine(self, pre: Prefix, labels: np.ndarray):
         """The rest of the pass on a batch's prefix, whether `prefix` computed
         it or `PrefixCache.take` gathered it: the context fc layer, the
-        stage-2 head and loss, and the means. Returns (mean of the stage
-        losses, StageOutputs)."""
+        stage-2 head and loss, and the mean of the stage losses. Returns
+        (that mean, StageOutputs)."""
         probs, losses = [pre.probs], [pre.loss]
         if self.fc is not None:
             ctx = ad.fully_connected(pre.summary, *self.fc)
@@ -131,8 +156,7 @@ class Network:
             loss2, probs2 = ad.softmax_xent(logits, labels)
             losses.append(loss2)
             probs.append(probs2)
-        outputs = StageOutputs(probs, ad.mean_tensors(probs),
-                               sum(t.clamped for t in losses))
+        outputs = StageOutputs(probs, sum(t.clamped for t in losses))
         return ad.mean_tensors(losses), outputs
 
     def loss(self, features: Tensor, labels: np.ndarray):
@@ -192,8 +216,7 @@ EVAL_BATCH = 50
 EVAL_THREAD_NAME = "histlayer-eval"
 
 
-def _confusion(labels: np.ndarray, probs: Tensor, K: int) -> np.ndarray:
-    pred = np.argmax(probs.data, axis=1)
+def _confusion(labels: np.ndarray, pred: np.ndarray, K: int) -> np.ndarray:
     idx = labels.astype(np.int64) * K + pred
     return np.bincount(idx.ravel(), minlength=K * K).reshape(K, K)
 
@@ -233,8 +256,8 @@ def _batch_result(net: Network, dataset, start: int, stop: int,
     labels = dataset.labels[start:stop]
     loss, out = _batch_pass(net, dataset, slice(start, stop), labels, cache)
     K = net.cfg.K
-    return (loss.item() * (stop - start), _confusion(labels, out.final_probs, K),
-            _confusion(labels, out.stage_probs[0], K), out.clamped)
+    return (loss.item() * (stop - start), _confusion(labels, out.prediction(), K),
+            _confusion(labels, channel_argmax(out.stage_probs[0].data), K), out.clamped)
 
 
 def evaluate(net: Network, dataset, cache: PrefixCache | None = None) -> dict:
@@ -243,9 +266,11 @@ def evaluate(net: Network, dataset, cache: PrefixCache | None = None) -> dict:
     accuracy of the stage-1 prediction (`stage1_per_pixel`) and the number
     of positions whose loss clamped log 0 (`clamped`, see `ad.softmax_xent`).
     The confusion matrix has rows = true class, columns = predicted class
-    (argmax, ties to lowest). The loss is the batch losses weighted by batch
-    length, summed in batch order, over the image count. `cache` holds the
-    dataset's prefixes when they are known (see `PrefixCache`).
+    (`StageOutputs.prediction`: argmax, ties to lowest; a position whose
+    probabilities hold a NaN predicts the first NaN's class). The loss is
+    the batch losses weighted by batch length, summed in batch order, over
+    the image count. `cache` holds the dataset's prefixes when they are
+    known (see `PrefixCache`).
 
     The batches run at once on as many threads as there are usable cores
     and batches, each in a copy of the caller's context (numpy's error
@@ -370,7 +395,7 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
             net.clamp()
             loss_sum += loss.item() * len(idx)
             seen += len(idx)
-            conf += _confusion(labels, out.final_probs, K)
+            conf += _confusion(labels, out.prediction(), K)
             clamped += out.clamped
         train_m = metrics_from_confusion(conf)
         rows.append(LogRow(phase, epoch, "train", loss_sum / seen,

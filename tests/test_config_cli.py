@@ -222,10 +222,26 @@ def run_configs(draw):
     return drawn
 
 
+def run_in_process(argv):
+    """`main(argv)` with stdout dropped; (exit code, stderr text). Fails
+    when a warning is raised or stderr holds more than one line, a
+    traceback or a warning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    return rc, err.getvalue()
+
+
 def test_no_accepted_configuration_ends_in_a_traceback_or_a_warning(tmp_path_factory):
     """gen-data then train on any configuration: each command exits 0, 2
     (config error) or 5 (diverged), with at most one stderr line, and no
-    exception or warning escapes."""
+    exception or warning escapes. A run that trains is then evaluated on
+    its test split, which exits 0 or 5 in the same way."""
     assert CONFIG_DRAWS.keys() == {f.name for f in fields(RunConfig)}
     root = tmp_path_factory.mktemp("configs")
 
@@ -237,17 +253,49 @@ def test_no_accepted_configuration_ends_in_a_traceback_or_a_warning(tmp_path_fac
         sets = [a for key, value in drawn.items() for a in ("--set", f"{key}={value}")]
         for argv in (["gen-data", "--out", str(out)],
                      ["train", "--out", str(out / "run"), "--data", str(out)]):
-            err = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                warnings.simplefilter("always")
-                rc = main(argv + sets)
-            assert rc in (0, 2, 5), (argv[0], rc, err.getvalue())
-            assert err.getvalue().count("\n") <= 1, err.getvalue()
-            assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
-            assert [str(w.message) for w in caught] == []
+            rc, err = run_in_process(argv + sets)
+            assert rc in (0, 2, 5), (argv[0], rc, err)
+        if rc == 0:
+            rc, err = run_in_process(["eval", "--out", str(out / "eval"),
+                                      str(out / "run" / "final.hprm"),
+                                      str(out / "test.hctx")] + sets)
+            assert rc in (0, 5), ("eval", rc, err)
 
     check()
+
+
+def test_eval_of_a_checkpoint_whose_logits_overflow_exits_5(tmp_path):
+    """Stage-2 logits of about ±1e308 overflow to NaN probabilities: one
+    diverged: line with the clamped count, no warning and no file."""
+    sizes = []
+    for kv in ("n_train=8", "n_val=4", "n_test=4", "H=4", "W=4", "epochs=1",
+               "decay_epoch=1"):
+        sizes += ["--set", kv]
+    assert run_in_process(["gen-data", "--out", str(tmp_path / "data")] + sizes)[0] == 0
+    assert run_in_process(["train", "--out", str(tmp_path / "run"),
+                           "--data", str(tmp_path / "data")] + sizes)[0] == 0
+    values = load_checkpoint(tmp_path / "run" / "final.hprm")
+    values["head2.w"][0] = 1e308
+    values["head2.w"][1] = -1e308
+    save_checkpoint(values, tmp_path / "bad.hprm")
+    rc, err = run_in_process(["eval", "--out", str(tmp_path / "eval"), str(tmp_path / "bad.hprm"),
+                              str(tmp_path / "data" / "test.hctx")] + sizes)
+    assert rc == cli.EXIT_DIVERGED
+    assert err.startswith("diverged: ") and err.count("\n") == 1, err
+    assert "the loss clamped log 0 at " in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_train_whose_final_pass_clamps_exits_5_without_outputs(tmp_path):
+    """With no epoch, no epoch-end pass checks the loss; the final
+    evaluation does. Features of about 1e100 overflow the untrained logits."""
+    sizes = TINY + ["--set", "noise_sigma=1e100", "--set", "epochs=0"]
+    assert run_in_process(["gen-data", "--out", str(tmp_path)] + sizes)[0] == 0
+    rc, err = run_in_process(["train", "--out", str(tmp_path / "run")] + sizes
+                             + ["--data", str(tmp_path)])
+    assert rc == cli.EXIT_DIVERGED
+    assert err.startswith("diverged: evaluating the val split: the loss clamped log 0"), err
+    assert not (tmp_path / "run").exists()
 
 
 def test_split_no_array_can_hold_exits_2_before_any_work(tmp_path):

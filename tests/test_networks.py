@@ -73,13 +73,13 @@ def test_forward_shapes_all_modes(mode):
     assert len(out.stage_probs) == expected_stages
     for p in out.stage_probs:
         assert p.shape == (2, 5, 4, 4)
-    assert out.final_probs.shape == (2, 5, 4, 4)
+    assert out.prediction().shape == (2, 4, 4)
 
 
 def test_stage_probs_normalized(rng):
     net = Network(small_cfg(seed=2))
     out = outputs(net, rng.standard_normal((3, 6, 5, 5)))
-    for p in out.stage_probs + [out.final_probs]:
+    for p in out.stage_probs:
         np.testing.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -88,7 +88,9 @@ def test_zeroed_classifier_gives_uniform_probs(rng):
     net.params["base.cls.w"].data[...] = 0.0
     net.params["base.cls.b"].data[...] = 0.0
     out = outputs(net, rng.standard_normal((2, 6, 3, 3)))
-    np.testing.assert_allclose(out.final_probs.data, 0.2, atol=1e-15)
+    np.testing.assert_allclose(out.stage_probs[0].data, 0.2, atol=1e-15)
+    # every class ties, and a tie goes to the lowest class
+    assert not out.prediction().any()
 
 
 def test_stage_head_input_width():
@@ -124,9 +126,12 @@ def test_zeroed_context_fc_makes_context_modes_agree(rng):
                 net.params[name].data[...] = ref.params[name].data
         else:
             outs_net = net
-        outs.append(outputs(net, x.copy()).final_probs.data)
-    np.testing.assert_allclose(outs[1], outs[0], atol=1e-12)
-    np.testing.assert_allclose(outs[2], outs[0], atol=1e-12)
+        out = outputs(net, x.copy())
+        outs.append(([p.data for p in out.stage_probs], out.prediction()))
+    for probs, pred in outs[1:]:
+        for p, p0 in zip(probs, outs[0][0]):
+            np.testing.assert_allclose(p, p0, atol=1e-12)
+        np.testing.assert_array_equal(pred, outs[0][1])
 
 
 _BASE_LAYOUT = [("base.f1.w", (16, 8, 1, 1)), ("base.f1.b", (16, 1, 1, 1)),
@@ -265,6 +270,61 @@ def test_confusion_counts_every_pixel():
     assert conf.sum() == 5 * 6 * 6
 
 
+# values that tie exactly (+0.0 with -0.0 too); then with inf; then with NaN
+TIE_VALUES = [np.array([-0.0, 0.0, 0.25, 0.5, 1.0]),
+              np.array([-0.0, 0.0, 0.25, 0.5, 1.0, np.inf, -np.inf]),
+              np.array([-0.0, 0.0, 0.25, 0.5, 1.0, np.inf, -np.inf, np.nan])]
+
+
+@pytest.mark.parametrize("stages", [1, 2])
+@pytest.mark.parametrize("K", [1, 2, 6, 255])
+def test_prediction_is_np_argmax_of_the_mean_of_the_stage_probabilities(K, stages):
+    """Byte for byte: ties to the lowest class, the first NaN winning, on
+    random arrays where a random share of entries is drawn from TIE_VALUES."""
+    rng = np.random.default_rng(K * 10 + stages)
+    seen = {"tie": 0, "nan": 0, "inf": 0}
+    for trial in range(30):
+        values = TIE_VALUES[trial % 3]
+        probs = []
+        for _ in range(stages):
+            p = rng.random((3, K, 4, 5))
+            pick = rng.random(p.shape) < rng.random()
+            p[pick] = rng.choice(values, size=int(pick.sum()))
+            probs.append(Tensor(p))
+        with ad.no_grad(), np.errstate(invalid="ignore"):   # inf + -inf is NaN
+            mean = ad.mean_tensors(probs).data
+            pred = networks.StageOutputs(probs, clamped=0).prediction()
+        ref = np.argmax(mean, axis=1)
+        assert pred.dtype == np.uint8
+        assert pred.astype(ref.dtype).tobytes() == ref.tobytes()
+        top = np.take_along_axis(mean, ref[:, None], axis=1)
+        seen["tie"] += int(((mean == top).sum(axis=1) > 1).sum())
+        seen["nan"] += int(np.isnan(mean).any(axis=1).sum())
+        seen["inf"] += int(np.isinf(mean).any(axis=1).sum())
+    assert seen["nan"] and seen["inf"] and (seen["tie"] or K == 1)
+
+
+def test_channel_argmax_on_hand_made_rows():
+    rows = [[-0.0, 0.0], [0.0, -0.0], [np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan],
+            [-np.inf, -np.inf], [np.inf, np.inf], [1.0, np.inf], [0.5, 0.5]]
+    p = np.array(rows).reshape(len(rows), 2, 1, 1)
+    pred = networks.channel_argmax(p).ravel().tolist()
+    assert pred == np.argmax(p, axis=1).ravel().tolist() == [0, 0, 0, 1, 0, 0, 0, 1, 0]
+
+
+def test_evaluate_confusion_is_np_argmax_of_a_histnet_batch():
+    """At the default shapes (K = 6, 16x16), one evaluation batch."""
+    net = Network(RunConfig(seed=5))
+    ds = generate(default_spec(), 6, 16, 16, seed=2)
+    with ad.no_grad():
+        _, out = net.loss(Tensor(ds.features), ds.labels)
+    p1, p2 = (p.data for p in out.stage_probs)
+    pred = np.argmax((p1 + p2) / 2, axis=1)
+    conf = np.zeros((6, 6), dtype=np.int64)
+    np.add.at(conf, (ds.labels.ravel(), pred.ravel()), 1)
+    np.testing.assert_array_equal(evaluate(net, ds)["confusion"], conf)
+
+
 @pytest.mark.parametrize("label", [5, 255])
 def test_evaluate_rejects_a_label_outside_the_class_range(label):
     # the loss holds labels to [0, K) before a confusion matrix counts them
@@ -284,10 +344,10 @@ def test_no_grad_loss_records_nothing_and_matches_recorded(mode):
     with ad.no_grad():
         loss_ng, out_ng = net.loss(feats, ds.labels)
     assert ad._STATE.tape == []
-    nodes = [loss_ng, out_ng.final_probs, *out_ng.stage_probs]
+    nodes = [loss_ng, *out_ng.stage_probs]
     assert all(t.grad is None for t in nodes)
     assert loss_ng.item() == loss.item()
-    np.testing.assert_array_equal(out_ng.final_probs.data, out.final_probs.data)
+    np.testing.assert_array_equal(out_ng.prediction(), out.prediction())
     for a, b in zip(out_ng.stage_probs, out.stage_probs):
         np.testing.assert_array_equal(a.data, b.data)
 
@@ -298,8 +358,8 @@ def test_training_backward_skips_the_unused_probability_branch(mode):
     ds = small_data(3, seed=4)
     feats = Tensor(ds.features)
     loss, out = net.loss(feats, ds.labels)
-    # final_probs and the last stage's probabilities feed no loss
-    pruned = [out.final_probs, out.stage_probs[-1]]
+    # the last stage's probabilities feed no loss
+    pruned = [out.stage_probs[-1]]
     ran = []
     for t in pruned:
         inner = t._backward
@@ -360,15 +420,14 @@ def test_phase1_tape_holds_no_base_or_histogram_node(mode):
     pre = networks.PrefixCache(net, ds, 3).take(slice(0, 3))
     loss, out = net.refine(pre, ds.labels)
     tape = ad._STATE.tape
-    # fc, stage-2 head, its softmax and loss, the mean of the stage
-    # probabilities and the mean of the stage losses
-    assert len(tape) == 6
+    # fc, stage-2 head, its softmax and loss, and the mean of the stage losses
+    assert len(tape) == 5
     assert tape[0].shape == (3, net.fc[0].shape[0], 1, 1)
     # the stage-2 logits, then their probabilities
     assert tape[1].shape == out.stage_probs[1].shape
     assert ad._softmax_channels(tape[1].data).tobytes() == out.stage_probs[1].data.tobytes()
     assert tape[2] is out.stage_probs[1]
-    assert tape[4:] == [out.final_probs, loss]
+    assert tape[4:] == [loss]
     # stage 1 is cached data: its probabilities take no gradient
     assert not out.stage_probs[0].requires_grad
     ad.reset_tape()
@@ -406,10 +465,11 @@ def test_refine_on_cached_prefixes_matches_the_loss_pass_bitwise(mode, scale):
         else:
             loss, out = net.loss(Tensor(ds.features[idx]), labels)
         ad.backward(loss)
-        results.append((loss.data.tobytes(), out.final_probs.data.tobytes(), out.clamped,
+        results.append((loss.data.tobytes(), [p.data.tobytes() for p in out.stage_probs],
+                        out.prediction().tobytes(), out.clamped,
                         [p.grad.tobytes() for p in phase1_params(net)]))
     assert results[0] == results[1]
-    assert (results[0][2] > 0) == (scale > 1.0)
+    assert (results[0][3] > 0) == (scale > 1.0)
 
 
 def record_prefixes(monkeypatch, calls):
@@ -506,8 +566,9 @@ def eval_threads():
 def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch, workers):
     """The merged pass gives the loss of the former separate loss pass: recorded
     batch losses weighted by batch length, summed in batch order, over N; and
-    the confusion counts of the per-batch final and stage-1 predictions. The
-    bits do not depend on how many batches run at once."""
+    the confusion counts of `np.argmax` over each batch's mean of the stage
+    probabilities and over its stage-1 probabilities. The bits do not depend
+    on how many batches run at once."""
     net = Network(small_cfg(seed=6))
     ds = small_data(12, seed=8)
     monkeypatch.setattr(networks, "EVAL_BATCH", 5)  # batches of 5, 5 and 2
@@ -522,8 +583,9 @@ def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch, workers):
         labels = ds.labels[start:stop]
         loss, out = net.loss(Tensor(ds.features[start:stop]), labels)
         total += loss.item() * (stop - start)
-        conf += networks._confusion(labels, out.final_probs, K)
-        conf1 += networks._confusion(labels, out.stage_probs[0], K)
+        p1, p2 = (p.data for p in out.stage_probs)
+        conf += networks._confusion(labels, np.argmax((p1 + p2) / 2, axis=1), K)
+        conf1 += networks._confusion(labels, np.argmax(p1, axis=1), K)
         clamped += out.clamped
     ad.reset_tape()
     m = evaluate(net, ds)
