@@ -3,10 +3,10 @@
 Subcommands: gen-data, train, eval, gradcheck, inspect-histogram, compare.
 Exit codes: 0 success, 2 config error, 3 I/O or format error,
 4 verification failure, 5 diverged (in training a parameter became
-non-finite or the loss clamped log 0; in `eval`, or the test pass of
-`train`, the loss clamped log 0, so the logits overflow; the command writes
-no file), 6 out of memory, 130 interrupted (Ctrl-C), 143 terminated
-(SIGTERM).
+non-finite or the loss clamped log 0; in `eval`, or the final evaluation
+of `train`, the loss clamped log 0, as it does when a checkpoint's logits
+overflow; the command writes no file), 6 out of memory, 130 interrupted
+(Ctrl-C), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _load_splits(cfg: RunConfig, data_dir: Path):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _evaluate_finite(net: Network, ds, name: str) -> dict:
+def _evaluate_unclamped(net: Network, ds, name: str) -> dict:
     """`evaluate`, with numpy's overflow and invalid-value warnings off as in
     `train_phase`. A pass whose loss clamped log 0 raises
     TrainingDivergedError: its probabilities underflowed or are NaN, so its
@@ -120,7 +120,7 @@ def _evaluate_finite(net: Network, ds, name: str) -> dict:
     if m["clamped"]:
         raise TrainingDivergedError(
             f"evaluating {name}: the loss clamped log 0 at {m['clamped']} positions; "
-            "the network's logits overflow")
+            "the network's logits diverge")
     return m
 
 
@@ -161,8 +161,8 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
 
     # the last epoch-end val pass ran on the final parameters (base_only
     # copies the base it just trained); without one, evaluate val here
-    val = asdict(rows[-1]) if rows else _evaluate_finite(net, val_ds, "the val split")
-    test = _evaluate_finite(net, splits["test"], "the test split")
+    val = asdict(rows[-1]) if rows else _evaluate_unclamped(net, val_ds, "the val split")
+    test = _evaluate_unclamped(net, splits["test"], "the test split")
     for split, m in (("val", val), ("test", test)):
         summary[f"{split}_per_pixel"] = m["per_pixel"]
         summary[f"{split}_per_class"] = m["per_class"]
@@ -190,7 +190,7 @@ def cmd_eval(cfg: RunConfig, ckpt: Path, data_path: Path, out_dir: Path) -> int:
     ds = _read_matching(cfg, data_path)
     net = Network(cfg)
     load_into(net.params, load_checkpoint(ckpt))
-    m = _evaluate_finite(net, ds, f"{ckpt} on {data_path}")
+    m = _evaluate_unclamped(net, ds, f"{ckpt} on {data_path}")
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"per_pixel: {m['per_pixel']!r}")
     print(f"per_class: {m['per_class']!r}")
