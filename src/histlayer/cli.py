@@ -130,7 +130,9 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
     """Train one model (base pretrain included if needed); returns a summary.
 
     The model's base is the one pretrained here or the base parameters of
-    `base_ckpt`, which may hold more parameters.
+    `base_ckpt`, which may hold more parameters. A context mode's stage-1 val
+    accuracy before and after phase 2 is the `stage1_per_pixel` of each
+    phase's last val row, or, with no epoch, of the one val pass made here.
 
     `seed` and `mode`, when given, replace the configuration's, so the
     network, the schedule and the written `resolved_config.txt` all describe
@@ -155,13 +157,15 @@ def train_run(cfg: RunConfig, out_dir: Path, data_dir: Path,
     names = net.base_param_names
     load_into({n: net.params[n] for n in names}, {n: v for n, v in base.items() if n in names})
     if cfg.mode != "base_only":
-        rows2, phase_info = two_phase_train(net, train_ds, val_ds, cfg)
-        rows += rows2
-        summary.update(phase_info)
+        rows += two_phase_train(net, train_ds, val_ds, cfg)
 
     # the last epoch-end val pass ran on the final parameters (base_only
     # copies the base it just trained); without one, evaluate val here
     val = asdict(rows[-1]) if rows else _evaluate_unclamped(net, val_ds, "the val split")
+    if cfg.mode != "base_only":   # each phase's last val row; with no epoch, that pass
+        ends = {r.phase: r.stage1_per_pixel for r in rows if r.split == "val"}
+        summary.update(stage1_before_phase2=ends.get(1, val["stage1_per_pixel"]),
+                       stage1_after_phase2=ends.get(2, val["stage1_per_pixel"]))
     test = _evaluate_unclamped(net, splits["test"], "the test split")
     for split, m in (("val", val), ("test", test)):
         summary[f"{split}_per_pixel"] = m["per_pixel"]
@@ -418,7 +422,7 @@ def main(argv=None) -> int:
     except MemoryError as e:
         print(f"out of memory: {e}. The largest arrays are a split's (N, max(D, C_feat, "
               "K*B), H, W) features, N the largest of n_train, n_val and n_test, and the "
-              "(n_mc, K, D) draws of the Monte-Carlo ceiling; lower those keys",
+              "(n_mc,) draws of the Monte-Carlo ceiling; lower those keys",
               file=sys.stderr)
         return EXIT_MEMORY
     except KeyboardInterrupt:

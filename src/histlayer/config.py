@@ -98,7 +98,7 @@ class RunConfig:
         arrays = {
             "a split's (N, max(D, C_feat, K*B), H, W)":
                 (n, max(self.D, self.C_feat, self.K * self.B), self.H, self.W),
-            "the n_mc draws' (n_mc, K, D)": (self.n_mc, self.K, self.D),
+            "the n_mc draws' (n_mc,)": (self.n_mc,),
         }
         for name, shape in arrays.items():
             nbytes = 8 * math.prod(shape)

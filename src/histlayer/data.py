@@ -173,6 +173,9 @@ def _bayes_predict(spec: SceneSpec, x: np.ndarray) -> np.ndarray:
     return np.argmax(score, axis=1)
 
 
+MC_CHUNK = 8192   # rows of the Monte-Carlo ceiling's draws per prediction
+
+
 def local_bayes_ceiling(spec: SceneSpec, n_mc: int, seed: int) -> float:
     """Monte-Carlo best per-pixel accuracy from a single pixel's feature.
 
@@ -186,10 +189,16 @@ def local_bayes_ceiling(spec: SceneSpec, n_mc: int, seed: int) -> float:
     scenes = rng.integers(spec.S, size=n_mc)
     u = rng.random(n_mc)
     cdf = np.cumsum(spec.class_priors, axis=1)
-    labels = (u[:, None] > cdf[scenes]).sum(axis=1)
-    x = spec.class_means[labels] + spec.noise_sigma * rng.standard_normal((n_mc, spec.D))
-    pred = _bayes_predict(spec, x)
-    return float(np.mean(pred == labels))
+    correct = 0
+    # in row chunks, so no (n_mc, K, D) distance array is made; the normal
+    # draws come in the order one (n_mc, D) draw gives them
+    for start in range(0, n_mc, MC_CHUNK):
+        stop = min(start + MC_CHUNK, n_mc)
+        labels = (u[start:stop, None] > cdf[scenes[start:stop]]).sum(axis=1)
+        x = spec.noise_sigma * rng.standard_normal((stop - start, spec.D))
+        x += spec.class_means[labels]
+        correct += np.count_nonzero(_bayes_predict(spec, x) == labels)
+    return float(correct / n_mc)
 
 
 # --------------------------------------------------------------------------

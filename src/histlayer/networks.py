@@ -414,9 +414,9 @@ def train_base(net: Network, train_ds, val_ds, schedule: RunConfig) -> list[LogR
     return train_phase(net, train_ds, val_ds, trainable, schedule, phase=0)
 
 
-def two_phase_train(net: Network, train_ds, val_ds, schedule: RunConfig):
-    """Incremental training of a network whose base the caller has loaded:
-    new layers first, then everything jointly.
+def two_phase_train(net: Network, train_ds, val_ds, schedule: RunConfig) -> list[LogRow]:
+    """Incremental training of a network whose base the caller has loaded,
+    new layers first, then everything jointly; returns both phases' log rows.
 
     Phase 1 trains only the context FC layer and the stage-2 head; the base
     and the histogram bins stay fixed, so `train_phase` runs it on cached
@@ -426,11 +426,6 @@ def two_phase_train(net: Network, train_ds, val_ds, schedule: RunConfig):
     """
     if net.cfg.mode == "base_only":
         raise ValueError("two_phase_train needs a context-refinement mode")
-    rows = train_phase(net, train_ds, val_ds, [*net.fc, *net.head], schedule, phase=1)
-    rows2 = train_phase(net, train_ds, val_ds, list(net.params.values()), schedule, phase=2)
-    if rows2:
-        before, after = rows[-1].stage1_per_pixel, rows2[-1].stage1_per_pixel
-    else:  # no epochs: no epoch-end pass ran and no parameter moved
-        before = after = evaluate(net, val_ds)["stage1_per_pixel"]
-    return rows + rows2, {"stage1_before_phase2": before, "stage1_after_phase2": after}
+    return (train_phase(net, train_ds, val_ds, [*net.fc, *net.head], schedule, phase=1)
+            + train_phase(net, train_ds, val_ds, list(net.params.values()), schedule, phase=2))
 

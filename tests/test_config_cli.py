@@ -367,7 +367,7 @@ def test_train_out_of_memory_keeps_an_existing_out(tmp_path):
     assert sorted(p.name for p in (tmp_path / "data").iterdir()) == before
 
 
-@pytest.mark.parametrize("key, per_entry", [("n_mc", 6 * 8 * 8), ("H", 2000 * 36 * 16 * 8)],
+@pytest.mark.parametrize("key, per_entry", [("n_mc", 8), ("H", 2000 * 36 * 16 * 8)],
                          ids=["n_mc-draws", "split"])
 def test_largest_array_size_bound_is_exact(key, per_entry):
     """Sizes pass while the largest array's byte count fits an intp."""
@@ -617,8 +617,8 @@ def test_eval_reproduces_final_log_metrics(trained, capsys):
 
 
 @pytest.mark.parametrize("mode,with_base,epochs,passes", [
-    ("histnet", True, 2, 5), ("histnet", False, 2, 7), ("histnet", True, 0, 3),
-    ("base_only", True, 2, 2), ("base_only", False, 2, 3)])
+    ("histnet", True, 2, 5), ("histnet", False, 2, 7), ("histnet", True, 0, 2),
+    ("score_global", True, 0, 2), ("base_only", True, 2, 2), ("base_only", False, 2, 3)])
 def test_train_run_evaluates_val_once_per_parameter_state(trained, monkeypatch, tmp_path,
                                                           mode, with_base, epochs, passes):
     calls = []
@@ -633,8 +633,13 @@ def test_train_run_evaluates_val_once_per_parameter_state(trained, monkeypatch, 
     cfg = load_config(None, SMALL[1::2] + [f"epochs={epochs}"])
     base = trained["run"] / "base.hprm" if with_base else None
     summary = cli.train_run(cfg, tmp_path, trained["data"], base_ckpt=base, mode=mode)
-    # one epoch-end pass per trained epoch, then test; histnet's 2 * epochs + 1
+    # one val pass per trained epoch of each phase, or one when no epoch ran
+    # or a base_only model was loaded, then one test pass
     assert len(calls) == passes
+    # cmd_train prints the summary in this order
+    stage1 = [] if mode == "base_only" else ["stage1_before_phase2", "stage1_after_phase2"]
+    assert list(summary) == ["mode", "seed", *stage1, "val_per_pixel", "val_per_class",
+                             "test_per_pixel", "test_per_class", "census", "log_rows"]
 
     # the same values as separate passes over the final parameters
     net = Network(replace(cfg, mode=mode))
@@ -643,8 +648,10 @@ def test_train_run_evaluates_val_once_per_parameter_state(trained, monkeypatch, 
         m = real(net, read_dataset(trained["data"] / f"{split}.hctx"))
         assert summary[f"{split}_per_pixel"] == m["per_pixel"]
         assert summary[f"{split}_per_class"] == m["per_class"]
-        if split == "val" and mode == "histnet":
+        if split == "val" and stage1:
             assert summary["stage1_after_phase2"] == m["stage1_per_pixel"]
+            if not epochs:   # no parameter moved, so one pass gives both
+                assert summary["stage1_before_phase2"] == m["stage1_per_pixel"]
 
 
 def test_diverging_run_exits_5_without_final_checkpoint(trained, tmp_path, capsys):

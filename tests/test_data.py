@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 
 from histlayer.cli import main
-from histlayer.data import (ContextDataset, DatasetFormatError, SceneSpec, default_spec,
-                            generate, local_bayes_ceiling, read_dataset, write_dataset)
+from histlayer.data import (MC_CHUNK, ContextDataset, DatasetFormatError, SceneSpec,
+                            _bayes_predict, default_spec, generate, local_bayes_ceiling,
+                            read_dataset, write_dataset)
 
 
 def test_default_spec_is_valid():
@@ -148,6 +149,28 @@ def test_ceiling_invariant_to_class_relabeling():
     c1 = local_bayes_ceiling(spec, 150000, seed=5)
     c2 = local_bayes_ceiling(relabeled, 150000, seed=6)
     assert c1 == pytest.approx(c2, abs=0.01)
+
+
+def whole_array_ceiling(spec, n_mc, seed):
+    """The ceiling from all n_mc draws at once, with an (n_mc, K, D) distance
+    array: the reference for `local_bayes_ceiling`'s row chunks."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scenes = rng.integers(spec.S, size=n_mc)
+    u = rng.random(n_mc)
+    cdf = np.cumsum(spec.class_priors, axis=1)
+    labels = (u[:, None] > cdf[scenes]).sum(axis=1)
+    x = spec.class_means[labels] + spec.noise_sigma * rng.standard_normal((n_mc, spec.D))
+    return float(np.mean(_bayes_predict(spec, x) == labels))
+
+
+@pytest.mark.parametrize("n_mc", [1, 7, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 2 * MC_CHUNK + 3])
+@pytest.mark.parametrize("spec", [default_spec(), default_spec(noise_sigma=0.0),
+                                  default_spec(K=7, D=9, noise_sigma=1.3)],
+                         ids=["default", "sigma0", "K7-D9"])
+def test_ceiling_matches_the_whole_array_pass_bit_for_bit(spec, n_mc):
+    for seed in (0, 11):
+        got, want = local_bayes_ceiling(spec, n_mc, seed), whole_array_ceiling(spec, n_mc, seed)
+        assert repr(got) == repr(want)
 
 
 def test_ceiling_rejects_bad_mc_count():

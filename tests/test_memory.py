@@ -1,5 +1,5 @@
-"""Peak memory of histogram and evaluation passes and of dataset files, as
-byte counts of the allocations tracemalloc sees (numpy reports its array
+"""Peak memory of histogram and evaluation passes, of dataset files and of
+the Monte-Carlo ceiling, as byte counts of the allocations tracemalloc sees (numpy reports its array
 buffers to it), so each bound holds on any machine."""
 
 import contextlib
@@ -12,7 +12,8 @@ import histlayer.autodiff as ad
 from histlayer.autodiff import Parameter, Tensor
 from histlayer import networks
 from histlayer.config import RunConfig
-from histlayer.data import ContextDataset, default_spec, generate, read_dataset, write_dataset
+from histlayer.data import (ContextDataset, default_spec, generate, local_bayes_ceiling,
+                            read_dataset, write_dataset)
 from histlayer.histogram import hist_forward_direct, init_params
 from histlayer.networks import Network
 
@@ -149,3 +150,10 @@ def test_read_dataset_peaks_below_one_and_a_twentieth_feature_arrays(tmp_path):
     peak, back = peak_bytes(lambda: read_dataset(tmp_path / "d.hctx"))
     assert back.features.tobytes() == ds.features.tobytes()
     assert peak < 1.05 * ds.features.nbytes
+
+
+def test_local_bayes_ceiling_peaks_below_16_mb():
+    """The default 200000 draws are predicted in row chunks: one (n_mc, K, D)
+    distance array would take 77 MB on its own."""
+    peak, _ = peak_bytes(lambda: local_bayes_ceiling(default_spec(), 200000, 0))
+    assert peak < 16e6

@@ -732,11 +732,12 @@ def test_two_phase_train_moves_bins_in_phase_two():
     net = Network(small_cfg())
     copy_base(net, base)
     bins_before = net.hist.centers.data.copy()
-    rows, stage1 = two_phase_train(net, ds, val, schedule())
+    rows = two_phase_train(net, ds, val, schedule())
     assert any(r.phase == 1 for r in rows) and any(r.phase == 2 for r in rows)
     assert not np.array_equal(net.hist.centers.data, bins_before)
-    assert 0.0 <= stage1["stage1_before_phase2"] <= 1.0
-    assert 0.0 <= stage1["stage1_after_phase2"] <= 1.0
+    for r in rows:
+        if r.split == "val":
+            assert 0.0 <= r.stage1_per_pixel <= 1.0
 
 
 def stage1_per_pixel(net, ds):
@@ -748,6 +749,9 @@ def stage1_per_pixel(net, ds):
 
 @pytest.mark.parametrize("epochs", [2, 0])
 def test_two_phase_train_takes_stage1_from_the_epoch_end_passes(monkeypatch, epochs):
+    """Each phase's last val row holds the stage-1 accuracy of a separate
+    pass after that phase, and the phases evaluate val once per epoch and
+    at no other time; `cli.train_run` reads its stage-1 keys from these rows."""
     ds, val = small_data(16, seed=3), small_data(8, seed=4)
     base = Network(small_cfg("base_only"))
     train_base(base, ds, val, schedule())
@@ -764,9 +768,10 @@ def test_two_phase_train_takes_stage1_from_the_epoch_end_passes(monkeypatch, epo
     monkeypatch.setattr(networks, "evaluate", lambda *a: calls.append(a) or real(*a))
     net = Network(small_cfg())
     copy_base(net, base)
-    _, stage1 = two_phase_train(net, ds, val, schedule(epochs))
-    assert stage1 == {"stage1_before_phase2": before, "stage1_after_phase2": after}
-    assert len(calls) == max(2 * epochs, 1)
+    rows = two_phase_train(net, ds, val, schedule(epochs))
+    ends = {r.phase: r.stage1_per_pixel for r in rows if r.split == "val"}
+    assert ends == ({1: before, 2: after} if epochs else {})
+    assert len(calls) == 2 * epochs
 
 
 def test_train_phase_names_the_first_non_finite_parameter():
