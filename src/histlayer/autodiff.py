@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LOG_ZERO = -745.0   # softmax_xent's clamped log 0
-
 
 class ShapeError(ValueError):
     """Raised when tensor shapes do not satisfy an op's contract."""
@@ -350,11 +348,11 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
     labels is an integer (N,H,W) map, every label in [0, K), the contract
     `data.read_dataset` holds its files to. Returns (scalar loss,
     probability tensor); both are graph nodes, so gradients flow into the
-    logits from either. The loss tensor's `clamped` attribute counts the
-    positions whose picked probability underflowed to 0, where log 0 is
-    clamped to LOG_ZERO: a logit gap above 745, which only a diverging
-    network reaches. Its `logp` attribute holds the (N,H,W) log probability
-    of each position's label.
+    logits from either. The loss is the mean of -log p over the positions,
+    p the probability of each position's label. It is inf when some p
+    underflowed to 0, a logit gap above 745 that only a diverging network
+    reaches, and NaN when some p is NaN, as overflowing logits make it;
+    the gradient stays finite either way.
     """
     n, k, h, w = logits.shape
     labels = np.asarray(labels)
@@ -368,41 +366,37 @@ def softmax_xent(logits: Tensor, labels: np.ndarray):
 
     probs = softmax(logits)
     p = probs.data
-    # flat index of (image, label, row, col) in p; uint8 labels would
-    # overflow the products, so widen them first
-    flat = ((np.arange(n).reshape(n, 1, 1) * k + labels.astype(np.intp)) * (h * w)
-            + np.arange(h * w).reshape(h, w))
-    picked = p.reshape(-1)[flat]
-    logp = np.log(picked, where=picked > 0, out=np.full(picked.shape, LOG_ZERO))
+    flat, loss = _xent(p, labels)
 
     def _bw():
         g = loss_node.grad.reshape(-1)[0]
         d = p.copy()
         d.reshape(-1)[flat] -= 1.0
-        d *= g / logp.size
+        d *= g / flat.size
         _accumulate(logits, d)
 
-    loss_node = _node(np.zeros((1, 1, 1, 1)), _bw, logits)
-    _set_xent_value(loss_node, logp)
+    loss_node = _node(loss, _bw, logits)
     return loss_node, probs
 
 
-def _set_xent_value(loss: Tensor, logp: np.ndarray) -> None:
-    """Give a (1,1,1,1) loss tensor the mean of -logp, its `clamped` count
-    and `logp` itself. A positive double's log is at least -744.5, so
-    LOG_ZERO marks exactly the clamped positions."""
-    loss.data[...] = -logp.sum() / logp.size
-    loss.clamped = int(np.count_nonzero(logp == LOG_ZERO))
-    loss.logp = logp
+def _xent(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat index of each position's label probability in `p` and the
+    (1,1,1,1) mean of -log of those probabilities. log 0 is -inf without a
+    warning: the loss that holds it reports the divergence."""
+    n, k, h, w = p.shape
+    # flat index of (image, label, row, col) in p; uint8 labels would
+    # overflow the products, so widen them first
+    flat = ((np.arange(n).reshape(n, 1, 1) * k + labels.astype(np.intp)) * (h * w)
+            + np.arange(h * w).reshape(h, w))
+    with np.errstate(divide="ignore"):
+        log_picked = np.log(p.reshape(-1)[flat])
+    return flat, np.full((1, 1, 1, 1), -log_picked.sum() / log_picked.size)
 
 
-def xent_from_logp(logp: np.ndarray) -> Tensor:
-    """The loss `softmax_xent` gives for the per-position label log
-    probabilities `logp`, unrecorded: the same expression on the same
-    values, so the same bits."""
-    loss = Tensor(np.zeros((1, 1, 1, 1)))
-    _set_xent_value(loss, logp)
-    return loss
+def xent_from_probs(p: np.ndarray, labels: np.ndarray) -> Tensor:
+    """The loss `softmax_xent` gives for the probabilities `p` and `labels`,
+    unrecorded: the same expression on the same values, so the same bits."""
+    return Tensor(_xent(p, labels)[1])
 
 
 def mean_tensors(terms: list[Tensor]) -> Tensor:

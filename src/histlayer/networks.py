@@ -37,7 +37,7 @@ class Prefix:
     of it, so `PrefixCache` keeps it per image."""
     feats: Tensor
     probs: Tensor           # stage-1 probabilities
-    loss: Tensor            # stage-1 loss, with its `clamped` and `logp`
+    loss: Tensor            # stage-1 loss
     summary: Tensor | None  # the context fc layer's input; None for base_only
 
 
@@ -56,7 +56,6 @@ def channel_argmax(p: np.ndarray) -> np.ndarray:
 @dataclass
 class StageOutputs:
     stage_probs: list
-    clamped: int    # positions whose loss clamped log 0 (see ad.softmax_xent)
 
     def prediction(self) -> np.ndarray:
         """The class each position predicts: the argmax over the mean of the
@@ -156,8 +155,7 @@ class Network:
             loss2, probs2 = ad.softmax_xent(logits, labels)
             losses.append(loss2)
             probs.append(probs2)
-        outputs = StageOutputs(probs, sum(t.clamped for t in losses))
-        return ad.mean_tensors(losses), outputs
+        return ad.mean_tensors(losses), StageOutputs(probs)
 
     def loss(self, features: Tensor, labels: np.ndarray):
         """The network's one pass: (mean of the stage losses, StageOutputs)."""
@@ -172,15 +170,15 @@ class PrefixCache:
     """Every image's `Prefix` under a context-mode network's current
     parameters, for a phase that cannot change them. Stage 1 and the
     summaries work per image, and the stage-1 loss of a batch is rebuilt
-    from the gathered log probabilities by `ad.xent_from_logp`, so a
-    gathered batch holds the bits its own `prefix` pass would give."""
+    from the gathered probabilities and the batch's labels by
+    `ad.xent_from_probs`, so a gathered batch holds the bits its own
+    `prefix` pass would give."""
 
     TENSORS = ("feats", "probs", "summary")
 
     def __init__(self, net: Network, dataset, batch_size: int):
         n = len(dataset)
         self.tensors: dict[str, np.ndarray] = {}
-        self.logp: np.ndarray | None = None
         # filled in place: gathering per-batch parts first would hold the
         # cache twice at its peak
         with ad.no_grad():
@@ -188,19 +186,18 @@ class PrefixCache:
                 stop = min(start + batch_size, n)
                 pre = net.prefix(Tensor(dataset.features[start:stop]),
                                  dataset.labels[start:stop])
-                if self.logp is None:
-                    self.logp = np.empty((n, *pre.loss.logp.shape[1:]))
+                if not self.tensors:
                     for name in self.TENSORS:
                         part = getattr(pre, name).data
                         self.tensors[name] = np.empty((n, *part.shape[1:]))
-                self.logp[start:stop] = pre.loss.logp
                 for name, arr in self.tensors.items():
                     arr[start:stop] = getattr(pre, name).data
 
-    def take(self, idx) -> Prefix:
-        """The prefix of the images at `idx` (indices or a slice)."""
-        return Prefix(loss=ad.xent_from_logp(self.logp[idx]),
-                      **{name: Tensor(arr[idx]) for name, arr in self.tensors.items()})
+    def take(self, idx, labels: np.ndarray) -> Prefix:
+        """The prefix of the images at `idx` (indices or a slice), whose
+        labels are `labels`."""
+        tensors = {name: Tensor(arr[idx]) for name, arr in self.tensors.items()}
+        return Prefix(loss=ad.xent_from_probs(tensors["probs"].data, labels), **tensors)
 
 
 def parameter_census(net: Network) -> dict:
@@ -238,7 +235,7 @@ def _batch_pass(net: Network, dataset, idx, labels: np.ndarray,
     a cache is given."""
     if cache is None:
         return net.loss(Tensor(dataset.features[idx]), labels)
-    return net.refine(cache.take(idx), labels)
+    return net.refine(cache.take(idx, labels), labels)
 
 
 def _usable_cores() -> int:
@@ -251,20 +248,21 @@ def _usable_cores() -> int:
 
 def _batch_result(net: Network, dataset, start: int, stop: int,
                   cache: PrefixCache | None):
-    """An evaluation batch's length-weighted loss, final and stage-1
-    confusion matrices and clamped count."""
+    """An evaluation batch's length-weighted loss and its final and stage-1
+    confusion matrices."""
     labels = dataset.labels[start:stop]
     loss, out = _batch_pass(net, dataset, slice(start, stop), labels, cache)
     K = net.cfg.K
     return (loss.item() * (stop - start), _confusion(labels, out.prediction(), K),
-            _confusion(labels, channel_argmax(out.stage_probs[0].data), K), out.clamped)
+            _confusion(labels, channel_argmax(out.stage_probs[0].data), K))
 
 
 def evaluate(net: Network, dataset, cache: PrefixCache | None = None) -> dict:
     """Mean loss, per-pixel accuracy and unweighted mean per-class recall,
     from one forward-only pass in EVAL_BATCH batches, plus the per-pixel
-    accuracy of the stage-1 prediction (`stage1_per_pixel`) and the number
-    of positions whose loss clamped log 0 (`clamped`, see `ad.softmax_xent`).
+    accuracy of the stage-1 prediction (`stage1_per_pixel`). The loss is
+    not finite when a position's probabilities underflowed or are NaN (see
+    `ad.softmax_xent`).
     The confusion matrix has rows = true class, columns = predicted class
     (`StageOutputs.prediction`: argmax, ties to lowest; a position whose
     probabilities hold a NaN predicts the first NaN's class). The loss is
@@ -285,7 +283,6 @@ def evaluate(net: Network, dataset, cache: PrefixCache | None = None) -> dict:
     conf = np.zeros((K, K), dtype=np.int64)
     conf1 = np.zeros_like(conf)
     total = 0.0
-    clamped = 0
     bounds = [(start, min(start + EVAL_BATCH, n)) for start in range(0, n, EVAL_BATCH)]
     workers = min(_usable_cores(), len(bounds))
     with ad.no_grad():
@@ -302,22 +299,19 @@ def evaluate(net: Network, dataset, cache: PrefixCache | None = None) -> dict:
                 parts = [f.result() for f in futures]
             finally:
                 pool.shutdown(cancel_futures=True)
-        for loss, c, c1, cl in parts:
+        for loss, c, c1 in parts:
             total += loss
             conf += c
             conf1 += c1
-            clamped += cl
     return {**metrics_from_confusion(conf), "loss": total / n,
-            "stage1_per_pixel": metrics_from_confusion(conf1)["per_pixel"],
-            "clamped": clamped}
+            "stage1_per_pixel": metrics_from_confusion(conf1)["per_pixel"]}
 
 
 # --------------------------------------------------------------------------
 # training
 
 class TrainingDivergedError(ArithmeticError):
-    """A parameter stopped being finite, or the loss clamped log 0, during
-    training."""
+    """A parameter or the loss stopped being finite during training."""
 
 
 @dataclass
@@ -339,13 +333,15 @@ def _check_finite(net: Network, phase: int, epoch: int) -> None:
                 f"{p.name} holds a non-finite value; lower lr")
 
 
-def _check_clamped(net: Network, phase: int, epoch: int, clamped: int) -> None:
-    if clamped:
-        big = max(net.params.values(), key=lambda p: np.abs(p.data).max())
-        raise TrainingDivergedError(
-            f"training diverged in phase {phase}, epoch {epoch}: the loss clamped log 0 "
-            f"at {clamped} positions, and parameter {big.name} reaches magnitude "
-            f"{np.abs(big.data).max():.3g}; lower lr")
+def _check_losses(net: Network, phase: int, epoch: int, losses: dict) -> None:
+    """Raise when a split's loss in `losses` is not finite, naming the first."""
+    for split, loss in losses.items():
+        if not np.isfinite(loss):
+            big = max(net.params.values(), key=lambda p: np.abs(p.data).max())
+            raise TrainingDivergedError(
+                f"training diverged in phase {phase}, epoch {epoch}: the {split} loss is "
+                f"{loss}, and parameter {big.name} reaches magnitude "
+                f"{np.abs(big.data).max():.3g}; lower lr")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -359,9 +355,9 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
     forward passes, val metrics come from a full evaluation pass at each
     epoch end, so the last val row describes the parameters the phase ends
     with. Raises TrainingDivergedError after an epoch that leaves a
-    parameter non-finite or whose train steps or val pass clamped log 0 in
-    the loss: a picked probability underflowed to 0, so the logits are
-    diverging even where every value stays finite. numpy's overflow and
+    parameter non-finite or whose train or val loss is not finite: a
+    label's probability underflowed to 0 or is NaN, so the logits are
+    diverging even where every parameter stays finite. numpy's overflow and
     invalid-value warnings are off in the phase, so that error is the one
     report of a divergence.
 
@@ -384,7 +380,7 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
         lr = schedule.lr * (schedule.lr_decay if epoch >= schedule.decay_epoch else 1.0)
         perm = rng.permutation(n)
         conf = np.zeros((K, K), dtype=np.int64)
-        loss_sum, seen, clamped = 0.0, 0, 0
+        loss_sum, seen = 0.0, 0
         for start in range(0, n, schedule.batch_size):
             idx = perm[start:start + schedule.batch_size]
             labels = train_ds.labels[idx]
@@ -396,13 +392,12 @@ def train_phase(net: Network, train_ds, val_ds, trainable: list[Parameter],
             loss_sum += loss.item() * len(idx)
             seen += len(idx)
             conf += _confusion(labels, out.prediction(), K)
-            clamped += out.clamped
         train_m = metrics_from_confusion(conf)
         rows.append(LogRow(phase, epoch, "train", loss_sum / seen,
                            train_m["per_pixel"], train_m["per_class"]))
         _check_finite(net, phase, epoch)
         val_m = evaluate(net, val_ds, val_cache)
-        _check_clamped(net, phase, epoch, clamped + val_m["clamped"])
+        _check_losses(net, phase, epoch, {"train": rows[-1].loss, "val": val_m["loss"]})
         rows.append(LogRow(phase, epoch, "val", val_m["loss"], val_m["per_pixel"],
                            val_m["per_class"], val_m["stage1_per_pixel"]))
     return rows

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import warnings
 import weakref
 
 import numpy as np
@@ -409,14 +410,34 @@ def test_softmax_xent_bit_equal_to_take_along_axis_reference(rng):
 
     p = probs.data
     picked = np.take_along_axis(p, labels[:, None], axis=1)[:, 0]
-    logp = np.log(picked, where=picked > 0, out=np.full_like(picked, -745.0))
-    want_loss = -logp.sum() / labels.size
+    with np.errstate(divide="ignore"):
+        want_loss = -np.log(picked).sum() / labels.size
     onehot = np.zeros_like(p)
     np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
     want_grad = np.zeros_like(p) + (p - onehot) * (1.0 / labels.size)
+    assert want_loss == np.inf
     assert loss.data.tobytes() == np.full((1, 1, 1, 1), want_loss).tobytes()
     assert logits.grad.tobytes() == want_grad.tobytes()
-    assert loss.clamped == 1
+
+
+def test_softmax_xent_underflow_gives_an_inf_loss_without_a_warning():
+    """log 0 is -inf without numpy's divide warning, and the gradient keeps
+    the bits of p - onehot over the position count."""
+    logits_arr = np.zeros((1, 3, 1, 2))
+    logits_arr[0, 0, 0, 1] = 800.0      # label 2 there underflows to p = 0
+    labels = np.array([[[2, 2]]])
+    logits = Parameter(logits_arr)
+    ad.reset_tape()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, probs = ad.softmax_xent(logits, labels)
+        ad.backward(loss)
+    assert loss.item() == np.inf
+    onehot = np.zeros_like(logits_arr)
+    onehot[0, 2] = 1.0
+    want_grad = np.zeros_like(logits_arr) + (probs.data - onehot) * (1.0 / 2)
+    assert np.isfinite(logits.grad).all()
+    assert logits.grad.tobytes() == want_grad.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -704,7 +725,9 @@ def test_forward_backward_stay_finite(seed):
     ad.reset_tape()
     loss, probs = ad.softmax_xent(ad.conv1x1(ad.abs_elem(x), w, b), labels)
     ad.backward(loss)
-    assert np.isfinite(loss.item())
+    picked = np.take_along_axis(probs.data, labels[:, None], axis=1)
+    # the loss is finite exactly when no label's probability underflowed
+    assert np.isfinite(loss.item()) == (picked > 0).all()
     assert np.all(np.isfinite(probs.data))
     assert np.all(np.isfinite(x.grad))
     assert np.all(np.isfinite(w.grad))

@@ -266,7 +266,7 @@ def test_no_accepted_configuration_ends_in_a_traceback_or_a_warning(tmp_path_fac
 
 def test_eval_of_a_checkpoint_whose_logits_overflow_exits_5(tmp_path):
     """Stage-2 logits of about ±1e308 overflow to NaN probabilities: one
-    diverged: line with the clamped count, no warning and no file."""
+    diverged: line naming the NaN loss, no warning and no file."""
     sizes = []
     for kv in ("n_train=8", "n_val=4", "n_test=4", "H=4", "W=4", "epochs=1",
                "decay_epoch=1"):
@@ -282,11 +282,11 @@ def test_eval_of_a_checkpoint_whose_logits_overflow_exits_5(tmp_path):
                               str(tmp_path / "data" / "test.hctx")] + sizes)
     assert rc == cli.EXIT_DIVERGED
     assert err.startswith("diverged: ") and err.count("\n") == 1, err
-    assert "the loss clamped log 0 at " in err
+    assert "the loss is nan; the network's logits diverge" in err
     assert not (tmp_path / "eval").exists()
 
 
-def test_train_whose_final_pass_clamps_exits_5_without_outputs(tmp_path):
+def test_train_whose_final_loss_is_not_finite_exits_5_without_outputs(tmp_path):
     """With no epoch, no epoch-end pass checks the loss; the final
     evaluation does. Features of about 1e100 overflow the untrained logits."""
     sizes = TINY + ["--set", "noise_sigma=1e100", "--set", "epochs=0"]
@@ -294,7 +294,7 @@ def test_train_whose_final_pass_clamps_exits_5_without_outputs(tmp_path):
     rc, err = run_in_process(["train", "--out", str(tmp_path / "run")] + sizes
                              + ["--data", str(tmp_path)])
     assert rc == cli.EXIT_DIVERGED
-    assert err.startswith("diverged: evaluating the val split: the loss clamped log 0"), err
+    assert err.startswith("diverged: evaluating the val split: the loss is "), err
     assert not (tmp_path / "run").exists()
 
 
@@ -673,16 +673,18 @@ def test_diverging_run_prints_one_line(trained, tmp_path):
     assert not (tmp_path / "run" / "final.hprm").exists()
 
 
-def test_finite_blow_up_exits_5_without_outputs(tmp_path, capsys):
-    # parameters grow to ~1e53 and stay finite; the loss clamps log 0
+def test_finite_blow_up_exits_5_without_outputs(tmp_path):
+    # parameters grow to ~1e53 and stay finite; a label's probability
+    # underflows to 0, so the loss is inf
     sizes = []
     for kv in ("n_train=40", "n_val=20", "n_test=20", "H=8", "W=8",
                "epochs=2", "decay_epoch=1"):
         sizes += ["--set", kv]
-    assert main(["gen-data", "--out", str(tmp_path)] + sizes) == 0
-    rc = main(["train", "--out", str(tmp_path)] + sizes + ["--set", "lr=1e6"])
+    assert run_in_process(["gen-data", "--out", str(tmp_path)] + sizes)[0] == 0
+    rc, err = run_in_process(["train", "--out", str(tmp_path)] + sizes + ["--set", "lr=1e6"])
     assert rc == 5
-    assert "the loss clamped log 0" in capsys.readouterr().err
+    assert err.startswith("diverged: training diverged in phase ") and err.count("\n") == 1, err
+    assert " loss is inf, and parameter " in err
     assert not (tmp_path / "final.hprm").exists()
     assert not (tmp_path / "log.csv").exists()
 
@@ -933,6 +935,6 @@ def test_gradcheck_corrupt_leaves_unrecorded_outputs_alone(monkeypatch, capsys):
     assert seen == [False, True]
 
 
-@pytest.mark.parametrize("op", ["frobnicate", "backward", "LOG_ZERO"])
+@pytest.mark.parametrize("op", ["frobnicate", "backward", "no_grad"])
 def test_gradcheck_corrupt_unknown_op_exits_2(capsys, op):
     assert main(["gradcheck", "--corrupt", op]) == 2

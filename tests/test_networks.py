@@ -293,7 +293,7 @@ def test_prediction_is_np_argmax_of_the_mean_of_the_stage_probabilities(K, stage
             probs.append(Tensor(p))
         with ad.no_grad(), np.errstate(invalid="ignore"):   # inf + -inf is NaN
             mean = ad.mean_tensors(probs).data
-            pred = networks.StageOutputs(probs, clamped=0).prediction()
+            pred = networks.StageOutputs(probs).prediction()
         ref = np.argmax(mean, axis=1)
         assert pred.dtype == np.uint8
         assert pred.astype(ref.dtype).tobytes() == ref.tobytes()
@@ -417,7 +417,7 @@ def test_phase1_step_gives_the_full_graph_gradients_bitwise(mode):
 def test_phase1_tape_holds_no_base_or_histogram_node(mode):
     net = Network(small_cfg(mode, seed=3))
     ds = small_data(3, seed=4)
-    pre = networks.PrefixCache(net, ds, 3).take(slice(0, 3))
+    pre = networks.PrefixCache(net, ds, 3).take(slice(0, 3), ds.labels)
     loss, out = net.refine(pre, ds.labels)
     tape = ad._STATE.tape
     # fc, stage-2 head, its softmax and loss, and the mean of the stage losses
@@ -443,13 +443,17 @@ def test_prefix_of_a_batch_equals_the_per_image_prefixes(mode):
                    for i in range(len(ds))]
 
     def parts(pre):
-        return [pre.feats.data, pre.probs.data, pre.loss.logp, pre.summary.data]
+        return [pre.feats.data, pre.probs.data, pre.summary.data]
 
     for whole, *per_image in zip(parts(batch), *map(parts, singles)):
         assert np.concatenate(per_image).tobytes() == whole.tobytes()
+    # each image's loss, rebuilt from the batch's probabilities, is its own pass's
+    for i, single in enumerate(singles):
+        loss = ad.xent_from_probs(batch.probs.data[i:i + 1], ds.labels[i:i + 1])
+        assert loss.data.tobytes() == single.loss.data.tobytes()
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e6])   # 1e6: stage 1 clamps log 0
+@pytest.mark.parametrize("scale", [1.0, 1e6])   # 1e6: stage 1 underflows, the loss is inf
 @pytest.mark.parametrize("mode", CONTEXT_MODES)
 def test_refine_on_cached_prefixes_matches_the_loss_pass_bitwise(mode, scale):
     ds = small_data(7, seed=4)
@@ -460,16 +464,16 @@ def test_refine_on_cached_prefixes_matches_the_loss_pass_bitwise(mode, scale):
         net = Network(small_cfg(mode, seed=3))
         net.params["base.cls.w"].data *= scale
         if cached:  # filled in chunks of 2, which split the batch differently
-            pre = networks.PrefixCache(net, ds, batch_size=2).take(idx)
+            pre = networks.PrefixCache(net, ds, batch_size=2).take(idx, labels)
             loss, out = net.refine(pre, labels)
         else:
             loss, out = net.loss(Tensor(ds.features[idx]), labels)
         ad.backward(loss)
         results.append((loss.data.tobytes(), [p.data.tobytes() for p in out.stage_probs],
-                        out.prediction().tobytes(), out.clamped,
+                        out.prediction().tobytes(), loss.item(),
                         [p.grad.tobytes() for p in phase1_params(net)]))
     assert results[0] == results[1]
-    assert (results[0][3] > 0) == (scale > 1.0)
+    assert np.isfinite(results[0][3]) == (scale == 1.0)
 
 
 def record_prefixes(monkeypatch, calls):
@@ -577,7 +581,6 @@ def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch, workers):
     total = 0.0
     conf = np.zeros((K, K), dtype=np.int64)
     conf1 = np.zeros_like(conf)
-    clamped = 0
     for start in range(0, len(ds), 5):
         stop = min(start + 5, len(ds))
         labels = ds.labels[start:stop]
@@ -586,13 +589,11 @@ def test_evaluate_loss_matches_recorded_two_pass_value(monkeypatch, workers):
         p1, p2 = (p.data for p in out.stage_probs)
         conf += networks._confusion(labels, np.argmax((p1 + p2) / 2, axis=1), K)
         conf1 += networks._confusion(labels, np.argmax(p1, axis=1), K)
-        clamped += out.clamped
     ad.reset_tape()
     m = evaluate(net, ds)
     assert m["loss"] == total / len(ds)
     np.testing.assert_array_equal(m["confusion"], conf)
     assert m["stage1_per_pixel"] == metrics_from_confusion(conf1)["per_pixel"]
-    assert m["clamped"] == clamped
     assert ad._STATE.tape == []
 
 
@@ -618,7 +619,6 @@ def test_evaluate_on_more_workers_than_cores_matches_one(monkeypatch, cached):
     finally:
         sys.setswitchinterval(interval)
     assert pooled["loss"] == serial["loss"] == sum(losses) / 12
-    assert pooled["clamped"] == serial["clamped"]
     assert pooled["stage1_per_pixel"] == serial["stage1_per_pixel"]
     np.testing.assert_array_equal(pooled["confusion"], serial["confusion"])
     assert eval_threads() == []
@@ -783,18 +783,35 @@ def test_train_phase_names_the_first_non_finite_parameter():
         train_phase(net, small_data(8), small_data(4), [], schedule(), phase=0)
 
 
-def test_train_phase_stops_when_the_loss_clamps_with_finite_parameters():
+def test_train_phase_stops_when_the_loss_is_not_finite_with_finite_parameters():
     net = Network(small_cfg("base_only"))
     net.params["base.cls.w"].data *= 1e6    # logit gaps far above 745
     val = small_data(4)
     with ad.no_grad():
-        clamped = net.loss(Tensor(val.features), val.labels)[1].clamped
-    assert clamped > 0
-    assert evaluate(net, val)["clamped"] == clamped
+        loss = net.loss(Tensor(val.features), val.labels)[0].item()
+    assert loss == np.inf
+    assert evaluate(net, val)["loss"] == np.inf
     with pytest.raises(networks.TrainingDivergedError,
-                       match="phase 0, epoch 0: the loss clamped log 0 at"):
+                       match="phase 0, epoch 0: the train loss is inf, and parameter "
+                             "base.cls.w reaches magnitude"):
         train_phase(net, small_data(8), val, [], schedule(), phase=0)
     assert all(np.isfinite(p.data).all() for p in net.params.values())
+
+
+def test_train_phase_stops_when_only_the_val_loss_is_not_finite():
+    """Class 0's logit leads by 800, so every other class's probability
+    underflows to 0: the all-0 train labels keep a finite loss, and the val
+    labels, which hold other classes, do not."""
+    net = Network(small_cfg("base_only"))
+    net.params["base.cls.b"].data[0] = 800.0
+    train, val = small_data(8), small_data(4)
+    train.labels[...] = 0
+    assert (val.labels != 0).any()
+    assert np.isfinite(evaluate(net, train)["loss"])
+    with pytest.raises(networks.TrainingDivergedError,
+                       match="phase 0, epoch 0: the val loss is inf, and parameter "
+                             "base.cls.b reaches magnitude 800; lower lr"):
+        train_phase(net, train, val, [], schedule(), phase=0)
 
 
 def test_two_phase_train_rejects_base_only():
